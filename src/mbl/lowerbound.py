@@ -11,16 +11,26 @@ star class is {max(f_1, ..., f_k) : f_j in F_t^j}.
 
 For one sign vector the supremum over F_t^j reduces to maximizing
 sum_i eps_i s_i over in-interval sign sequences s with at most t changes, a
-small dynamic program over states (position, changes used, current sign);
-everything here is integer arithmetic, so batched and per-vector evaluation
-agree bitwise.
+small dynamic program over states (changes used, current sign) swept along
+the sorted points.  One engine, ``_interval_optima``, runs it for every
+oracle: it folds all k intervals of a (trials, n) int8 sign block into one
+(m_max, k, trials) int8 array, zero-padded to the longest interval (a 0
+column adds 0 to every state, so padding is exact and empty intervals give
+0), and sweeps a (2, t+1, k, trials) state whose dtype is int16 while
+m_max < 2^15 and int32 beyond.  Every oracle is then a short integer
+combination of the (trials, k) optima and sign sums of the block;
+everything before the normalization by n is integer arithmetic, so batched
+and per-vector evaluation agree bitwise.
 
 With labels concentrated on class k+1 and the per-class classes
 (F_t^1, ..., F_t^k, F_0), every margin is m(x_i) = -1 - max_j f_j(x_i), so
 the margin-class supremum is -mean(eps) + star-class-sup at -eps; this
-identity is the implementation, not an approximation.  ``verify_theorem3``
-checks, by Monte Carlo, that the margin-class complexity dominates
-(1 - epsilon) times the sum of per-interval complexities.
+identity is the implementation, not an approximation.  The pattern set is
+closed under s -> -s, so each interval optimum is the same at eps and -eps,
+and the star-class sup at -eps is (sum_j optimum_j + boundary sign sum)/n,
+read off the optima at eps.  ``verify_theorem3`` checks, by Monte Carlo,
+that the margin-class complexity dominates (1 - epsilon) times the sum of
+per-interval complexities.
 """
 from __future__ import annotations
 
@@ -86,10 +96,10 @@ class LowerBoundConfig:
     """Experiment configuration for the lower-bound verification.
 
     ``t=None`` requests the doubling search; when t is given, n defaults to
-    16*k*t^2 and must not fall below it.  ``convention`` picks the reference
-    complexity of the constant class used by the selection criterion
-    (signed gives exactly 0, making the criterion vacuous, hence the
-    absolute default).
+    16*k*t^2 and must not fall below it (t = 0 needs an explicit n).
+    ``convention`` picks the reference complexity of the constant class
+    used by the selection criterion (signed gives exactly 0, making the
+    criterion vacuous, hence the absolute default).
     """
 
     k: int
@@ -112,6 +122,10 @@ class LowerBoundConfig:
         if self.t is not None:
             if self.t < 0:
                 raise ValueError("t must be >= 0")
+            if self.t == 0 and self.n is None:
+                raise ValueError(
+                    "t = 0 makes the default n = 16*k*t^2 zero; give the sample size (--n)"
+                )
             if self.n is not None and self.n < 16 * self.k * self.t * self.t:
                 raise ValueError(
                     f"n={self.n} violates n >= 16*k*t^2 = {16 * self.k * self.t * self.t}"
@@ -147,34 +161,39 @@ class Theorem3Report:
         }
 
 
-def _dp_batch(eps: np.ndarray, t: int) -> np.ndarray:
-    """Batched maximum of sum_i eps_i s_i over sign patterns with <= t changes.
+def _interval_optima(block: np.ndarray, inside: Sequence[np.ndarray], t: int) -> np.ndarray:
+    """Per-interval maxima of sum_i eps_i s_i over patterns with <= t changes.
 
-    eps is a (trials, m) matrix of -1/+1 integers; the result is an int64
-    vector.  State: dp[., c, s] is the best prefix total using at most c
-    changes and ending at sign s (index 0 for +1, 1 for -1); both start
-    signs are free, so the first point initializes every c.
+    ``block`` is a (trials, n) matrix of -1/+1 signs (int8 as the estimators
+    produce it, used as is), ``inside[j]`` the sorted point indices of
+    interval j.  Returns the (trials, k) int64 optima, one DP sweep for all
+    intervals: the state dp[s, c, j, r] is the best prefix total of interval
+    j in trial r using at most c changes and ending at sign s (index 0 for
+    +1, 1 for -1); both start signs are free, so the first column
+    initializes every c.
     """
-    if eps.ndim != 2:
-        raise ValueError("eps block must be 2-d (trials, m)")
-    trials, m = eps.shape
-    if m == 0:
-        return np.zeros(trials, dtype=np.int64)
-    e = eps.astype(np.int64, copy=False)
-    dp = np.empty((trials, t + 1, 2), dtype=np.int64)
-    dp[:, :, 0] = e[:, :1]
-    dp[:, :, 1] = -e[:, :1]
-    swap = np.empty((trials, t, 2), dtype=np.int64) if t > 0 else None
-    for i in range(1, m):
+    trials, k = block.shape[0], len(inside)
+    m_max = max((idx.size for idx in inside), default=0)
+    if m_max == 0:
+        return np.zeros((trials, k), dtype=np.int64)
+    fold = np.zeros((m_max, k, trials), dtype=np.int8)
+    for j, idx in enumerate(inside):
+        fold[: idx.size, j] = block[:, idx].T
+    dp = np.empty((2, t + 1, k, trials), dtype=np.int16 if m_max < 1 << 15 else np.int32)
+    dp[0] = fold[0]
+    dp[1] = -fold[0]
+    up, down = dp
+    for col in fold[1:]:
         if t > 0:
-            # snapshot dp[., c-1, -s] before overwriting dp[., c, s]
-            np.copyto(swap[:, :, 0], dp[:, :-1, 1])
-            np.copyto(swap[:, :, 1], dp[:, :-1, 0])
-            np.maximum(dp[:, 1:, :], swap, out=dp[:, 1:, :])
-        col = e[:, i : i + 1]
-        dp[:, :, 0] += col
-        dp[:, :, 1] -= col
-    return dp[:, t, :].max(axis=1)
+            # A change into sign s at c reads dp[-s, c-1].  Updating up first
+            # lets down read up[c-1] already maxed with down[c-2]; that term
+            # never exceeds down[c] (dp is monotone in c), so both in-place
+            # updates equal the simultaneous one.
+            np.maximum(up[1:], down[:-1], out=up[1:])
+            np.maximum(down[1:], up[:-1], out=down[1:])
+        up += col
+        down -= col
+    return dp[:, t].max(axis=0).T.astype(np.int64)
 
 
 def interval_sup_dp(
@@ -195,8 +214,8 @@ def interval_sup_dp(
         raise ValueError("t must be >= 0")
     arr = np.asarray(in_interval_signs)
     if arr.size:
-        arr = as_sign_vector(arr).astype(np.int64)
-        core = int(_dp_batch(arr[None, :], t)[0])
+        arr = as_sign_vector(arr)
+        core = int(_interval_optima(arr[None, :], [np.arange(arr.size)], t)[0, 0])
     else:
         core = 0
     if restricted:
@@ -267,7 +286,17 @@ def partition_points(points, k: int) -> tuple[list[np.ndarray], np.ndarray]:
     return inside, np.nonzero(on_boundary)[0]
 
 
-class IntervalSupOracle:
+class _BlockQuery:
+    """``query`` as ``query_block`` on a one-row block."""
+
+    n: int
+
+    def query(self, signs) -> float:
+        s = as_sign_vector(signs, self.n)
+        return float(self.query_block(s[None, :])[0])
+
+
+class IntervalSupOracle(_BlockQuery):
     """SupOracle for one interval class F_t^j on a fixed sample.
 
     Restricted mode sums only over in-interval points (the restricted
@@ -287,153 +316,114 @@ class IntervalSupOracle:
         self.restricted = restricted
         self.n = x.shape[0]
 
-    def query(self, signs) -> float:
-        s = as_sign_vector(signs, self.n)
-        return float(self.query_block(s[None, :])[0])
-
     def query_block(self, block: np.ndarray) -> np.ndarray:
-        b = np.asarray(block).astype(np.int64, copy=False)
-        eps_in = b[:, self.idx]
-        if self.idx.size:
-            core = _dp_batch(eps_in, self.t)
-        else:
-            core = np.zeros(b.shape[0], dtype=np.int64)
+        b = np.asarray(block)
+        core = _interval_optima(b, [self.idx], self.t)[:, 0]
         if self.restricted:
             return core / self.n
-        out_sum = b.sum(axis=1) - eps_in.sum(axis=1)
+        out_sum = b.sum(axis=1, dtype=np.int64) - b[:, self.idx].sum(axis=1, dtype=np.int64)
         return (core - out_sum) / self.n
 
 
-class IntervalSumOracle:
-    """Per-draw sum over j of the unrestricted F_t^j suprema (normalized)."""
+class _AllIntervals(_BlockQuery):
+    """Shared state of the oracles over all k intervals of a fixed sample."""
 
     def __init__(self, data, k: int, t: int):
-        x = _scalar_points(data)
-        self.inside, _ = partition_points(x, k)
-        self.t = t
-        self.n = x.shape[0]
-
-    def query(self, signs) -> float:
-        s = as_sign_vector(signs, self.n)
-        return float(self.query_block(s[None, :])[0])
-
-    def query_block(self, block: np.ndarray) -> np.ndarray:
-        b = np.asarray(block).astype(np.int64, copy=False)
-        total_sign = b.sum(axis=1)
-        out = np.zeros(b.shape[0], dtype=np.float64)
-        for idx in self.inside:
-            if idx.size:
-                eps_in = b[:, idx]
-                core = _dp_batch(eps_in, self.t)
-                out += (core - (total_sign - eps_in.sum(axis=1))) / self.n
-            else:
-                out += (0 - total_sign) / self.n
-        return out
-
-
-class UnionSupOracle:
-    """Sup over the union class (one interval active per function): max_j."""
-
-    def __init__(self, data, k: int, t: int):
-        x = _scalar_points(data)
-        self.inside, _ = partition_points(x, k)
-        self.t = t
-        self.n = x.shape[0]
-
-    def query(self, signs) -> float:
-        s = as_sign_vector(signs, self.n)
-        return float(self.query_block(s[None, :])[0])
-
-    def query_block(self, block: np.ndarray) -> np.ndarray:
-        b = np.asarray(block).astype(np.int64, copy=False)
-        total_sign = b.sum(axis=1)
-        best = np.full(b.shape[0], -np.inf)
-        for idx in self.inside:
-            if idx.size:
-                eps_in = b[:, idx]
-                core = _dp_batch(eps_in, self.t)
-                val = (core - (total_sign - eps_in.sum(axis=1))) / self.n
-            else:
-                val = (0 - total_sign) / self.n
-            np.maximum(best, val, out=best)
-        return best
-
-
-class StarSupOracle:
-    """Sup over the star class {max(f_1, ..., f_k)}.
-
-    The max decomposes per interval (off its interval every candidate is -1),
-    so the sup is the sum of per-interval DP optima minus the sign sum at
-    boundary points, normalized by n.
-    """
-
-    def __init__(self, data, k: int, t: int):
+        if k < 1:
+            raise ValueError("need k >= 1 intervals")
+        if t < 0:
+            raise ValueError("t must be >= 0")
         x = _scalar_points(data)
         self.inside, self.boundary = partition_points(x, k)
         self.t = t
         self.n = x.shape[0]
 
-    def query(self, signs) -> float:
-        s = as_sign_vector(signs, self.n)
-        return float(self.query_block(s[None, :])[0])
+    def _optima(self, b: np.ndarray) -> np.ndarray:
+        return _interval_optima(b, self.inside, self.t)
+
+    def _interval_values(self, b: np.ndarray, opt: np.ndarray) -> np.ndarray:
+        """(trials, k) unrestricted F_t^j suprema: (optimum - off-interval sign sum)/n."""
+        inside = np.stack([b[:, idx].sum(axis=1, dtype=np.int64) for idx in self.inside], axis=1)
+        return (opt - (b.sum(axis=1, dtype=np.int64)[:, None] - inside)) / self.n
+
+    def _star_total(self, b: np.ndarray, opt: np.ndarray, boundary_sign: int) -> np.ndarray:
+        """Unnormalized star-class sup at boundary_sign * b.
+
+        Off its interval every candidate is -1, so the max decomposes per
+        interval; the optima are sign-symmetric, and only the boundary
+        points' -1 contribution follows the sign of the draw.
+        """
+        return opt.sum(axis=1) - boundary_sign * b[:, self.boundary].sum(axis=1, dtype=np.int64)
+
+
+class IntervalSumOracle(_AllIntervals):
+    """Per-draw sum over j of the unrestricted F_t^j suprema (normalized)."""
 
     def query_block(self, block: np.ndarray) -> np.ndarray:
-        b = np.asarray(block).astype(np.int64, copy=False)
-        total = np.zeros(b.shape[0], dtype=np.int64)
-        for idx in self.inside:
-            if idx.size:
-                total += _dp_batch(b[:, idx], self.t)
-        if self.boundary.size:
-            total = total - b[:, self.boundary].sum(axis=1)
-        return total / self.n
+        b = np.asarray(block)
+        out = np.zeros(b.shape[0], dtype=np.float64)
+        for vals in self._interval_values(b, self._optima(b)).T:
+            out += vals
+        return out
 
 
-class Theorem3SupOracle:
+class UnionSupOracle(_AllIntervals):
+    """Sup over the union class (one interval active per function): max_j."""
+
+    def query_block(self, block: np.ndarray) -> np.ndarray:
+        b = np.asarray(block)
+        return self._interval_values(b, self._optima(b)).max(axis=1)
+
+
+class StarSupOracle(_AllIntervals):
+    """Sup over the star class {max(f_1, ..., f_k)}.
+
+    The sum of per-interval DP optima minus the sign sum at boundary
+    points, normalized by n.
+    """
+
+    def query_block(self, block: np.ndarray) -> np.ndarray:
+        b = np.asarray(block)
+        return self._star_total(b, self._optima(b), 1) / self.n
+
+
+class _ConcentratedLabels(_AllIntervals):
+    """Margin-class oracles on a dataset whose labels all equal k+1."""
+
+    def __init__(self, dataset: LabeledDataset, t: int, k: int | None = None):
+        k = dataset.k - 1 if k is None else k
+        super().__init__(dataset.points, k, t)
+        labels = np.asarray(dataset.labels)
+        if labels.size == 0 or not np.all(labels == k + 1):
+            raise ValueError(f"labels must all equal k+1 = {k + 1}")
+        self.k = k
+
+
+class Theorem3SupOracle(_ConcentratedLabels):
     """Margin-class sup for labels concentrated on class k+1.
 
     Each margin is -1 - max_j f_j(x_i), so the per-draw sup equals
     -mean(eps) plus the star-class sup at -eps.
     """
 
-    def __init__(self, dataset: LabeledDataset, t: int, k: int | None = None):
-        k = dataset.k - 1 if k is None else k
-        if k < 1:
-            raise ValueError("need k >= 1 intervals")
-        labels = np.asarray(dataset.labels)
-        if labels.size == 0 or not np.all(labels == k + 1):
-            raise ValueError(f"labels must all equal k+1 = {k + 1}")
-        self.star = StarSupOracle(dataset.points, k, t)
-        self.n = self.star.n
-        self.k = k
+    def query_block(self, block: np.ndarray) -> np.ndarray:
+        b = np.asarray(block)
+        star = self._star_total(b, self._optima(b), -1) / self.n
+        return -b.sum(axis=1, dtype=np.int64) / self.n + star
 
-    def query(self, signs) -> float:
-        s = as_sign_vector(signs, self.n)
-        return float(self.query_block(s[None, :])[0])
+
+class UnionMarginSupOracle(_ConcentratedLabels):
+    """Margin-class sup when every per-class slot is the union class.
+
+    The union-class sup at eps plus the star-class sup at -eps, both from
+    one set of interval optima.
+    """
 
     def query_block(self, block: np.ndarray) -> np.ndarray:
-        b = np.asarray(block).astype(np.int64, copy=False)
-        return -b.sum(axis=1) / self.n + self.star.query_block(-b)
-
-
-class UnionMarginSupOracle:
-    """Margin-class sup when every per-class slot is the union class."""
-
-    def __init__(self, dataset: LabeledDataset, t: int, k: int | None = None):
-        k = dataset.k - 1 if k is None else k
-        labels = np.asarray(dataset.labels)
-        if labels.size == 0 or not np.all(labels == k + 1):
-            raise ValueError(f"labels must all equal k+1 = {k + 1}")
-        self.union = UnionSupOracle(dataset.points, k, t)
-        self.star = StarSupOracle(dataset.points, k, t)
-        self.n = self.union.n
-
-    def query(self, signs) -> float:
-        s = as_sign_vector(signs, self.n)
-        return float(self.query_block(s[None, :])[0])
-
-    def query_block(self, block: np.ndarray) -> np.ndarray:
-        b = np.asarray(block).astype(np.int64, copy=False)
-        return self.union.query_block(b) + self.star.query_block(-b)
+        b = np.asarray(block)
+        opt = self._optima(b)
+        union = self._interval_values(b, opt).max(axis=1)
+        return union + self._star_total(b, opt, -1) / self.n
 
 
 def restricted_rademacher(
@@ -632,6 +622,10 @@ def sweep_theorem3(
     ks = [int(k) for k in k_list]
     if not ks:
         raise ValueError("k_list must be nonempty")
+    if points_per_interval is None and t == 0:
+        raise ValueError(
+            "t = 0 makes the default density 16*t^2 zero; give the points per interval (--density)"
+        )
     density = points_per_interval if points_per_interval is not None else 16 * t * t
     if density < 16 * t * t:
         raise ValueError(f"points_per_interval={density} violates n >= 16*k*t^2")

@@ -264,6 +264,25 @@ def test_verify_thm3_usage_errors(in_tmp, capsys):
     assert code == 2
 
 
+def test_verify_thm3_t0_needs_explicit_size(in_tmp, capsys):
+    # the default n = 16kt^2 (density 16t^2) is 0 at t = 0
+    code, out, err = run_cli(["verify", "thm3", "--k", "2", "--t", "0", "--epsilon", "0.5"], capsys)
+    assert (code, out) == (2, "")
+    assert "t = 0" in err and "--n" in err
+    code, out, err = run_cli(
+        ["verify", "thm3", "--sweep", "1,2", "--t", "0", "--epsilon", "0.5"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "t = 0" in err and "--density" in err
+    code, out, _ = run_cli(
+        ["verify", "thm3", "--k", "2", "--t", "0", "--n", "20", "--epsilon", "0.5",
+         "--trials", "64"],
+        capsys,
+    )
+    assert code in (0, 1)
+    assert (json.loads(out)["t"], json.loads(out)["n"]) == (0, 20)
+
+
 def test_verify_thm3_budget_cap_is_exit_3(in_tmp, capsys):
     code, _, err = run_cli(
         ["verify", "thm3", "--k", "4", "--epsilon", "0.001", "--n", "500", "--trials", "64"],

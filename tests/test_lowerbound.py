@@ -1,6 +1,7 @@
 """Interval classes, sign-change DP, star/margin oracles, and the scaling law."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,11 +28,13 @@ from mbl.lowerbound import (
     sweep_theorem3,
     theorem3_margin_sup,
     verify_theorem3,
+    _interval_optima,
 )
 from mbl.rademacher import (
     TabulatedSupOracle,
     enumerate_sign_vectors,
     exact_empirical_rademacher,
+    trial_sign_block,
 )
 from mbl.synth import GeneratorSpec, generate
 
@@ -354,3 +357,114 @@ def test_sweep_theorem3_validation():
         sweep_theorem3([], t=1)
     with pytest.raises(ValueError):
         sweep_theorem3([2, 4], t=2, points_per_interval=16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lengths=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=4),
+    extra=st.integers(min_value=0, max_value=3),
+    trials=st.integers(min_value=1, max_value=3),
+    t=st.integers(min_value=0, max_value=10),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_interval_optima_match_brute_force(lengths, extra, trials, t, seed):
+    # Unequal and empty intervals exercise the zero padding, t >= m the
+    # saturated budget; the intervals take scattered columns of the block
+    # and `extra` columns belong to no interval, like boundary points.
+    rng = np.random.default_rng(seed)
+    n = sum(lengths) + extra
+    cols = rng.permutation(n)
+    inside = np.split(cols[: sum(lengths)], np.cumsum(lengths)[:-1])
+    block = rng.choice(np.array([-1, 1], dtype=np.int8), size=(trials, n))
+    opt = _interval_optima(block, inside, t)
+    assert opt.shape == (trials, len(lengths)) and opt.dtype == np.int64
+    for r in range(trials):
+        for j, idx in enumerate(inside):
+            assert opt[r, j] == brute_force_interval_sup(block[r, idx], t)
+    # the pattern set is closed under s -> -s
+    assert np.array_equal(_interval_optima(-block, inside, t), opt)
+
+
+@pytest.mark.parametrize("m", [(1 << 15) - 1, 1 << 15])
+def test_interval_optima_long_interval_does_not_wrap(m):
+    # m >= 2^15 switches the DP state to int32; an int16 state would wrap at m = 2^15
+    for sign in (1, -1):
+        block = np.full((1, m), sign, dtype=np.int8)
+        assert _interval_optima(block, [np.arange(m)], 0)[0, 0] == m
+
+
+@pytest.mark.parametrize("k, t", [(2, 2), (5, 3), (8, 1), (3, 0)])
+def test_margin_minus_interval_sum_is_linear_in_signs(k, t):
+    # n (Theorem3Sup - IntervalSum) = (k - 2) sum(eps) + 2 sum_boundary(eps)
+    # per draw: the interval optima cancel, only the sign sums remain.
+    rng = np.random.default_rng(100 * k + t)
+    on_integer = rng.integers(1, k + 2, size=12).astype(np.float64)
+    x = np.concatenate([1.0 + k * rng.random(36), on_integer])
+    n = x.size
+    ds = LabeledDataset(x, np.full(n, k + 1), k + 1)
+    _, boundary = partition_points(x, k)
+    assert boundary.size == on_integer.size
+    block = rng.choice(np.array([-1, 1], dtype=np.int8), size=(500, n))
+    margin = Theorem3SupOracle(ds, t, k).query_block(block)
+    diff = margin - IntervalSumOracle(x, k, t).query_block(block)
+    eps = block.astype(np.int64)
+    want = (k - 2) * eps.sum(axis=1) + 2 * eps[:, boundary].sum(axis=1)
+    assert np.array_equal(np.rint(n * diff).astype(np.int64), want)
+    assert np.any(eps[:, boundary].sum(axis=1) != 0)
+
+
+# Recorded float.hex of (lhs, rhs, lhs_std_error, rhs_std_error): the
+# verifier's outputs are pinned bit for bit.
+GOLDEN_THEOREM3 = [
+    (
+        dict(k=3, epsilon=0.5, t=2, n=200, seed=4, trials=300),
+        "sum",
+        ("0x1.39f559b3d07c9p-2", "0x1.3d4daffdd0c27p-2",
+         "0x1.2a0dbfb2966a4p-8", "0x1.1ee812125447cp-7"),
+    ),
+    (
+        dict(k=3, epsilon=0.5, t=1, n=64, seed=6, trials=256),
+        "union",
+        ("0x1.1f40000000000p-1", "0x1.2c90000000000p-1",
+         "0x1.02aaa0118d609p-7", "0x1.18a8398b5bb1bp-6"),
+    ),
+    (
+        dict(k=2, epsilon=0.5, t=0, n=40, seed=8, trials=256, convention="signed"),
+        "sum",
+        ("0x1.40ccccccccccdp-3", "0x1.4733333333333p-3",
+         "0x1.614cd90dbedb7p-7", "0x1.58814eaa75fc0p-7"),
+    ),
+]
+
+
+@pytest.mark.parametrize("kwargs, variant, want", GOLDEN_THEOREM3)
+def test_verify_theorem3_golden_bits(kwargs, variant, want):
+    r = verify_theorem3(LowerBoundConfig(**kwargs), variant=variant)
+    got = tuple(float.hex(v) for v in (r.lhs, r.rhs, r.lhs_std_error, r.rhs_std_error))
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda ds, k, t: Theorem3SupOracle(ds, t, k),
+        lambda ds, k, t: UnionMarginSupOracle(ds, t, k),
+        lambda ds, k, t: IntervalSumOracle(ds, k, t),
+        lambda ds, k, t: UnionSupOracle(ds, k, t),
+        lambda ds, k, t: StarSupOracle(ds, k, t),
+    ],
+)
+def test_oracle_block_memory_stays_near_the_int8_block(make):
+    # An int64 copy of the block alone is 8x its int8 size; the engine folds
+    # the int8 signs as they are and keeps a small int16 state.
+    k, t = 4, 4
+    ds = generate(GeneratorSpec(kind="uniform_interval", k=k, n=16 * k * t * t, seed=2))
+    oracle = make(ds, k, t)
+    block = trial_sign_block(7, 0, 64, ds.n)
+    tracemalloc.start()
+    try:
+        oracle.query_block(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * block.nbytes
