@@ -55,10 +55,10 @@ class BoundInput:
             raise ValueError("k must be >= 2")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not self.confidence_t > 0:
-            raise ValueError("confidence_t must be > 0")
-        if self.rad_value < 0:
-            raise ValueError("rad_value must be >= 0")
+        if not (math.isfinite(self.confidence_t) and self.confidence_t > 0):
+            raise ValueError(f"confidence_t must be finite and > 0, got {self.confidence_t!r}")
+        if not (math.isfinite(self.rad_value) and self.rad_value >= 0):
+            raise ValueError(f"rad_value must be finite and >= 0, got {self.rad_value!r}")
 
 
 @dataclass(frozen=True)
@@ -155,10 +155,12 @@ def theorem2_bound(
         raise ValueError("n must be >= 1")
     if not 0.0 <= margin_frac <= 1.0:
         raise ValueError("margin_frac must lie in [0, 1]")
-    if radius < 0 or lambda_cap < 0:
-        raise ValueError("radius and lambda_cap must be >= 0")
-    if not confidence_t > 0:
-        raise ValueError("confidence_t must be > 0")
+    if not all(math.isfinite(v) and v >= 0 for v in (radius, lambda_cap)):
+        raise ValueError(
+            f"radius and lambda_cap must be finite and >= 0, got {radius!r}, {lambda_cap!r}"
+        )
+    if not (math.isfinite(confidence_t) and confidence_t > 0):
+        raise ValueError(f"confidence_t must be finite and > 0, got {confidence_t!r}")
     complexity = (2.0 * k / delta) * math.sqrt(radius * radius * lambda_cap * lambda_cap / n)
     confidence = confidence_t / math.sqrt(n)
     value = math.fsum((margin_frac, complexity, confidence))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .bounds import METHODS, BoundInput, compare_bounds, theorem1_bound, theorem2_bound
 from .core import CapExceeded
-from .kernel import KernelSupOracle, gram, kernel_rad_bounds, parse_kernel_spec
+from .kernel import KernelSupOracle, gram, kernel_trace, parse_kernel_spec, trace_complexity
 from .lowerbound import LowerBoundConfig, Theorem3Report, sweep_theorem3, verify_theorem3
 from .margin import empirical_margin_cdf, lemma1_sweep, margin_distribution
 from .rademacher import (
@@ -143,9 +143,7 @@ def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
     if args.mode == "exact":
         est = exact_empirical_rademacher(oracle, n, convention=args.convention)
     else:
-        est = mc_empirical_rademacher(
-            oracle, n, args.trials, args.seed, convention=args.convention, threads=args.threads
-        )
+        est = mc_empirical_rademacher(oracle, n, args.trials, args.seed, convention=args.convention)
     payload = {
         "value": est.value,
         "method": est.method,
@@ -167,14 +165,15 @@ def _thm1_rad_value(args, ctx: _RunContext, n: int) -> float:
         return args.rad_value
     if args.lambda_cap is None:
         raise ValueError("thm1 needs --rad, or --lambda with --R or --data")
+    if not args.lambda_cap >= 0 or (args.radius is not None and not args.radius >= 0):
+        raise ValueError("--lambda and --R must be >= 0")
     if args.data:
         spec = parse_kernel_spec(args.kernel) if args.kernel else parse_kernel_spec("linear")
         ctx.track_input(args.data)
         dataset = read_dataset_csv(args.data)
         if dataset.n != n:
             raise ValueError(f"--data has {dataset.n} rows but the scores file has {n}")
-        data_dependent, _ = kernel_rad_bounds(gram(spec, dataset.points), args.lambda_cap)
-        return data_dependent
+        return trace_complexity(kernel_trace(spec, dataset.points), args.lambda_cap, n)
     if args.radius is None:
         raise ValueError("with --lambda give --R (norm-ball worst case) or --data (data dependent)")
     return math.sqrt(args.radius**2 * args.lambda_cap**2 / n)
@@ -297,7 +296,6 @@ def _cmd_verify_thm3(args, ctx: _RunContext) -> tuple[int, dict]:
             epsilon=args.epsilon,
             trials=args.trials,
             seed=args.seed,
-            threads=args.threads,
         )
         if args.out:
             _write_thm3_csv(args.out, reports)
@@ -317,7 +315,7 @@ def _cmd_verify_thm3(args, ctx: _RunContext) -> tuple[int, dict]:
         trials=args.trials,
         convention=args.convention,
     )
-    report = verify_theorem3(config, threads=args.threads, variant=args.variant)
+    report = verify_theorem3(config, variant=args.variant)
     if args.out:
         _write_thm3_csv(args.out, [report])
         ctx.outputs.append(args.out)
@@ -354,7 +352,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (default: MBL_THREADS env var, else 1); never changes results",
+        help="accepted and checked (>= 1; default: MBL_THREADS env var, else 1) but starts "
+        "no worker threads, so it never changes results or speed",
     )
     parser.add_argument(
         "--manifest",

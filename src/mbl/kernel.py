@@ -1,4 +1,4 @@
-"""Kernel hypothesis classes, Gram matrices, and the norm-ball sup oracle.
+"""Kernel specs, Gram matrices, the norm-ball sup oracle and its bounds.
 
 For the Euclidean ball {x -> w . Phi(x) : ||w|| <= lam}, the inner supremum
 of the Rademacher definition has the closed form
@@ -8,6 +8,12 @@ of the Rademacher definition has the closed form
 (Cauchy-Schwarz with equality at the aligned w), where G is the Gram matrix.
 Only the 2-norm ball gets an exact oracle; other aggregations are served
 through the worst-case surrogate sqrt(R^2 lam^2 / n).
+
+Every KernelSpec is positive semi-definite by construction: linear is a Gram
+of inner products, rbf with finite gamma > 0 is a Gaussian kernel, and poly
+with finite coef >= 0 is a sum of nonnegative multiples of powers of the
+linear kernel (Schur product theorem).  So |K(x, y)|^2 <= K(x, x) K(y, y),
+and a finite diagonal bounds every Gram entry.
 """
 from __future__ import annotations
 
@@ -21,15 +27,13 @@ from .core import LabeledDataset
 
 __all__ = [
     "KernelSpec",
-    "KernelClass",
     "parse_kernel_spec",
     "gram",
+    "kernel_trace",
     "check_psd",
     "KernelSupOracle",
-    "kernel_sup_oracle",
+    "trace_complexity",
     "kernel_rad_bounds",
-    "write_gram_csv",
-    "read_gram_csv",
 ]
 
 _PSD_TOL_FACTOR = 1e-8
@@ -45,12 +49,18 @@ class KernelSpec:
     coef: float = 1.0
 
     def __post_init__(self) -> None:
+        # Only parameter ranges under which the kernel is PSD (module docstring).
         if self.kind not in ("linear", "rbf", "poly"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf" and not self.gamma > 0:
-            raise ValueError("rbf kernel needs gamma > 0")
-        if self.kind == "poly" and self.degree < 1:
-            raise ValueError("poly kernel needs degree >= 1")
+        if self.kind == "rbf" and not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"rbf kernel needs a finite gamma > 0, got {self.gamma!r}")
+        if self.kind == "poly":
+            if self.degree < 1:
+                raise ValueError("poly kernel needs degree >= 1")
+            if not (math.isfinite(self.coef) and self.coef >= 0):
+                raise ValueError(
+                    f"poly kernel needs a finite coef >= 0 (else it is not PSD), got {self.coef!r}"
+                )
 
     def label(self) -> str:
         if self.kind == "linear":
@@ -58,22 +68,6 @@ class KernelSpec:
         if self.kind == "rbf":
             return f"rbf:gamma={self.gamma!r}"
         return f"poly:degree={self.degree},coef={self.coef!r}"
-
-
-@dataclass(frozen=True)
-class KernelClass:
-    """Norm-ball hypothesis class: k score functions w_y . Phi(x), ||W|| <= lam."""
-
-    kernel: KernelSpec
-    lambda_cap: float
-    k: int
-    p: int = 2
-
-    def __post_init__(self) -> None:
-        if not self.lambda_cap > 0:
-            raise ValueError("lambda_cap must be > 0")
-        if self.p != 2:
-            raise ValueError("exact oracles exist only for p = 2")
 
 
 def parse_kernel_spec(text: str) -> KernelSpec:
@@ -129,20 +123,48 @@ def gram(spec: KernelSpec, data) -> np.ndarray:
     poly: (x_i . x_j + coef)^degree.
     """
     pts = _points(data)
+    dots = pts @ pts.T
     if spec.kind == "rbf":
-        diff = pts[:, None, :] - pts[None, :, :]
-        sq = np.einsum("ijd,ijd->ij", diff, diff)
-        g = np.exp(-spec.gamma * sq)
+        # ||x_i - x_j||^2 = ||x_i||^2 + ||x_j||^2 - 2 x_i . x_j, clamped at 0
+        # against cancellation; the diagonal distance is exactly 0.
+        sq = np.einsum("id,id->i", pts, pts)
+        dots *= 2.0
+        dist = np.add.outer(sq, sq)
+        dist -= dots
+        del dots
+        np.maximum(dist, 0.0, out=dist)
+        np.fill_diagonal(dist, 0.0)
+        dist *= -spec.gamma
+        g = np.exp(dist, out=dist)
+    elif spec.kind == "linear":
+        g = dots
     else:
-        dots = pts @ pts.T
-        if spec.kind == "linear":
-            g = dots
-        else:
+        with np.errstate(over="ignore"):  # overflow is rejected just below
             g = (dots + spec.coef) ** spec.degree
     if not np.isfinite(g).all():
         raise ValueError("gram matrix has non-finite entries")
     # (g + g.T)/2 is exactly symmetric in IEEE arithmetic.
     return (g + g.T) / 2.0
+
+
+def kernel_trace(spec: KernelSpec, data) -> float:
+    """trace G = sum_i K(x_i, x_i) from the kernel diagonal alone, in O(nd).
+
+    rbf: exactly n; linear: sum ||x_i||^2; poly: sum (||x_i||^2 + coef)^degree.
+    Raises ValueError if the diagonal or its sum is non-finite; since every
+    spec is PSD, a finite diagonal means every Gram entry is finite.
+    """
+    pts = _points(data)
+    if spec.kind == "rbf":
+        return float(pts.shape[0])
+    diag = np.einsum("id,id->i", pts, pts)
+    if spec.kind == "poly":
+        with np.errstate(over="ignore"):  # overflow is rejected just below
+            diag = (diag + spec.coef) ** spec.degree
+    total = float(diag.sum())
+    if not math.isfinite(total):
+        raise ValueError(f"{spec.label()} kernel diagonal has non-finite entries or sum")
+    return total
 
 
 def check_psd(g: np.ndarray, tol_factor: float = _PSD_TOL_FACTOR) -> float:
@@ -168,8 +190,8 @@ class KernelSupOracle:
 
     def __init__(self, g: np.ndarray, lambda_cap: float, validate: bool = True):
         g = np.asarray(g, dtype=np.float64)
-        if lambda_cap < 0:
-            raise ValueError("lambda_cap must be >= 0")
+        if not (math.isfinite(lambda_cap) and lambda_cap >= 0):
+            raise ValueError(f"lambda_cap must be finite and >= 0, got {lambda_cap!r}")
         if validate:
             check_psd(g)
         self.g = g
@@ -189,9 +211,9 @@ class KernelSupOracle:
         return self.lambda_cap / self.n * np.sqrt(np.maximum(quad, 0.0))
 
 
-def kernel_sup_oracle(g: np.ndarray, lambda_cap: float, signs) -> float:
-    """One-shot form of KernelSupOracle.query (validates PSD each call)."""
-    return KernelSupOracle(g, lambda_cap).query(signs)
+def trace_complexity(trace: float, lambda_cap: float, n: int) -> float:
+    """lam sqrt(trace G) / n: Jensen's bound on the norm-ball complexity."""
+    return lambda_cap * math.sqrt(max(trace, 0.0)) / n
 
 
 def kernel_rad_bounds(
@@ -207,36 +229,9 @@ def kernel_rad_bounds(
     g = np.asarray(g, dtype=np.float64)
     check_psd(g)
     n = g.shape[0]
-    data_dependent = lambda_cap * math.sqrt(max(float(np.trace(g)), 0.0)) / n
+    data_dependent = trace_complexity(float(np.trace(g)), lambda_cap, n)
 
     def worst_case(radius: float) -> float:
         return math.sqrt(radius * radius * lambda_cap * lambda_cap / n)
 
     return data_dependent, worst_case
-
-
-def write_gram_csv(g: np.ndarray, path) -> None:
-    """Row-major CSV, no header, 17 significant digits per entry."""
-    g = np.asarray(g, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in g:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_gram_csv(path) -> np.ndarray:
-    """Read a headerless numeric CSV matrix (inverse of write_gram_csv)."""
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(cell) for cell in line.split(",")])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: non-numeric cell ({exc})") from None
-            if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
-                raise ValueError(f"line {lineno}: ragged row")
-    if not rows:
-        raise ValueError("empty matrix file")
-    return np.asarray(rows, dtype=np.float64)

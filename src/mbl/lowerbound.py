@@ -432,7 +432,6 @@ def restricted_rademacher(
     trials: int = 1000,
     seed: int = 0,
     mode: str = "mc",
-    threads: int = 1,
 ) -> RademacherEstimate:
     """Estimate the restricted complexity of F_t^j (signed convention).
 
@@ -445,7 +444,7 @@ def restricted_rademacher(
         return exact_empirical_rademacher(oracle, oracle.n)
     if mode != "mc":
         raise ValueError("mode must be 'mc' or 'exact'")
-    return mc_empirical_rademacher(oracle, oracle.n, trials, seed, threads=threads)
+    return mc_empirical_rademacher(oracle, oracle.n, trials, seed)
 
 
 def _infer_interval_count(data, j_floor: int) -> int:
@@ -501,7 +500,6 @@ def select_t(
     seed: int = 0,
     trials: int = 256,
     convention: str = "absolute",
-    threads: int = 1,
 ) -> tuple[int, int]:
     """Doubling search for the smallest budget t meeting the slack criterion.
 
@@ -529,7 +527,7 @@ def select_t(
         ok = True
         for j in range(1, k + 1):
             oracle = IntervalSupOracle(dataset, k, j, t, restricted=True)
-            est = mc_empirical_rademacher(oracle, n, trials, est_seed, threads=threads)
+            est = mc_empirical_rademacher(oracle, n, trials, est_seed)
             if not est.value >= big_c * ref:
                 ok = False
                 break
@@ -546,16 +544,15 @@ def verify_theorem3(
     lhs estimates the margin-class complexity (labels concentrated on k+1),
     rhs the sum over intervals of unrestricted complexities (variant
     "union": k times the union-class complexity instead).  Passes when
-    lhs >= (1 - epsilon) rhs - 4 * combined std error.
+    lhs >= (1 - epsilon) rhs - 4 * combined std error.  ``threads`` is
+    accepted for callers that pass it and has no effect.
     """
     if variant not in ("sum", "union"):
         raise ValueError("variant must be 'sum' or 'union'")
     k, eps = config.k, config.epsilon
     if config.t is None:
         budget = config.n if config.n is not None else _DEFAULT_T_BUDGET
-        t, n = select_t(
-            k, eps, budget, seed=config.seed, convention=config.convention, threads=threads
-        )
+        t, n = select_t(k, eps, budget, seed=config.seed, convention=config.convention)
         auto = True
     else:
         t = config.t
@@ -573,10 +570,10 @@ def verify_theorem3(
         rhs_scale = float(k)
 
     lhs_est = mc_empirical_rademacher(
-        lhs_oracle, n, config.trials, _derived_seed(config.seed, 0, 1), threads=threads
+        lhs_oracle, n, config.trials, _derived_seed(config.seed, 0, 1)
     )
     rhs_est = mc_empirical_rademacher(
-        rhs_oracle, n, config.trials, _derived_seed(config.seed, 0, 2), threads=threads
+        rhs_oracle, n, config.trials, _derived_seed(config.seed, 0, 2)
     )
     lhs, se_lhs = lhs_est.value, lhs_est.std_error
     rhs = rhs_scale * rhs_est.value
@@ -607,7 +604,6 @@ def sweep_theorem3(
     epsilon: float = 0.5,
     trials: int = 500,
     seed: int = 0,
-    threads: int = 1,
 ) -> tuple[list[Theorem3Report], dict]:
     """Scaling sweep over k at fixed t and fixed per-interval point density.
 
@@ -639,7 +635,7 @@ def sweep_theorem3(
             seed=_derived_seed(seed, k),
             trials=trials,
         )
-        reports.append(verify_theorem3(cfg, threads=threads))
+        reports.append(verify_theorem3(cfg))
     karr = np.asarray(ks, dtype=np.float64)
     rhs = np.asarray([r.rhs for r in reports])
     aggregate = np.asarray([r.n * r.rhs for r in reports])

@@ -9,14 +9,13 @@ per-draw max of query(eps) and query(-eps).
 Reproducibility contract for the Monte Carlo estimator: the sign vector of
 trial j is a pure function of (seed, j), produced by a counter-based Philox
 stream (trial j owns a fixed, disjoint range of counter blocks).  Trials can
-therefore be generated in any partition into batches, serial or parallel,
-with bitwise-identical results, and all reductions use exactly rounded
-summation (math.fsum), which is order-independent.
+therefore be generated in any partition into batches with bitwise-identical
+results, and all reductions use exactly rounded summation (math.fsum), which
+is order-independent.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -42,9 +41,9 @@ __all__ = [
 _WORDS_PER_BLOCK = 4
 _BITS_PER_BLOCK = 64 * _WORDS_PER_BLOCK
 
-# Fixed trial-batch sizing (must not depend on thread count: batch boundaries
-# are part of no contract, but keeping them fixed keeps per-batch arrays and
-# BLAS call shapes identical across runs).
+# Fixed trial-batch sizing (batch boundaries are part of no contract, but
+# keeping them fixed keeps per-batch arrays and BLAS call shapes identical
+# across runs).
 _TARGET_BATCH_CELLS = 1 << 21
 
 
@@ -178,7 +177,9 @@ def mc_empirical_rademacher(
 
     std_error is the sample standard deviation over trials divided by
     sqrt(trials).  Output is a pure function of (oracle, n, trials, seed,
-    convention): batching and thread count never change a bit.
+    convention): batching never changes a bit.  Batches run one after
+    another on the calling thread; ``threads`` is accepted for callers that
+    pass it and has no effect (a pool never paid on these oracles).
     """
     _check_convention(convention)
     if trials < 2:
@@ -186,18 +187,10 @@ def mc_empirical_rademacher(
     if n < 1:
         raise ValueError("n must be >= 1")
     batch = max(1, _TARGET_BATCH_CELLS // max(n, 1))
-    ranges = [(lo, min(lo + batch, trials)) for lo in range(0, trials, batch)]
-
-    def run(rng: tuple[int, int]) -> np.ndarray:
-        lo, hi = rng
-        block = trial_sign_block(seed, lo, hi, n)
-        return _block_sups(oracle, block, convention)
-
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, ranges))
-    else:
-        parts = [run(r) for r in ranges]
+    parts = [
+        _block_sups(oracle, trial_sign_block(seed, lo, min(lo + batch, trials), n), convention)
+        for lo in range(0, trials, batch)
+    ]
     vals = np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     value = math.fsum(vals.tolist()) / trials

@@ -129,6 +129,11 @@ def test_bound_input_validation():
         BoundInput(k=2, n=10, confidence_t=0.0, rad_value=0.0, margin_cdf=_zero_cdf)
     with pytest.raises(ValueError):
         BoundInput(k=2, n=10, confidence_t=1.0, rad_value=-0.1, margin_cdf=_zero_cdf)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BoundInput(k=2, n=10, confidence_t=bad, rad_value=0.0, margin_cdf=_zero_cdf)
+        with pytest.raises(ValueError):
+            BoundInput(k=2, n=10, confidence_t=1.0, rad_value=bad, margin_cdf=_zero_cdf)
 
 
 def test_thm2_worked_value():
@@ -165,6 +170,12 @@ def test_thm2_validation():
         dict(k=1),
         dict(n=0),
         dict(confidence_t=0.0),
+        dict(confidence_t=math.inf),
+        dict(radius=math.nan),
+        dict(radius=math.inf),
+        dict(lambda_cap=math.nan),
+        dict(lambda_cap=math.inf),
+        dict(delta=math.nan),
     ):
         with pytest.raises(ValueError):
             theorem2_bound(**{**good, **bad})

@@ -1,17 +1,27 @@
 """End-to-end command-line behavior: exit codes, JSON stdout, manifests."""
+import argparse
 import hashlib
 import json
+import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mbl
-from mbl.cli import main
+from mbl.cli import _RunContext, _thm1_rad_value, main
 from mbl.margin import ScoreMatrix
-from mbl.synth import write_labels_csv, write_scores_csv
+from mbl.synth import (
+    GeneratorSpec,
+    generate,
+    read_dataset_csv,
+    write_dataset_csv,
+    write_labels_csv,
+    write_scores_csv,
+)
 
 TWO_ROW = "1,1\n-1,-1\n"
 
@@ -168,6 +178,107 @@ def test_bound_eval_flag_conflicts(in_tmp, capsys):
         code, _, err = run_cli(base + extra, capsys)
         assert code == 2, (extra, err)
 
+
+
+def _thm1_data_argv(tmp_path, n, kernel, lam="2.0"):
+    """thm1 with the data-dependent complexity on an n-point blobs sample."""
+    spath, lpath = _write_margin3_files(tmp_path, n=n)
+    dpath = tmp_path / "data.csv"
+    write_dataset_csv(generate(GeneratorSpec(kind="gaussian_blobs", k=3, n=n, seed=3, d=2)), dpath)
+    return [
+        "bound", "eval", "--method", "thm1", "--scores", spath, "--labels", lpath,
+        "--t", "1", "--lambda", lam, "--data", str(dpath), "--kernel", kernel,
+    ]
+
+
+def test_bound_eval_thm1_data_rbf_trace_is_n(in_tmp, capsys):
+    n, lam = 50, 2.0
+    code, out, err = run_cli(_thm1_data_argv(in_tmp, n, "rbf:gamma=0.5"), capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    k, delta = 2, payload["delta_star"]
+    assert payload["terms"]["complexity"] == (4.0 * k / delta) * (lam * math.sqrt(n) / n)
+
+
+def test_bound_eval_thm1_data_linear_trace(in_tmp, capsys):
+    n, lam = 50, 2.0
+    code, out, err = run_cli(_thm1_data_argv(in_tmp, n, "linear"), capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    pts = read_dataset_csv(in_tmp / "data.csv").points
+    k, delta = 2, payload["delta_star"]
+    expected = (4.0 * k / delta) * lam * math.sqrt(float((pts * pts).sum())) / n
+    assert payload["terms"]["complexity"] == pytest.approx(expected, rel=1e-12)
+
+
+def test_bound_eval_thm1_data_path_memory_is_linear(in_tmp):
+    # The thm1 complexity needs only trace G = sum_i K(x_i, x_i): the path
+    # from the dataset file to the complexity must never hold an n x n
+    # array (128 MB here).  The CSV reader alone peaks near 160 n d bytes.
+    n, d = 4000, 3
+    dpath = in_tmp / "big.csv"
+    write_dataset_csv(generate(GeneratorSpec(kind="gaussian_blobs", k=4, n=n, seed=1, d=d)), dpath)
+    for kernel in ("rbf:gamma=0.5", "linear", "poly:degree=3,coef=1"):
+        args = argparse.Namespace(
+            rad_value=None, lambda_cap=1.0, radius=None, kernel=kernel, data=str(dpath)
+        )
+        tracemalloc.start()
+        try:
+            _thm1_rad_value(args, _RunContext(), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * n * d, (kernel, peak)
+
+
+@pytest.mark.parametrize(
+    "spec", ["poly:degree=1,coef=-5", "rbf:gamma=inf", "poly:degree=2,coef=inf", "poly:degree=400"]
+)
+def test_kernel_outside_psd_or_finite_range_is_exit_2(in_tmp, capsys, spec):
+    # Indefinite or non-finite specs are rejected at parse time; degree 400
+    # overflows the kernel diagonal (||x||^2 + 1)^400 at any ||x||^2 > 4.9.
+    argv = _thm1_data_argv(in_tmp, 20, spec)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, ""), err
+    assert "non-finite" in err or "coef >= 0" in err or "gamma > 0" in err
+    argv = ["rad", "--class", f"kernel:{spec}", "--mode", "exact", "--data", "data.csv",
+            "--lambda", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, ""), err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--method", "thm1", "--rad", "nan"],
+        ["--method", "thm1", "--rad", "inf"],
+        ["--method", "thm1", "--rad", "0.1", "--t", "inf"],
+        ["--method", "thm1", "--rad", "0.1", "--t", "nan"],
+        ["--method", "thm1", "--lambda", "nan", "--R", "1"],
+        ["--method", "thm1", "--lambda", "inf", "--R", "1"],
+        ["--method", "thm1", "--lambda", "1", "--R", "nan"],
+        ["--method", "thm1", "--lambda", "-1", "--R", "1"],
+        ["--method", "thm1", "--lambda", "1", "--R", "-1"],
+        ["--method", "thm1", "--rad", "0.1", "--delta", "nan"],
+        ["--method", "thm1", "--rad", "0.1", "--delta", "inf"],
+        ["--method", "thm2", "--delta", "0.5", "--lambda", "nan", "--R", "1"],
+        ["--method", "thm2", "--delta", "0.5", "--lambda", "1", "--R", "inf"],
+        ["--method", "thm2", "--delta", "0.5", "--lambda", "1", "--R", "1", "--t", "inf"],
+        ["--method", "thm2", "--delta", "nan", "--lambda", "1", "--R", "1"],
+    ],
+)
+def test_bound_eval_non_finite_or_negative_flags_are_exit_2(in_tmp, capsys, flags):
+    spath, lpath = _write_margin3_files(in_tmp, n=10)
+    argv = ["bound", "eval", "--scores", spath, "--labels", lpath] + flags
+    if "--t" not in flags:
+        argv += ["--t", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, ""), err
+
+
+def test_bound_eval_non_finite_lambda_with_data_is_exit_2(in_tmp, capsys):
+    code, out, err = run_cli(_thm1_data_argv(in_tmp, 20, "rbf:gamma=0.5", lam="nan"), capsys)
+    assert (code, out) == (2, ""), err
 
 def test_compare_single_point_grid(in_tmp, capsys):
     code, out, _ = run_cli(

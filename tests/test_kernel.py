@@ -3,18 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mbl.kernel import (
-    KernelClass,
     KernelSpec,
     KernelSupOracle,
     check_psd,
     gram,
     kernel_rad_bounds,
-    kernel_sup_oracle,
+    kernel_trace,
     parse_kernel_spec,
-    read_gram_csv,
-    write_gram_csv,
+    trace_complexity,
 )
 from mbl.rademacher import (
     TabulatedSupOracle,
@@ -68,20 +69,22 @@ def test_label_round_trips_through_parse():
 
 
 def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        KernelSpec(kind="laplace")
-    with pytest.raises(ValueError):
-        KernelSpec(kind="rbf", gamma=0.0)
-    with pytest.raises(ValueError):
-        KernelSpec(kind="poly", degree=0)
-
-
-def test_kernel_class_validation():
-    spec = KernelSpec(kind="linear")
-    with pytest.raises(ValueError):
-        KernelClass(kernel=spec, lambda_cap=0.0, k=3)
-    with pytest.raises(ValueError):
-        KernelClass(kernel=spec, lambda_cap=1.0, k=3, p=1)
+    # Every accepted spec must be PSD: rbf needs a finite gamma > 0 and poly
+    # a finite coef >= 0 (coef < 0 gives an indefinite Gram).
+    for bad in (
+        dict(kind="laplace"),
+        dict(kind="rbf", gamma=0.0),
+        dict(kind="rbf", gamma=-1.0),
+        dict(kind="rbf", gamma=math.inf),
+        dict(kind="rbf", gamma=math.nan),
+        dict(kind="poly", degree=0),
+        dict(kind="poly", degree=1, coef=-5.0),
+        dict(kind="poly", degree=2, coef=math.inf),
+        dict(kind="poly", degree=2, coef=math.nan),
+    ):
+        with pytest.raises(ValueError):
+            KernelSpec(**bad)
+    assert KernelSpec(kind="poly", degree=3, coef=0.0).coef == 0.0
 
 
 def test_gram_linear_orthonormal_is_identity():
@@ -97,6 +100,17 @@ def test_gram_rbf_diagonal_is_one():
     assert g[0, 1] == pytest.approx(
         math.exp(-0.7 * float(((pts[0] - pts[1]) ** 2).sum())), rel=1e-12
     )
+
+
+def test_gram_rbf_near_duplicates_stay_at_most_one():
+    # ||x||^2 + ||y||^2 - 2 x.y cancels for near-equal points and can round
+    # below 0; clamping keeps every entry in [0, 1].
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(1, 3)) * 10.0
+    pts = base * (1.0 + 1e-16 * rng.integers(-4, 5, size=(40, 1)))
+    g = gram(KernelSpec(kind="rbf", gamma=1.0), pts)
+    assert g.max() <= 1.0
+    assert g.min() >= 0.0
 
 
 def test_gram_poly_example():
@@ -124,6 +138,48 @@ def test_gram_accepts_1d_points():
 def test_gram_rejects_non_finite():
     with pytest.raises(ValueError):
         gram(KernelSpec(kind="linear"), [[1.0], [math.inf]])
+    with pytest.raises(ValueError, match="non-finite"):
+        gram(KernelSpec(kind="poly", degree=400), [[3.0], [0.5]])
+
+
+_POINTS = st.integers(1, 12).flatmap(
+    lambda n: st.integers(1, 4).flatmap(
+        lambda d: arrays(np.float64, (n, d), elements=st.floats(-10.0, 10.0))
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pts=_POINTS,
+    gamma=st.floats(1e-3, 1.0),
+    degree=st.integers(1, 4),
+    coef=st.floats(0.0, 3.0),
+)
+def test_kernel_trace_is_gram_trace(pts, gamma, degree, coef):
+    rbf = KernelSpec(kind="rbf", gamma=gamma)
+    g = gram(rbf, pts)
+    assert kernel_trace(rbf, pts) == np.trace(g) == pts.shape[0]
+    # The squared-norm expansion against the difference-tensor formula.
+    diff = pts[:, None, :] - pts[None, :, :]
+    ref = np.exp(-gamma * np.einsum("ijd,ijd->ij", diff, diff))
+    assert np.allclose(g, ref, rtol=0.0, atol=1e-12)
+    for spec in (KernelSpec(kind="linear"), KernelSpec(kind="poly", degree=degree, coef=coef)):
+        tr = np.trace(gram(spec, pts))
+        assert kernel_trace(spec, pts) == pytest.approx(tr, rel=1e-12, abs=1e-300)
+
+
+def test_kernel_trace_values_and_errors():
+    pts = [[1.0, 2.0], [0.0, -3.0], [0.5, 0.5]]
+    assert kernel_trace(KernelSpec(kind="rbf", gamma=2.0), pts) == 3.0
+    assert kernel_trace(KernelSpec(kind="linear"), pts) == 14.5
+    assert kernel_trace(KernelSpec(kind="poly", degree=2, coef=1.0), pts) == 36.0 + 100.0 + 2.25
+    with pytest.raises(ValueError, match="non-finite"):
+        kernel_trace(KernelSpec(kind="poly", degree=400), pts)
+    with pytest.raises(ValueError, match="non-finite"):
+        kernel_trace(KernelSpec(kind="linear"), [[1.0], [math.nan]])
+    with pytest.raises(ValueError, match="non-finite"):
+        kernel_trace(KernelSpec(kind="linear"), [[1e200], [1e200]])
 
 
 def test_check_psd_returns_min_eigenvalue():
@@ -162,8 +218,9 @@ def test_oracle_scales_linearly_in_lambda():
 
 
 def test_oracle_validation():
-    with pytest.raises(ValueError):
-        KernelSupOracle(np.eye(2), lambda_cap=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            KernelSupOracle(np.eye(2), lambda_cap=bad)
     oracle = KernelSupOracle(np.eye(2), lambda_cap=0.0)
     assert oracle.query([1, 1]) == 0.0
     with pytest.raises(ValueError):
@@ -183,13 +240,6 @@ def test_oracle_block_matches_scalar_queries():
         assert got == pytest.approx(oracle.query(row), rel=1e-13)
 
 
-def test_one_shot_oracle_matches_class():
-    g = np.eye(3)
-    assert kernel_sup_oracle(g, 2.0, [1, 1, -1]) == KernelSupOracle(g, 2.0).query(
-        [1, 1, -1]
-    )
-
-
 def test_rad_bounds_unit_diagonal():
     dd, worst = kernel_rad_bounds(np.eye(100), lambda_cap=1.0)
     assert dd == pytest.approx(0.1, rel=1e-15)
@@ -200,6 +250,15 @@ def test_rad_bounds_zero_cap():
     dd, worst = kernel_rad_bounds(np.eye(4), lambda_cap=0.0)
     assert dd == 0.0
     assert worst(5.0) == 0.0
+
+
+def test_rad_bounds_data_dependent_is_trace_complexity():
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(30, 2))
+    spec = KernelSpec(kind="poly", degree=2, coef=0.5)
+    dd, _ = kernel_rad_bounds(gram(spec, pts), 1.25)
+    assert dd == trace_complexity(float(np.trace(gram(spec, pts))), 1.25, 30)
+    assert dd == pytest.approx(trace_complexity(kernel_trace(spec, pts), 1.25, 30), rel=1e-12)
 
 
 def test_jensen_chain_exact():
@@ -247,25 +306,3 @@ def test_grid_class_approaches_kernel_oracle():
     kern_val = exact_empirical_rademacher(kern_oracle, 5).value
     assert grid_val <= kern_val + 1e-12
     assert kern_val - grid_val <= 1e-4
-
-
-def test_gram_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(13)
-    pts = rng.normal(size=(9, 2))
-    g = gram(KernelSpec(kind="poly", degree=2, coef=1.0), pts)
-    path = tmp_path / "gram.csv"
-    write_gram_csv(g, path)
-    assert np.array_equal(read_gram_csv(path), g)
-
-
-def test_read_gram_csv_errors(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1.0,2.0\n3.0,oops\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2"):
-        read_gram_csv(path)
-    path.write_text("1.0,2.0\n3.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="line 2"):
-        read_gram_csv(path)
-    path.write_text("", encoding="utf-8")
-    with pytest.raises(ValueError, match="empty"):
-        read_gram_csv(path)
