@@ -16,6 +16,7 @@ from .core import (
 from .rademacher import (
     exact_empirical_rademacher,
     mc_empirical_rademacher,
+    mc_rademacher_columns,
     trial_sign_block,
 )
 from .margin import (
@@ -40,15 +41,12 @@ from .bounds import (
     theorem2_bound,
 )
 from .lowerbound import (
-    IntervalClassSpec,
     LowerBoundConfig,
+    Theorem3SupOracle,
     brute_force_interval_sup,
     interval_sup_dp,
-    restricted_rademacher,
     select_t,
-    star_class_sup,
     sweep_theorem3,
-    theorem3_margin_sup,
     verify_theorem3,
 )
 from .synth import GeneratorSpec, generate, train_ova_ridge
@@ -64,6 +62,7 @@ __all__ = [
     "TabulatedClass",
     "exact_empirical_rademacher",
     "mc_empirical_rademacher",
+    "mc_rademacher_columns",
     "trial_sign_block",
     "MarginClassSpec",
     "ScoreMatrix",
@@ -85,15 +84,12 @@ __all__ = [
     "table1_term",
     "theorem1_bound",
     "theorem2_bound",
-    "IntervalClassSpec",
     "LowerBoundConfig",
+    "Theorem3SupOracle",
     "brute_force_interval_sup",
     "interval_sup_dp",
-    "restricted_rademacher",
     "select_t",
-    "star_class_sup",
     "sweep_theorem3",
-    "theorem3_margin_sup",
     "verify_theorem3",
     "GeneratorSpec",
     "generate",

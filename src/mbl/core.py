@@ -72,7 +72,7 @@ class TabulatedClass:
     """A finite function class tabulated on a fixed sample.
 
     ``values[r, i]`` is the value of the r-th function at the i-th sample
-    point; m >= 1 rows, one column per point.
+    point; m >= 1 rows, one column per point, every value finite.
     """
 
     values: np.ndarray
@@ -83,6 +83,8 @@ class TabulatedClass:
             raise ValueError("tabulated class must be a 2-d (functions x points) array")
         if vals.shape[0] < 1 or vals.shape[1] < 1:
             raise ValueError("tabulated class needs at least one row and one column")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("tabulated class values must be finite")
         object.__setattr__(self, "values", vals)
 
     @property

@@ -12,15 +12,21 @@ star class is {max(f_1, ..., f_k) : f_j in F_t^j}.
 For one sign vector the supremum over F_t^j reduces to maximizing
 sum_i eps_i s_i over in-interval sign sequences s with at most t changes, a
 small dynamic program over states (changes used, current sign) swept along
-the sorted points.  One engine, ``_interval_optima``, runs it for every
-oracle: it folds all k intervals of a (trials, n) int8 sign block into one
-(m_max, k, trials) int8 array, zero-padded to the longest interval (a 0
-column adds 0 to every state, so padding is exact and empty intervals give
-0), and sweeps a (2, t+1, k, trials) state whose dtype is int16 while
-m_max < 2^15 and int32 beyond.  Every oracle is then a short integer
-combination of the (trials, k) optima and sign sums of the block;
+the sorted points.  One engine, ``_interval_optima``, runs it for all k
+intervals at once: it folds the intervals of a (trials, n) int8 sign block
+into one (m_max, k, trials) int8 array, zero-padded to the longest interval
+(a 0 column adds 0 to every state, so padding is exact and empty intervals
+give 0), and sweeps a (2, t+1, k, trials) state whose dtype is int16 while
+m_max < 2^15 and int32 beyond.  The same sweep leaves each interval's sign
+sum in its never-maxed (no change, sign +1) row.
+
+One oracle, ``Theorem3SupOracle``, turns those (trials, k) optima and sign
+sums into every supremum the verification needs, one column each (margin
+side, interval sum, union, union-margin side, restricted interval j);
 everything before the normalization by n is integer arithmetic, so batched
-and per-vector evaluation agree bitwise.
+and per-vector evaluation agree bitwise.  ``mc_rademacher_columns`` reduces
+all columns of one sign stream: ``select_t`` makes one such call per
+candidate t and ``verify_theorem3`` one per side.
 
 With labels concentrated on class k+1 and the per-class classes
 (F_t^1, ..., F_t^k, F_0), every margin is m(x_i) = -1 - max_j f_j(x_i), so
@@ -42,31 +48,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CapExceeded, LabeledDataset, RademacherEstimate, as_sign_vector
-from .rademacher import (
-    enumerate_sign_vectors,
-    exact_empirical_rademacher,
-    mc_empirical_rademacher,
-)
+from .core import CapExceeded, LabeledDataset, as_sign_vector
+from .rademacher import enumerate_sign_vectors, mc_rademacher_columns
 from .synth import GeneratorSpec, generate
 
 __all__ = [
     "BRUTE_FORCE_CAP",
-    "IntervalClassSpec",
+    "COL_MARGIN",
+    "COL_SUM",
+    "COL_UNION",
+    "COL_UNION_MARGIN",
+    "COL_RESTRICTED",
     "LowerBoundConfig",
     "Theorem3Report",
     "interval_sup_dp",
     "brute_force_interval_sup",
     "partition_points",
-    "IntervalSupOracle",
-    "IntervalSumOracle",
-    "UnionSupOracle",
-    "StarSupOracle",
     "Theorem3SupOracle",
-    "UnionMarginSupOracle",
-    "restricted_rademacher",
-    "star_class_sup",
-    "theorem3_margin_sup",
     "reference_complexity",
     "select_t",
     "verify_theorem3",
@@ -75,20 +73,6 @@ __all__ = [
 
 BRUTE_FORCE_CAP = 12
 _DEFAULT_T_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class IntervalClassSpec:
-    """One interval class F_t^j: interval index j in [1, k], sign-change budget t."""
-
-    j: int
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.j < 1:
-            raise ValueError("interval index j must be >= 1")
-        if self.t < 0:
-            raise ValueError("discontinuity budget t must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -161,21 +145,26 @@ class Theorem3Report:
         }
 
 
-def _interval_optima(block: np.ndarray, inside: Sequence[np.ndarray], t: int) -> np.ndarray:
+def _interval_optima(
+    block: np.ndarray, inside: Sequence[np.ndarray], t: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-interval maxima of sum_i eps_i s_i over patterns with <= t changes.
 
     ``block`` is a (trials, n) matrix of -1/+1 signs (int8 as the estimators
     produce it, used as is), ``inside[j]`` the sorted point indices of
-    interval j.  Returns the (trials, k) int64 optima, one DP sweep for all
-    intervals: the state dp[s, c, j, r] is the best prefix total of interval
-    j in trial r using at most c changes and ending at sign s (index 0 for
-    +1, 1 for -1); both start signs are free, so the first column
-    initializes every c.
+    interval j.  Returns the (trials, k) int64 optima and the (trials, k)
+    int64 sign sums of the intervals, one DP sweep for all intervals: the
+    state dp[s, c, j, r] is the best prefix total of interval j in trial r
+    using at most c changes and ending at sign s (index 0 for +1, 1 for -1);
+    both start signs are free, so the first column initializes every c.
+    Row dp[0, 0] (no change, sign +1) is never maxed, so after the sweep it
+    holds the plain sign sum of each interval.
     """
     trials, k = block.shape[0], len(inside)
     m_max = max((idx.size for idx in inside), default=0)
     if m_max == 0:
-        return np.zeros((trials, k), dtype=np.int64)
+        zeros = np.zeros((trials, k), dtype=np.int64)
+        return zeros, zeros.copy()
     fold = np.zeros((m_max, k, trials), dtype=np.int8)
     for j, idx in enumerate(inside):
         fold[: idx.size, j] = block[:, idx].T
@@ -193,47 +182,29 @@ def _interval_optima(block: np.ndarray, inside: Sequence[np.ndarray], t: int) ->
             np.maximum(down[1:], up[:-1], out=down[1:])
         up += col
         down -= col
-    return dp[:, t].max(axis=0).T.astype(np.int64)
+    return dp[:, t].max(axis=0).T.astype(np.int64), up[0].T.astype(np.int64)
 
 
-def interval_sup_dp(
-    in_interval_signs,
-    t: int,
-    restricted: bool = True,
-    out_of_interval_sign_sum: float = 0.0,
-) -> float:
-    """Unnormalized sup of sum_i eps_i f(x_i) over one interval class.
+def interval_sup_dp(in_interval_signs, t: int) -> float:
+    """Sup of sum_i eps_i s_i over one interval's patterns with <= t changes.
 
     ``in_interval_signs`` are the signs of the in-interval points ordered by
-    position.  Restricted mode returns the in-interval DP optimum alone
-    (the restricted complexity's summand); unrestricted mode adds the fixed
-    off-interval contribution -out_of_interval_sign_sum (the function is -1
-    there).
+    position; the result is the unnormalized restricted summand.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     arr = np.asarray(in_interval_signs)
-    if arr.size:
-        arr = as_sign_vector(arr)
-        core = int(_interval_optima(arr[None, :], [np.arange(arr.size)], t)[0, 0])
-    else:
-        core = 0
-    if restricted:
-        return float(core)
-    return float(core - out_of_interval_sign_sum)
+    if not arr.size:
+        return 0.0
+    arr = as_sign_vector(arr)
+    return float(_interval_optima(arr[None, :], [np.arange(arr.size)], t)[0][0, 0])
 
 
-def brute_force_interval_sup(
-    in_interval_signs,
-    t: int,
-    restricted: bool = True,
-    out_of_interval_sign_sum: float = 0.0,
-    cap: int = BRUTE_FORCE_CAP,
-) -> float:
+def brute_force_interval_sup(in_interval_signs, t: int, cap: int = BRUTE_FORCE_CAP) -> float:
     """Exhaustive oracle for interval_sup_dp (n_inside <= cap).
 
     Enumerates all sign patterns, filters by change count, and maximizes;
-    must match the DP bitwise on the shared integer core.
+    must match the DP bitwise.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -242,16 +213,11 @@ def brute_force_interval_sup(
     if m > cap:
         raise CapExceeded(f"brute force is capped at {cap} in-interval points, got {m}")
     if m == 0:
-        core = 0
-    else:
-        eps = as_sign_vector(arr).astype(np.int64)
-        pats = enumerate_sign_vectors(m).astype(np.int64)
-        changes = (np.diff(pats, axis=1) != 0).sum(axis=1)
-        keep = pats[changes <= t]
-        core = int((keep @ eps).max())
-    if restricted:
-        return float(core)
-    return float(core - out_of_interval_sign_sum)
+        return 0.0
+    eps = as_sign_vector(arr).astype(np.int64)
+    pats = enumerate_sign_vectors(m).astype(np.int64)
+    changes = (np.diff(pats, axis=1) != 0).sum(axis=1)
+    return float((pats[changes <= t] @ eps).max())
 
 
 def _scalar_points(data) -> np.ndarray:
@@ -286,182 +252,60 @@ def partition_points(points, k: int) -> tuple[list[np.ndarray], np.ndarray]:
     return inside, np.nonzero(on_boundary)[0]
 
 
-class _BlockQuery:
-    """``query`` as ``query_block`` on a one-row block."""
-
-    n: int
-
-    def query(self, signs) -> float:
-        s = as_sign_vector(signs, self.n)
-        return float(self.query_block(s[None, :])[0])
+# Columns of Theorem3SupOracle.query_block; restricted interval j (1-based)
+# is column COL_RESTRICTED + j - 1.
+COL_MARGIN, COL_SUM, COL_UNION, COL_UNION_MARGIN, COL_RESTRICTED = range(5)
 
 
-class IntervalSupOracle(_BlockQuery):
-    """SupOracle for one interval class F_t^j on a fixed sample.
+class Theorem3SupOracle:
+    """Every Theorem-3 supremum on one sample, from one DP sweep per block.
 
-    Restricted mode sums only over in-interval points (the restricted
-    complexity); unrestricted mode adds the off-interval -1 contributions.
-    Both normalize by the full sample size n.
+    ``data`` is scalar points in [1, k+1] or a LabeledDataset whose labels
+    must all equal k+1.  ``query_block`` maps a (trials, n) sign block to a
+    (trials, 4 + k) float matrix, each column normalized by n:
+
+    * COL_MARGIN: the margin class with labels concentrated on k+1,
+      -mean(eps) plus the star-class sup at -eps (module docstring).
+    * COL_SUM: the sum over j of the unrestricted F_t^j suprema, optimum_j
+      minus the off-interval sign sum, accumulated j by j (the order fixes
+      its float bits).
+    * COL_UNION: the union class (one interval active per function), max_j
+      of the same unrestricted suprema.
+    * COL_UNION_MARGIN: the margin class with every per-class slot the union
+      class: the union sup at eps plus the star-class sup at -eps.
+    * COL_RESTRICTED + j - 1: F_t^j restricted to its interior points.
     """
-
-    def __init__(self, data, k: int, j: int, t: int, restricted: bool = False):
-        if not 1 <= j <= k:
-            raise ValueError(f"interval index j={j} out of [1, {k}]")
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        x = _scalar_points(data)
-        inside, _ = partition_points(x, k)
-        self.idx = inside[j - 1]
-        self.t = t
-        self.restricted = restricted
-        self.n = x.shape[0]
-
-    def query_block(self, block: np.ndarray) -> np.ndarray:
-        b = np.asarray(block)
-        core = _interval_optima(b, [self.idx], self.t)[:, 0]
-        if self.restricted:
-            return core / self.n
-        out_sum = b.sum(axis=1, dtype=np.int64) - b[:, self.idx].sum(axis=1, dtype=np.int64)
-        return (core - out_sum) / self.n
-
-
-class _AllIntervals(_BlockQuery):
-    """Shared state of the oracles over all k intervals of a fixed sample."""
 
     def __init__(self, data, k: int, t: int):
         if k < 1:
             raise ValueError("need k >= 1 intervals")
         if t < 0:
             raise ValueError("t must be >= 0")
+        if isinstance(data, LabeledDataset):
+            labels = np.asarray(data.labels)
+            if labels.size == 0 or not np.all(labels == k + 1):
+                raise ValueError(f"labels must all equal k+1 = {k + 1}")
         x = _scalar_points(data)
         self.inside, self.boundary = partition_points(x, k)
         self.t = t
         self.n = x.shape[0]
 
-    def _optima(self, b: np.ndarray) -> np.ndarray:
-        return _interval_optima(b, self.inside, self.t)
-
-    def _interval_values(self, b: np.ndarray, opt: np.ndarray) -> np.ndarray:
-        """(trials, k) unrestricted F_t^j suprema: (optimum - off-interval sign sum)/n."""
-        inside = np.stack([b[:, idx].sum(axis=1, dtype=np.int64) for idx in self.inside], axis=1)
-        return (opt - (b.sum(axis=1, dtype=np.int64)[:, None] - inside)) / self.n
-
-    def _star_total(self, b: np.ndarray, opt: np.ndarray, boundary_sign: int) -> np.ndarray:
-        """Unnormalized star-class sup at boundary_sign * b.
-
-        Off its interval every candidate is -1, so the max decomposes per
-        interval; the optima are sign-symmetric, and only the boundary
-        points' -1 contribution follows the sign of the draw.
-        """
-        return opt.sum(axis=1) - boundary_sign * b[:, self.boundary].sum(axis=1, dtype=np.int64)
-
-
-class IntervalSumOracle(_AllIntervals):
-    """Per-draw sum over j of the unrestricted F_t^j suprema (normalized)."""
-
     def query_block(self, block: np.ndarray) -> np.ndarray:
         b = np.asarray(block)
-        out = np.zeros(b.shape[0], dtype=np.float64)
-        for vals in self._interval_values(b, self._optima(b)).T:
-            out += vals
+        n, k = self.n, len(self.inside)
+        opt, interval_sums = _interval_optima(b, self.inside, self.t)
+        total = b.sum(axis=1, dtype=np.int64)
+        star = (opt.sum(axis=1) + b[:, self.boundary].sum(axis=1, dtype=np.int64)) / n
+        values = (opt - (total[:, None] - interval_sums)) / n
+        out = np.empty((b.shape[0], COL_RESTRICTED + k), dtype=np.float64)
+        out[:, COL_MARGIN] = -total / n + star
+        out[:, COL_SUM] = 0.0
+        for vals in values.T:
+            out[:, COL_SUM] += vals
+        out[:, COL_UNION] = values.max(axis=1)
+        out[:, COL_UNION_MARGIN] = out[:, COL_UNION] + star
+        out[:, COL_RESTRICTED:] = opt / n
         return out
-
-
-class UnionSupOracle(_AllIntervals):
-    """Sup over the union class (one interval active per function): max_j."""
-
-    def query_block(self, block: np.ndarray) -> np.ndarray:
-        b = np.asarray(block)
-        return self._interval_values(b, self._optima(b)).max(axis=1)
-
-
-class StarSupOracle(_AllIntervals):
-    """Sup over the star class {max(f_1, ..., f_k)}.
-
-    The sum of per-interval DP optima minus the sign sum at boundary
-    points, normalized by n.
-    """
-
-    def query_block(self, block: np.ndarray) -> np.ndarray:
-        b = np.asarray(block)
-        return self._star_total(b, self._optima(b), 1) / self.n
-
-
-class _ConcentratedLabels(_AllIntervals):
-    """Margin-class oracles on a dataset whose labels all equal k+1."""
-
-    def __init__(self, dataset: LabeledDataset, t: int, k: int | None = None):
-        k = dataset.k - 1 if k is None else k
-        super().__init__(dataset.points, k, t)
-        labels = np.asarray(dataset.labels)
-        if labels.size == 0 or not np.all(labels == k + 1):
-            raise ValueError(f"labels must all equal k+1 = {k + 1}")
-        self.k = k
-
-
-class Theorem3SupOracle(_ConcentratedLabels):
-    """Margin-class sup for labels concentrated on class k+1.
-
-    Each margin is -1 - max_j f_j(x_i), so the per-draw sup equals
-    -mean(eps) plus the star-class sup at -eps.
-    """
-
-    def query_block(self, block: np.ndarray) -> np.ndarray:
-        b = np.asarray(block)
-        star = self._star_total(b, self._optima(b), -1) / self.n
-        return -b.sum(axis=1, dtype=np.int64) / self.n + star
-
-
-class UnionMarginSupOracle(_ConcentratedLabels):
-    """Margin-class sup when every per-class slot is the union class.
-
-    The union-class sup at eps plus the star-class sup at -eps, both from
-    one set of interval optima.
-    """
-
-    def query_block(self, block: np.ndarray) -> np.ndarray:
-        b = np.asarray(block)
-        opt = self._optima(b)
-        union = self._interval_values(b, opt).max(axis=1)
-        return union + self._star_total(b, opt, -1) / self.n
-
-
-def restricted_rademacher(
-    spec: IntervalClassSpec,
-    dataset,
-    trials: int = 1000,
-    seed: int = 0,
-    mode: str = "mc",
-) -> RademacherEstimate:
-    """Estimate the restricted complexity of F_t^j (signed convention).
-
-    The restricted interval class is closed under sign flips, so the signed
-    and absolute conventions coincide here.
-    """
-    k = _infer_interval_count(dataset, spec.j)
-    oracle = IntervalSupOracle(dataset, k, spec.j, spec.t, restricted=True)
-    if mode == "exact":
-        return exact_empirical_rademacher(oracle, oracle.n)
-    if mode != "mc":
-        raise ValueError("mode must be 'mc' or 'exact'")
-    return mc_empirical_rademacher(oracle, oracle.n, trials, seed)
-
-
-def _infer_interval_count(data, j_floor: int) -> int:
-    """Smallest k covering the points: all must lie in [1, k+1]."""
-    x = _scalar_points(data)
-    hi = int(math.ceil(float(x.max()) - 1.0)) if x.size else 1
-    return max(hi, j_floor, 1)
-
-
-def star_class_sup(dataset, signs, t: int, k: int) -> float:
-    """One-shot star-class supremum for one sign vector (normalized by n)."""
-    return StarSupOracle(dataset, k, t).query(signs)
-
-
-def theorem3_margin_sup(dataset: LabeledDataset, signs, t: int, k: int) -> float:
-    """One-shot margin-class supremum with labels concentrated on k+1."""
-    return Theorem3SupOracle(dataset, t, k).query(signs)
 
 
 @lru_cache(maxsize=64)
@@ -506,7 +350,8 @@ def select_t(
     Starting at t=1 and doubling, each candidate uses n = 16*k*t^2 sample
     points (the smallest lawful size) and a fresh uniform dataset; it passes
     when every interval's restricted complexity estimate reaches
-    C * reference with C = 1/epsilon.  Raises CapExceeded once the candidate
+    C * reference with C = 1/epsilon.  All k estimates are columns of one
+    oracle on one sign stream.  Raises CapExceeded once the candidate
     n would exceed n_budget.
     """
     if not 0.0 < epsilon < 1.0:
@@ -523,29 +368,22 @@ def select_t(
             )
         dataset = _uniform_dataset(k, n, _derived_seed(seed, t, 0))
         ref = reference_complexity(n, convention)
-        est_seed = _derived_seed(seed, t, 1)
-        ok = True
-        for j in range(1, k + 1):
-            oracle = IntervalSupOracle(dataset, k, j, t, restricted=True)
-            est = mc_empirical_rademacher(oracle, n, trials, est_seed)
-            if not est.value >= big_c * ref:
-                ok = False
-                break
-        if ok:
+        ests = mc_rademacher_columns(
+            Theorem3SupOracle(dataset, k, t), n, trials, _derived_seed(seed, t, 1)
+        )
+        if all(est.value >= big_c * ref for est in ests[COL_RESTRICTED:]):
             return t, n
         t *= 2
 
 
-def verify_theorem3(
-    config: LowerBoundConfig, threads: int = 1, variant: str = "sum"
-) -> Theorem3Report:
+def verify_theorem3(config: LowerBoundConfig, variant: str = "sum") -> Theorem3Report:
     """Monte Carlo check that the margin class dominates the interval sum.
 
     lhs estimates the margin-class complexity (labels concentrated on k+1),
     rhs the sum over intervals of unrestricted complexities (variant
     "union": k times the union-class complexity instead).  Passes when
-    lhs >= (1 - epsilon) rhs - 4 * combined std error.  ``threads`` is
-    accepted for callers that pass it and has no effect.
+    lhs >= (1 - epsilon) rhs - 4 * combined std error.  The two sides are
+    columns of one oracle, estimated on independent sign streams.
     """
     if variant not in ("sum", "union"):
         raise ValueError("variant must be 'sum' or 'union'")
@@ -559,22 +397,18 @@ def verify_theorem3(
         n = config.n if config.n is not None else 16 * k * t * t
         auto = False
     dataset = _uniform_dataset(k, n, _derived_seed(config.seed, 0, 0))
-
+    oracle = Theorem3SupOracle(dataset, k, t)
     if variant == "sum":
-        lhs_oracle = Theorem3SupOracle(dataset, t, k)
-        rhs_oracle = IntervalSumOracle(dataset, k, t)
-        rhs_scale = 1.0
+        lhs_col, rhs_col, rhs_scale = COL_MARGIN, COL_SUM, 1.0
     else:
-        lhs_oracle = UnionMarginSupOracle(dataset, t, k)
-        rhs_oracle = UnionSupOracle(dataset, k, t)
-        rhs_scale = float(k)
+        lhs_col, rhs_col, rhs_scale = COL_UNION_MARGIN, COL_UNION, float(k)
 
-    lhs_est = mc_empirical_rademacher(
-        lhs_oracle, n, config.trials, _derived_seed(config.seed, 0, 1)
-    )
-    rhs_est = mc_empirical_rademacher(
-        rhs_oracle, n, config.trials, _derived_seed(config.seed, 0, 2)
-    )
+    lhs_est = mc_rademacher_columns(
+        oracle, n, config.trials, _derived_seed(config.seed, 0, 1)
+    )[lhs_col]
+    rhs_est = mc_rademacher_columns(
+        oracle, n, config.trials, _derived_seed(config.seed, 0, 2)
+    )[rhs_col]
     lhs, se_lhs = lhs_est.value, lhs_est.std_error
     rhs = rhs_scale * rhs_est.value
     se_rhs = rhs_scale * rhs_est.std_error

@@ -43,7 +43,7 @@ MARGIN_CLASS_CAP = 10**6
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """Per-example class scores: n rows (examples) by k >= 2 columns (classes)."""
+    """Per-example finite class scores: n rows (examples) by k >= 2 columns (classes)."""
 
     scores: np.ndarray
 
@@ -51,6 +51,8 @@ class ScoreMatrix:
         arr = np.asarray(self.scores, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] < 2:
             raise ValueError("scores must be an (n, k) matrix with k >= 2")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("scores must be finite")
         object.__setattr__(self, "scores", arr)
 
     @property
@@ -273,9 +275,17 @@ def lemma1_sweep(
     values: Sequence[float] = (-1.0, 0.0, 1.0),
     base_seed: int = 0,
 ) -> dict:
-    """Run verify_lemma1 on `seeds` random instances; report any failures."""
+    """Run verify_lemma1 on `seeds` random instances; report any failures.
+
+    Instances draw n up to max_n, so max_n above the exact-enumeration cap
+    raises CapExceeded before any instance runs.
+    """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
+    if max_n > EXACT_ENUMERATION_CAP:
+        raise CapExceeded(
+            f"max_n={max_n} exceeds the exact-enumeration cap {EXACT_ENUMERATION_CAP}"
+        )
     failures = []
     worst_slack = -math.inf
     for s in range(seeds):

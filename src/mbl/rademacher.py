@@ -1,6 +1,10 @@
 """Exact and Monte Carlo estimation of empirical Rademacher complexity.
 
 Both estimators accept any object satisfying the ``SupOracle`` contract.
+``mc_rademacher_columns`` also accepts an oracle whose ``query_block``
+returns several suprema per draw, one column each, and reduces every column
+of the shared sign stream; ``mc_empirical_rademacher`` is its one-column
+case.
 The signed convention R_hat_n(F) = E_eps sup_f (1/n) sum_i eps_i f(x_i) is
 the default; ``convention="absolute"`` computes
 E_eps sup_f |(1/n) sum_i eps_i f(x_i)|, which for any oracle equals the
@@ -35,6 +39,7 @@ __all__ = [
     "TabulatedSupOracle",
     "exact_empirical_rademacher",
     "mc_empirical_rademacher",
+    "mc_rademacher_columns",
 ]
 
 # philox4x64 emits 4 uint64 words (256 bits) per counter increment.
@@ -87,8 +92,12 @@ def trial_sign_block(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     raw = gen.random_raw(_WORDS_PER_BLOCK * bpt * trials)
     raw = np.asarray(raw, dtype=np.uint64).astype("<u8")
     bits = np.unpackbits(raw.view(np.uint8), bitorder="little")
-    bits = bits.reshape(trials, bpt * _BITS_PER_BLOCK)[:, :n]
-    return (2 * bits.astype(np.int8) - 1)
+    # one int8 copy, mapped {0, 1} -> {-1, +1} in place: the block is the
+    # largest per-batch array, so no further temporaries of its size
+    signs = bits.reshape(trials, bpt * _BITS_PER_BLOCK)[:, :n].astype(np.int8)
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 def tabulated_sup(cls: TabulatedClass, signs) -> float:
@@ -165,21 +174,20 @@ def exact_empirical_rademacher(
     )
 
 
-def mc_empirical_rademacher(
-    oracle: SupOracle,
+def mc_rademacher_columns(
+    oracle,
     n: int,
     trials: int,
     seed: int,
     convention: str = "signed",
-    threads: int = 1,
-) -> RademacherEstimate:
-    """Monte Carlo average of the oracle over `trials` sign draws.
+) -> list[RademacherEstimate]:
+    """Monte Carlo averages of every column the oracle returns per sign draw.
 
-    std_error is the sample standard deviation over trials divided by
-    sqrt(trials).  Output is a pure function of (oracle, n, trials, seed,
-    convention): batching never changes a bit.  Batches run one after
-    another on the calling thread; ``threads`` is accepted for callers that
-    pass it and has no effect (a pool never paid on these oracles).
+    ``query_block`` may return a (trials,) vector (one column) or a
+    (trials, c) matrix of c suprema sharing each draw; the absolute
+    convention takes each column's max at eps and -eps.  Column j's value
+    and std_error are exactly what mc_empirical_rademacher gives for an
+    oracle returning that column alone.
     """
     _check_convention(convention)
     if trials < 2:
@@ -192,10 +200,33 @@ def mc_empirical_rademacher(
         for lo in range(0, trials, batch)
     ]
     vals = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    return [_mc_estimate(col.tolist(), trials, seed) for col in vals.reshape(trials, -1).T]
 
-    value = math.fsum(vals.tolist()) / trials
-    dev = math.fsum(((v - value) ** 2 for v in vals.tolist()))
+
+def _mc_estimate(vals: list[float], trials: int, seed: int) -> RademacherEstimate:
+    value = math.fsum(vals) / trials
+    dev = math.fsum((v - value) ** 2 for v in vals)
     std_error = math.sqrt(dev / (trials - 1)) / math.sqrt(trials)
     return RademacherEstimate(
         value=value, method="monte-carlo", trials=trials, std_error=std_error, seed=seed
     )
+
+
+def mc_empirical_rademacher(
+    oracle: SupOracle,
+    n: int,
+    trials: int,
+    seed: int,
+    convention: str = "signed",
+) -> RademacherEstimate:
+    """Monte Carlo average of the oracle over `trials` sign draws.
+
+    std_error is the sample standard deviation over trials divided by
+    sqrt(trials).  Output is a pure function of (oracle, n, trials, seed,
+    convention): batching never changes a bit.  Batches run one after
+    another on the calling thread.
+    """
+    estimates = mc_rademacher_columns(oracle, n, trials, seed, convention)
+    if len(estimates) != 1:
+        raise ValueError("the oracle returns several columns; use mc_rademacher_columns")
+    return estimates[0]

@@ -99,6 +99,15 @@ def test_rad_exact_cap_is_exit_3(in_tmp, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("entry, mode", [("nan", "exact"), ("inf", "mc"), ("-inf", "exact")])
+def test_rad_non_finite_tabulated_class_is_exit_2(in_tmp, capsys, entry, mode):
+    (in_tmp / "c.csv").write_text(f"1,{entry}\n-1,-1\n", encoding="utf-8")
+    code, out, err = run_cli(["rad", "--class", "tabulated:c.csv", "--mode", mode], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert "finite" in err
+
+
 def test_rad_kernel_class(in_tmp, capsys):
     code, _, _ = run_cli(
         ["synth", "--kind", "blobs", "--k", "2", "--n", "6", "--d", "2", "--out", "d.csv"], capsys
@@ -155,6 +164,24 @@ def test_bound_eval_thm2_worked_value(in_tmp, capsys):
     )
     assert code == 0
     assert json.loads(out)["value"] == 0.09
+
+
+def test_bound_eval_non_finite_score_is_exit_2(in_tmp, capsys):
+    spath, lpath = _write_margin3_files(in_tmp, n=10)
+    lines = Path(spath).read_text(encoding="utf-8").splitlines()
+    x_id, _, rest = lines[3].split(",", 2)
+    lines[3] = ",".join([x_id, "nan", rest])
+    Path(spath).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(
+        [
+            "bound", "eval", "--method", "thm1", "--scores", spath, "--labels", lpath,
+            "--t", "1", "--delta-grid", "1", "--rad", "0.1",
+        ],
+        capsys,
+    )
+    assert code == 2, err
+    assert out == ""
+    assert "finite" in err
 
 
 def test_bound_eval_missing_scores_is_exit_2(tmp_path, mbl_env):
@@ -322,6 +349,25 @@ def test_verify_lemma1_passes(in_tmp, capsys):
     assert payload["pass"] is True
     assert payload["instances"] == 50
     assert payload["worst_slack"] <= 1e-12
+
+
+@pytest.mark.parametrize("seeds", ["1", "40"])
+def test_verify_lemma1_max_n_above_cap_is_exit_3_up_front(in_tmp, capsys, monkeypatch, seeds):
+    margin_module = sys.modules["mbl.margin"]
+    real = margin_module.random_margin_instance
+
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance ran before the cap check")
+
+    monkeypatch.setattr(margin_module, "random_margin_instance", no_instance)
+    code, out, err = run_cli(["verify", "lemma1", "--seeds", seeds, "--max-n", "30"], capsys)
+    assert code == 3, err
+    assert out == ""
+    assert "cap 20" in err
+    # the cap itself is allowed
+    monkeypatch.setattr(margin_module, "random_margin_instance", real)
+    code, _, err = run_cli(["verify", "lemma1", "--seeds", "1", "--max-n", "20"], capsys)
+    assert code == 0, err
 
 
 def test_verify_failure_maps_to_exit_1(in_tmp, capsys, monkeypatch):

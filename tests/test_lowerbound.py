@@ -1,4 +1,5 @@
-"""Interval classes, sign-change DP, star/margin oracles, and the scaling law."""
+"""Interval classes, sign-change DP, the multi-column Theorem-3 oracle, and the scaling law."""
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -8,25 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mbl import lowerbound, rademacher
 from mbl.core import CapExceeded, LabeledDataset, TabulatedClass
 from mbl.lowerbound import (
-    IntervalClassSpec,
-    IntervalSumOracle,
-    IntervalSupOracle,
+    COL_MARGIN,
+    COL_RESTRICTED,
+    COL_SUM,
+    COL_UNION,
+    COL_UNION_MARGIN,
     LowerBoundConfig,
-    StarSupOracle,
     Theorem3SupOracle,
-    UnionMarginSupOracle,
-    UnionSupOracle,
     brute_force_interval_sup,
     interval_sup_dp,
     partition_points,
     reference_complexity,
-    restricted_rademacher,
     select_t,
-    star_class_sup,
     sweep_theorem3,
-    theorem3_margin_sup,
     verify_theorem3,
     _interval_optima,
 )
@@ -77,7 +75,6 @@ def test_brute_force_cap():
 
 def test_empty_interval_sup():
     assert interval_sup_dp([], t=3) == 0.0
-    assert interval_sup_dp([], t=3, restricted=False, out_of_interval_sign_sum=5.0) == -5.0
     assert brute_force_interval_sup([], t=0) == 0.0
 
 
@@ -102,96 +99,115 @@ def test_partition_points():
         partition_points(np.array([3.5]), k=2)
 
 
+def _columns(data, k, t, signs):
+    """One sign vector's row of Theorem3SupOracle columns."""
+    block = np.asarray(signs, dtype=np.int8)[None, :]
+    return Theorem3SupOracle(data, k, t).query_block(block)[0]
+
+
+def _unrestricted(s, inside, t):
+    """Per-interval unrestricted F_t^j suprema, unnormalized: optimum - off-interval sum."""
+    return [interval_sup_dp(s[idx], t) - float(s.sum() - s[idx].sum()) for idx in inside]
+
+
 def test_interval_oracle_values():
     x = np.array([1.2, 1.4, 1.6])
-    oracle = IntervalSupOracle(x, k=1, j=1, t=0, restricted=True)
-    assert oracle.query([1, -1, 1]) == pytest.approx(1.0 / 3.0)
-    assert IntervalSupOracle(x, k=1, j=1, t=2, restricted=True).query([1, -1, 1]) == 1.0
-    # unrestricted adds the off-interval -1 contributions
-    full = IntervalSupOracle(POINTS, k=2, j=2, t=0, restricted=False)
-    manual = interval_sup_dp([1], t=0, restricted=False, out_of_interval_sign_sum=4.0)
-    assert full.query([1, 1, 1, 1, 1]) == manual / 5.0
+    assert _columns(x, 1, 0, [1, -1, 1])[COL_RESTRICTED] == 1.0 / 3.0
+    assert _columns(x, 1, 2, [1, -1, 1])[COL_RESTRICTED] == 1.0
+    # unrestricted values add the off-interval -1 contributions: interval 2
+    # of POINTS holds one point, and four signs sit off it
+    row = _columns(POINTS, 2, 0, [1, 1, 1, 1, 1])
+    assert list(row[COL_RESTRICTED:]) == [2.0 / 5.0, 1.0 / 5.0]
+    assert row[COL_SUM] == (2.0 - 3.0) / 5.0 + (1.0 - 4.0) / 5.0
+    assert row[COL_UNION] == (2.0 - 3.0) / 5.0
 
 
 def test_interval_oracle_empty_interval():
-    x = np.array([2.5, 2.6])
-    restricted = IntervalSupOracle(x, k=2, j=1, t=1, restricted=True)
-    assert restricted.query([1, 1]) == 0.0
-    unrestricted = IntervalSupOracle(x, k=2, j=1, t=1, restricted=False)
-    assert unrestricted.query([1, 1]) == -1.0
+    # interval 1 holds no point: restricted 0, unrestricted -(sum of all signs)/n
+    row = _columns(np.array([2.5, 2.6]), 2, 1, [1, 1])
+    assert row[COL_RESTRICTED] == 0.0
+    assert row[COL_RESTRICTED + 1] == 1.0
+    assert row[COL_SUM] == -1.0 + 1.0
+    assert row[COL_UNION] == 1.0
 
 
 def test_interval_oracle_validation():
     with pytest.raises(ValueError):
-        IntervalSupOracle(POINTS, k=2, j=0, t=1)
+        Theorem3SupOracle(POINTS, k=0, t=1)
     with pytest.raises(ValueError):
-        IntervalSupOracle(POINTS, k=2, j=3, t=1)
+        Theorem3SupOracle(POINTS, k=2, t=-1)
     with pytest.raises(ValueError):
-        IntervalSupOracle(POINTS, k=2, j=1, t=-1)
+        Theorem3SupOracle(POINTS, k=1, t=1)  # 2.5 and 3.0 lie beyond [1, 2]
 
 
 def test_sum_oracle_matches_manual_accumulation():
     rng = np.random.default_rng(17)
     x = 1.0 + 3.0 * rng.random(9)
-    oracle = IntervalSumOracle(x, k=3, t=2)
+    oracle = Theorem3SupOracle(x, k=3, t=2)
     inside, _ = partition_points(x, 3)
-    for _ in range(20):
-        s = rng.choice([-1, 1], size=9).astype(np.int64)
+    block = rng.choice(np.array([-1, 1], dtype=np.int8), size=(20, 9))
+    cols = oracle.query_block(block)
+    for s, row in zip(block.astype(np.int64), cols):
         total = 0.0
-        for idx in inside:
-            out_sum = float(s.sum() - s[idx].sum())
-            total += interval_sup_dp(s[idx], 2, restricted=False, out_of_interval_sign_sum=out_sum) / 9.0
-        assert oracle.query(s) == total
+        for value in _unrestricted(s, inside, 2):
+            total += value / 9.0
+        assert row[COL_SUM] == total
 
 
 def test_union_oracle_is_max_over_intervals():
     rng = np.random.default_rng(19)
     x = 1.0 + 3.0 * rng.random(8)
-    union = UnionSupOracle(x, k=3, t=1)
-    parts = [IntervalSupOracle(x, k=3, j=j, t=1, restricted=False) for j in (1, 2, 3)]
-    for _ in range(20):
-        s = rng.choice([-1, 1], size=8)
-        assert union.query(s) == max(p.query(s) for p in parts)
+    inside, _ = partition_points(x, 3)
+    block = rng.choice(np.array([-1, 1], dtype=np.int8), size=(20, 8))
+    cols = Theorem3SupOracle(x, k=3, t=1).query_block(block)
+    for s, row in zip(block.astype(np.int64), cols):
+        assert row[COL_UNION] == max(v / 8.0 for v in _unrestricted(s, inside, 1))
 
 
 def test_star_all_negative_signs_t0():
-    assert star_class_sup(POINTS, [-1, -1, -1, -1, -1], t=0, k=2) == 1.0
+    # the margin column at eps is -mean(eps) plus the star sup at -eps; at
+    # -eps = all -1 and t = 0 the star sup is 1 (each interval's constant -1
+    # matches its points, boundary points are -1 anyway)
+    ds = LabeledDataset(POINTS, [3] * 5, 3)
+    assert _columns(ds, 2, 0, [1, 1, 1, 1, 1])[COL_MARGIN] == -1.0 + 1.0
 
 
 def test_star_sup_decomposes_per_interval():
+    # margin(eps) = -mean(eps) + star(-eps), and the star sup decomposes per
+    # interval: sum_j DP_j(-eps) minus the sign sum of -eps on the boundary
     rng = np.random.default_rng(23)
-    x = 1.0 + 2.0 * rng.random(7)
-    inside, boundary = partition_points(x, 2)
-    star = StarSupOracle(x, k=2, t=1)
-    for _ in range(20):
-        s = rng.choice([-1, 1], size=7).astype(np.int64)
-        total = sum(interval_sup_dp(s[idx], 1) for idx in inside)
-        total -= float(s[boundary].sum())
-        assert star.query(s) == total / 7.0
+    for x, k in ((1.0 + 2.0 * rng.random(7), 2), (1.0 + 3.0 * rng.random(11), 3)):
+        n = x.size
+        inside, boundary = partition_points(x, k)
+        ds = LabeledDataset(x, [k + 1] * n, k + 1)
+        for t in (0, 1, 2):
+            block = rng.choice(np.array([-1, 1], dtype=np.int8), size=(10, n))
+            cols = Theorem3SupOracle(ds, k, t).query_block(block)
+            for s, row in zip(-block.astype(np.int64), cols):
+                star = sum(interval_sup_dp(s[idx], t) for idx in inside) - float(s[boundary].sum())
+                assert row[COL_MARGIN] == s.sum() / n + star / n
 
 
 def test_margin_sup_identity_with_star():
+    # per draw, against the materialized star class {max(f_1, f_2)}:
+    # margin(eps) = -mean(eps) + max over star rows of (-eps) . row / n
     ds = LabeledDataset(POINTS, [3, 3, 3, 3, 3], 3)
-    rng = np.random.default_rng(29)
+    signs = enumerate_sign_vectors(5)
     for t in (0, 1, 2):
-        for _ in range(10):
-            s = rng.choice([-1, 1], size=5).astype(np.int64)
-            lhs = theorem3_margin_sup(ds, s, t=t, k=2)
-            rhs = -s.sum() / 5.0 + star_class_sup(POINTS, -s, t=t, k=2)
-            assert lhs == rhs
+        members = [_interval_members(POINTS, 2, j, t) for j in (1, 2)]
+        star_rows = np.asarray([np.maximum(a, b) for a, b in itertools.product(*members)])
+        margin = Theorem3SupOracle(ds, 2, t).query_block(signs)[:, COL_MARGIN]
+        star = (star_rows @ -signs.T.astype(np.float64)).max(axis=0)
+        assert np.array_equal(margin, -signs.sum(axis=1) / 5.0 + star / 5.0)
 
 
 def test_margin_oracle_label_validation():
     with pytest.raises(ValueError, match="labels"):
-        Theorem3SupOracle(LabeledDataset(POINTS, [3, 3, 2, 3, 3], 3), t=1, k=2)
+        Theorem3SupOracle(LabeledDataset(POINTS, [3, 3, 2, 3, 3], 3), k=2, t=1)
+    with pytest.raises(ValueError, match="labels"):
+        Theorem3SupOracle(LabeledDataset(POINTS, [3] * 5, 3), k=3, t=1)
     with pytest.raises(ValueError):
-        Theorem3SupOracle(LabeledDataset(POINTS, [3] * 5, 3), t=1, k=0)
-
-
-def test_margin_oracle_infers_k_from_labels():
-    ds = generate(GeneratorSpec(kind="uniform_interval", k=2, n=12, seed=5))
-    oracle = Theorem3SupOracle(ds, t=1)
-    assert oracle.k == 2
+        Theorem3SupOracle(LabeledDataset(POINTS, [3] * 5, 3), k=0, t=1)
 
 
 def _interval_members(points, k, j, t):
@@ -213,10 +229,20 @@ def _fill(base, idx, pat):
     return row
 
 
+def _exact_column_means(oracle, n):
+    """Exact complexities of every column: fsum over all 2^n sign vectors."""
+    cols = oracle.query_block(enumerate_sign_vectors(n))
+    return [math.fsum(col.tolist()) / (1 << n) for col in cols.T]
+
+
+def _exact_tabulated(rows, n):
+    return exact_empirical_rademacher(TabulatedSupOracle(TabulatedClass(np.asarray(rows))), n).value
+
+
 @pytest.mark.parametrize("t", [0, 1, 2])
 def test_oracles_match_materialized_classes(t):
     # Enumerate every class member on a 5-point sample and compare the exact
-    # complexities against the decomposition oracles, bitwise.
+    # complexities against the oracle's columns, bitwise.
     k, n = 2, POINTS.size
     members = [_interval_members(POINTS, k, j, t) for j in (1, 2)]
     star_rows = [np.maximum(a, b) for a, b in itertools.product(*members)]
@@ -224,48 +250,24 @@ def test_oracles_match_materialized_classes(t):
     union_rows = members[0] + members[1]
     pair_rows = [g - s for g in union_rows for s in star_rows]
 
-    star_direct = exact_empirical_rademacher(StarSupOracle(POINTS, k, t), n).value
-    star_tab = exact_empirical_rademacher(
-        TabulatedSupOracle(TabulatedClass(np.asarray(star_rows))), n
-    ).value
-    assert star_direct == star_tab
-
     ds = LabeledDataset(POINTS, [3] * n, 3)
-    margin_direct = exact_empirical_rademacher(Theorem3SupOracle(ds, t, k), n).value
-    margin_tab = exact_empirical_rademacher(
-        TabulatedSupOracle(TabulatedClass(np.asarray(margin_rows))), n
-    ).value
-    assert margin_direct == margin_tab
-
-    union_direct = exact_empirical_rademacher(UnionSupOracle(POINTS, k, t), n).value
-    union_tab = exact_empirical_rademacher(
-        TabulatedSupOracle(TabulatedClass(np.asarray(union_rows))), n
-    ).value
-    assert union_direct == union_tab
-
-    pair_direct = exact_empirical_rademacher(UnionMarginSupOracle(ds, t, k), n).value
-    pair_tab = exact_empirical_rademacher(
-        TabulatedSupOracle(TabulatedClass(np.asarray(pair_rows))), n
-    ).value
-    assert pair_direct == pair_tab
+    means = _exact_column_means(Theorem3SupOracle(ds, k, t), n)
+    assert means[COL_MARGIN] == _exact_tabulated(margin_rows, n)
+    assert means[COL_UNION] == _exact_tabulated(union_rows, n)
+    assert means[COL_UNION_MARGIN] == _exact_tabulated(pair_rows, n)
 
 
 def test_restricted_rademacher_exact_values():
     # three interior points, two boundary points, t=0: the restricted value
     # is the walk mean of the 3 interior signs over the 5-point normalizer
     x = np.array([1.2, 1.5, 1.8, 1.0, 2.0])
-    est = restricted_rademacher(IntervalClassSpec(j=1, t=0), x, mode="exact")
-    assert est.value == reference_complexity(3) * 3.0 / 5.0
-    est = restricted_rademacher(IntervalClassSpec(j=1, t=2), x, mode="exact")
-    assert est.value == 3.0 / 5.0
-    # no interior points at all
-    empty = restricted_rademacher(IntervalClassSpec(j=2, t=1), np.array([2.0, 3.0]), mode="exact")
-    assert empty.value == 0.0
-
-
-def test_restricted_rademacher_mode_validation():
-    with pytest.raises(ValueError):
-        restricted_rademacher(IntervalClassSpec(j=1, t=1), POINTS, mode="enumerate")
+    t0 = _exact_column_means(Theorem3SupOracle(x, 1, 0), 5)
+    assert t0[COL_RESTRICTED] == reference_complexity(3) * 3.0 / 5.0
+    t2 = _exact_column_means(Theorem3SupOracle(x, 1, 2), 5)
+    assert t2[COL_RESTRICTED] == 3.0 / 5.0
+    # no interior points at all in interval 2
+    empty = _exact_column_means(Theorem3SupOracle(np.array([2.0, 3.0]), 2, 1), 2)
+    assert empty[COL_RESTRICTED + 1] == 0.0
 
 
 def test_reference_complexity_values():
@@ -280,10 +282,6 @@ def test_reference_complexity_values():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        IntervalClassSpec(j=0, t=1)
-    with pytest.raises(ValueError):
-        IntervalClassSpec(j=1, t=-1)
     with pytest.raises(ValueError):
         LowerBoundConfig(k=2, epsilon=0.0)
     with pytest.raises(ValueError):
@@ -300,6 +298,47 @@ def test_select_t_small_case():
     t, n = select_t(2, 0.5, trials=256)
     assert (t, n) == (2, 128)
     assert n == 16 * 2 * t * t
+
+
+def test_select_t_pinned_at_k8():
+    for seed in (0, 1, 2):
+        assert select_t(8, 0.5, seed=seed) == (8, 8192)
+
+
+def test_select_t_draws_one_sign_stream_per_candidate(monkeypatch):
+    # All k restricted columns of a candidate come from one engine call on
+    # one sign stream: candidates t = 1, 2, 4, 8 make one (unsplit) batch each.
+    calls = []
+    real = rademacher.trial_sign_block
+
+    def counting(seed, start, stop, n):
+        calls.append((seed, start, stop, n))
+        return real(seed, start, stop, n)
+
+    monkeypatch.setattr(rademacher, "trial_sign_block", counting)
+    assert select_t(8, 0.5, seed=0, trials=256) == (8, 8192)
+    assert [(start, stop, n) for _, start, stop, n in calls] == [
+        (0, 256, 16 * 8 * t * t) for t in (1, 2, 4, 8)
+    ]
+    assert len({seed for seed, *_ in calls}) == 4
+
+
+def test_select_t_requires_every_interval(monkeypatch):
+    # Restricted estimates pinned to 1 pass everywhere; at t = 1 the last
+    # interval alone reads 0, so the search must move on to t = 2.
+    real = lowerbound.mc_rademacher_columns
+
+    def pinned(oracle, n, trials, seed, convention="signed"):
+        ests = real(oracle, n, trials, seed, convention)
+        k = len(ests) - COL_RESTRICTED
+        low = [oracle.t == 1 and j == k - 1 for j in range(k)]
+        return ests[:COL_RESTRICTED] + [
+            dataclasses.replace(e, value=0.0 if fail else 1.0)
+            for e, fail in zip(ests[COL_RESTRICTED:], low)
+        ]
+
+    monkeypatch.setattr(lowerbound, "mc_rademacher_columns", pinned)
+    assert select_t(3, 0.5, trials=16) == (2, 192)
 
 
 def test_select_t_budget_exhausted():
@@ -327,11 +366,6 @@ def test_verify_theorem3_union_variant():
     assert report.variant == "union"
     with pytest.raises(ValueError):
         verify_theorem3(cfg, variant="both")
-
-
-def test_verify_theorem3_threads_do_not_change_results():
-    cfg = LowerBoundConfig(k=2, epsilon=0.5, t=1, n=32, seed=9, trials=512)
-    assert verify_theorem3(cfg, threads=1) == verify_theorem3(cfg, threads=4)
 
 
 def test_report_json_keys():
@@ -376,21 +410,29 @@ def test_interval_optima_match_brute_force(lengths, extra, trials, t, seed):
     cols = rng.permutation(n)
     inside = np.split(cols[: sum(lengths)], np.cumsum(lengths)[:-1])
     block = rng.choice(np.array([-1, 1], dtype=np.int8), size=(trials, n))
-    opt = _interval_optima(block, inside, t)
-    assert opt.shape == (trials, len(lengths)) and opt.dtype == np.int64
+    opt, sums = _interval_optima(block, inside, t)
+    assert opt.shape == sums.shape == (trials, len(lengths))
+    assert opt.dtype == sums.dtype == np.int64
     for r in range(trials):
         for j, idx in enumerate(inside):
             assert opt[r, j] == brute_force_interval_sup(block[r, idx], t)
+    # the never-maxed DP row is each interval's sign sum (0 when empty)
+    want = [block[:, idx].sum(axis=1, dtype=np.int64) for idx in inside]
+    assert np.array_equal(sums, np.stack(want, axis=1))
     # the pattern set is closed under s -> -s
-    assert np.array_equal(_interval_optima(-block, inside, t), opt)
+    neg_opt, neg_sums = _interval_optima(-block, inside, t)
+    assert np.array_equal(neg_opt, opt) and np.array_equal(neg_sums, -sums)
 
 
 @pytest.mark.parametrize("m", [(1 << 15) - 1, 1 << 15])
 def test_interval_optima_long_interval_does_not_wrap(m):
-    # m >= 2^15 switches the DP state to int32; an int16 state would wrap at m = 2^15
+    # m >= 2^15 switches the DP state to int32; an int16 state would wrap at
+    # m = 2^15, in the optimum and in the sign sum alike
     for sign in (1, -1):
         block = np.full((1, m), sign, dtype=np.int8)
-        assert _interval_optima(block, [np.arange(m)], 0)[0, 0] == m
+        opt, sums = _interval_optima(block, [np.arange(m), np.arange(0)], 0)
+        assert opt.tolist() == [[m, 0]]
+        assert sums.tolist() == [[sign * m, 0]]
 
 
 @pytest.mark.parametrize("k, t", [(2, 2), (5, 3), (8, 1), (3, 0)])
@@ -405,8 +447,8 @@ def test_margin_minus_interval_sum_is_linear_in_signs(k, t):
     _, boundary = partition_points(x, k)
     assert boundary.size == on_integer.size
     block = rng.choice(np.array([-1, 1], dtype=np.int8), size=(500, n))
-    margin = Theorem3SupOracle(ds, t, k).query_block(block)
-    diff = margin - IntervalSumOracle(x, k, t).query_block(block)
+    cols = Theorem3SupOracle(ds, k, t).query_block(block)
+    diff = cols[:, COL_MARGIN] - cols[:, COL_SUM]
     eps = block.astype(np.int64)
     want = (k - 2) * eps.sum(axis=1) + 2 * eps[:, boundary].sum(axis=1)
     assert np.array_equal(np.rint(n * diff).astype(np.int64), want)
@@ -445,25 +487,27 @@ def test_verify_theorem3_golden_bits(kwargs, variant, want):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "column",
     [
-        lambda ds, k, t: Theorem3SupOracle(ds, t, k),
-        lambda ds, k, t: UnionMarginSupOracle(ds, t, k),
-        lambda ds, k, t: IntervalSumOracle(ds, k, t),
-        lambda ds, k, t: UnionSupOracle(ds, k, t),
-        lambda ds, k, t: StarSupOracle(ds, k, t),
+        lambda out: out[:, COL_MARGIN],
+        lambda out: out[:, COL_UNION_MARGIN],
+        lambda out: out[:, COL_SUM],
+        lambda out: out[:, COL_UNION],
+        lambda out: out[:, COL_RESTRICTED:],
     ],
 )
-def test_oracle_block_memory_stays_near_the_int8_block(make):
+def test_oracle_block_memory_stays_near_the_int8_block(column):
     # An int64 copy of the block alone is 8x its int8 size; the engine folds
-    # the int8 signs as they are and keeps a small int16 state.
+    # the int8 signs as they are and keeps a small int16 state, and the
+    # columns are (trials, 4 + k) floats.  Each case reads one column group
+    # of the query, as each Theorem-3 supremum is read off it.
     k, t = 4, 4
     ds = generate(GeneratorSpec(kind="uniform_interval", k=k, n=16 * k * t * t, seed=2))
-    oracle = make(ds, k, t)
+    oracle = Theorem3SupOracle(ds, k, t)
     block = trial_sign_block(7, 0, 64, ds.n)
     tracemalloc.start()
     try:
-        oracle.query_block(block)
+        column(oracle.query_block(block))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

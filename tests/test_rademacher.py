@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mbl import rademacher
 from mbl.core import CapExceeded, TabulatedClass
 from mbl.lowerbound import reference_complexity
 from mbl.rademacher import (
@@ -8,6 +11,7 @@ from mbl.rademacher import (
     enumerate_sign_vectors,
     exact_empirical_rademacher,
     mc_empirical_rademacher,
+    mc_rademacher_columns,
     tabulated_sup,
     trial_sign_block,
 )
@@ -85,6 +89,18 @@ def test_trial_sign_block_batching_is_bitwise_stable():
     assert np.array_equal(middle, whole[3:7])
 
 
+def test_trial_sign_block_peak_memory():
+    # the unpacked bits and one int8 copy are both block-sized; mapping
+    # {0, 1} -> {-1, +1} out of place would add a third block
+    tracemalloc.start()
+    try:
+        block = trial_sign_block(seed=7, start=0, stop=256, n=8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * block.nbytes
+
+
 def test_trial_sign_block_seed_validation():
     with pytest.raises(ValueError):
         trial_sign_block(seed=-1, start=0, stop=1, n=4)
@@ -92,15 +108,39 @@ def test_trial_sign_block_seed_validation():
         trial_sign_block(seed=2**64, start=0, stop=1, n=4)
 
 
-def test_mc_determinism_and_thread_invariance():
+def test_mc_determinism():
     oracle = TabulatedSupOracle(random_class(0))
     a = mc_empirical_rademacher(oracle, 8, 3000, seed=11)
     b = mc_empirical_rademacher(oracle, 8, 3000, seed=11)
-    c = mc_empirical_rademacher(oracle, 8, 3000, seed=11, threads=4)
     assert (a.value, a.std_error) == (b.value, b.std_error)
-    assert (a.value, a.std_error) == (c.value, c.std_error)
     d = mc_empirical_rademacher(oracle, 8, 3000, seed=12)
     assert d.value != a.value
+
+
+class _TwoColumns:
+    """Two tabulated classes queried on the same draws, one column each."""
+
+    def __init__(self, first, second):
+        self.parts = (TabulatedSupOracle(first), TabulatedSupOracle(second))
+        self.n = first.n
+
+    def query_block(self, block):
+        return np.stack([p.query_block(block) for p in self.parts], axis=1)
+
+
+@pytest.mark.parametrize("convention", ["signed", "absolute"])
+def test_mc_columns_match_one_column_estimates(convention, monkeypatch):
+    # batches of 1000 trials: the columns of three blocks are concatenated
+    monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", 8 * 1000)
+    first, second = random_class(5), random_class(6)
+    got = mc_rademacher_columns(_TwoColumns(first, second), 8, 3000, 13, convention)
+    want = [
+        mc_empirical_rademacher(TabulatedSupOracle(c), 8, 3000, 13, convention)
+        for c in (first, second)
+    ]
+    assert got == want
+    with pytest.raises(ValueError, match="columns"):
+        mc_empirical_rademacher(_TwoColumns(first, second), 8, 64, 13)
 
 
 def test_mc_requires_two_trials():
