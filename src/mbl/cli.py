@@ -7,11 +7,12 @@ and ``synth`` (dataset generation).
 
 Contract: stdout carries exactly one machine-readable JSON line; logs and
 errors go to stderr.  Exit codes: 0 success, 1 verification failed, 2
-usage or validation error, 3 resource cap exceeded.  Every completed run
-writes a manifest (subcommand, parameters, seed, version, input digests,
-duration) so results can be traced and reproduced; rerunning with the same
-manifest parameters yields byte-identical primary outputs regardless of
---threads.
+usage or validation error, 3 resource cap exceeded (a MemoryError counts
+as one), 4 unexpected internal error (traceback on stderr).  Every
+completed run writes a manifest (subcommand, parameters, seed, version,
+input digests, duration) so results can be traced and reproduced;
+rerunning with the same manifest parameters yields byte-identical primary
+outputs regardless of --threads.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -68,7 +70,6 @@ class RunManifest:
 @dataclass
 class _RunContext:
     inputs: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
 
     def track_input(self, path) -> None:
         self.inputs[str(path)] = _sha256(path)
@@ -251,7 +252,6 @@ def _cmd_compare(args, ctx: _RunContext) -> tuple[int, dict]:
                     _fmt17(row["ratio_to_this_paper"]),
                 ]
             )
-    ctx.outputs.append(args.out)
     payload = {
         "out": args.out,
         "row_count": len(rows),
@@ -299,7 +299,6 @@ def _cmd_verify_thm3(args, ctx: _RunContext) -> tuple[int, dict]:
         )
         if args.out:
             _write_thm3_csv(args.out, reports)
-            ctx.outputs.append(args.out)
         payload = {"rows": [r.to_json_dict() for r in reports], "summary": summary}
         return (0 if summary["pass"] else 1), payload
     if args.k is None:
@@ -318,7 +317,6 @@ def _cmd_verify_thm3(args, ctx: _RunContext) -> tuple[int, dict]:
     report = verify_theorem3(config, variant=args.variant)
     if args.out:
         _write_thm3_csv(args.out, [report])
-        ctx.outputs.append(args.out)
     return (0 if report.passed else 1), report.to_json_dict()
 
 
@@ -335,7 +333,6 @@ def _cmd_synth(args, ctx: _RunContext) -> tuple[int, dict]:
     )
     dataset = generate(spec)
     write_dataset_csv(dataset, args.out)
-    ctx.outputs.append(args.out)
     payload = {
         "out": args.out,
         "kind": kind,
@@ -536,12 +533,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.threads = _resolve_threads(args.threads)
         code, payload = args.handler(args, ctx)
-    except CapExceeded as exc:
+    except (CapExceeded, MemoryError) as exc:
         print(f"mbl: cap exceeded: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"mbl: error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # Not a verification verdict (exit 1): report the bug with its traceback.
+        traceback.print_exc()
+        print("mbl: internal error", file=sys.stderr)
+        return 4
     manifest = RunManifest(
         subcommand=args.command,
         parameters=_manifest_parameters(args),

@@ -8,7 +8,9 @@ Conventions used across the package:
   with no absolute value; estimators expose an optional absolute-value
   convention where a module needs it,
 * function classes evaluated on a fixed sample are tabulated as one row
-  per function and one column per sample point.
+  per function and one column per sample point,
+* an oracle answers the inner supremum for a whole block of sign vectors
+  at once (``SupOracle.query_block``); a single vector is a one-row block.
 """
 from __future__ import annotations
 
@@ -121,16 +123,17 @@ class RademacherEstimate:
 class SupOracle(Protocol):
     """Oracle contract: the inner supremum of the Rademacher definition.
 
-    ``query(signs)`` returns sup_{f in F} (1/n) sum_i signs_i f(x_i) for one
-    sign vector and must be deterministic (same signs, same value, bitwise).
-    Implementations may additionally provide
-    ``query_block(signs_block) -> np.ndarray`` mapping a (trials, n) block of
-    sign vectors to per-row suprema; estimators use it when present.
+    ``n`` is the sample size.  ``query_block(signs_block)`` maps a
+    (trials, n) int8 block of sign vectors to the per-row suprema
+    sup_{f in F} (1/n) sum_i signs_i f(x_i): a (trials,) array, or a
+    (trials, c) array for an oracle whose c classes share each draw (one
+    column per class).  It must be deterministic (same block, same values,
+    bitwise); a single sign vector is a one-row block.
     """
 
     n: int
 
-    def query(self, signs: np.ndarray) -> float: ...
+    def query_block(self, signs_block: np.ndarray) -> np.ndarray: ...
 
 
 def as_sign_vector(signs, n: int | None = None) -> np.ndarray:

@@ -186,24 +186,19 @@ def check_psd(g: np.ndarray, tol_factor: float = _PSD_TOL_FACTOR) -> float:
 
 
 class KernelSupOracle:
-    """SupOracle for the 2-norm ball: query = (lam/n) sqrt(max(eps^T G eps, 0))."""
+    """SupOracle for the 2-norm ball: each row eps gives (lam/n) sqrt(max(eps^T G eps, 0)).
 
-    def __init__(self, g: np.ndarray, lambda_cap: float, validate: bool = True):
+    G is checked to be PSD on construction.
+    """
+
+    def __init__(self, g: np.ndarray, lambda_cap: float):
         g = np.asarray(g, dtype=np.float64)
         if not (math.isfinite(lambda_cap) and lambda_cap >= 0):
             raise ValueError(f"lambda_cap must be finite and >= 0, got {lambda_cap!r}")
-        if validate:
-            check_psd(g)
+        check_psd(g)
         self.g = g
         self.lambda_cap = float(lambda_cap)
         self.n = g.shape[0]
-
-    def query(self, signs) -> float:
-        s = np.asarray(signs, dtype=np.float64)
-        if s.shape != (self.n,):
-            raise ValueError(f"sign vector length {s.shape} != n={self.n}")
-        quad = float(s @ self.g @ s)
-        return self.lambda_cap / self.n * math.sqrt(max(quad, 0.0))
 
     def query_block(self, signs_block: np.ndarray) -> np.ndarray:
         s = signs_block.astype(np.float64)

@@ -277,14 +277,21 @@ def lemma1_sweep(
 ) -> dict:
     """Run verify_lemma1 on `seeds` random instances; report any failures.
 
-    Instances draw n up to max_n, so max_n above the exact-enumeration cap
-    raises CapExceeded before any instance runs.
+    Instances draw n up to max_n and up to max_k classes of up to
+    max_class_size rows each, so max_n above the exact-enumeration cap, or a
+    largest product max_class_size**max_k above MARGIN_CLASS_CAP, raises
+    CapExceeded before any instance runs.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     if max_n > EXACT_ENUMERATION_CAP:
         raise CapExceeded(
             f"max_n={max_n} exceeds the exact-enumeration cap {EXACT_ENUMERATION_CAP}"
+        )
+    # Past 64 the exponent cannot change the comparison (2**64 > cap).
+    if max_class_size ** min(max_k, 64) > MARGIN_CLASS_CAP:
+        raise CapExceeded(
+            f"{max_class_size}**{max_k} rows exceed the margin-class product cap {MARGIN_CLASS_CAP}"
         )
     failures = []
     worst_slack = -math.inf

@@ -370,6 +370,50 @@ def test_verify_lemma1_max_n_above_cap_is_exit_3_up_front(in_tmp, capsys, monkey
     assert code == 0, err
 
 
+@pytest.mark.parametrize("seeds", ["10", "30"])
+def test_verify_lemma1_product_above_cap_is_exit_3_up_front(in_tmp, capsys, monkeypatch, seeds):
+    # 8**12 rows exceed the margin-class cap; with 30 seeds an instance
+    # would reach it mid-run, with 10 none would, and both stop up front.
+    margin_module = sys.modules["mbl.margin"]
+
+    def no_instance(*args, **kwargs):
+        raise AssertionError("an instance ran before the cap check")
+
+    monkeypatch.setattr(margin_module, "random_margin_instance", no_instance)
+    argv = ["verify", "lemma1", "--seeds", seeds, "--max-k", "12", "--max-class-size", "8",
+            "--max-n", "8"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3, err
+    assert out == ""
+    assert "product cap" in err
+
+
+def _lemma1_raising(monkeypatch, exc):
+    def raising(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("mbl.cli.lemma1_sweep", raising)
+
+
+def test_memory_error_is_exit_3(in_tmp, capsys, monkeypatch):
+    # The error a numpy allocation raises, without allocating anything.
+    _lemma1_raising(monkeypatch, MemoryError("Unable to allocate 9.31 TiB for an array"))
+    code, out, err = run_cli(["verify", "lemma1", "--seeds", "1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == "mbl: cap exceeded: Unable to allocate 9.31 TiB for an array\n"
+
+
+def test_unexpected_error_is_exit_4_with_traceback(in_tmp, capsys, monkeypatch):
+    _lemma1_raising(monkeypatch, KeyError("boom"))
+    code, out, err = run_cli(["verify", "lemma1", "--seeds", "1"], capsys)
+    assert code == 4
+    assert out == ""
+    assert "Traceback (most recent call last)" in err
+    assert "KeyError: 'boom'" in err
+    assert not (in_tmp / "mbl_verify.manifest.json").exists()
+
+
 def test_verify_failure_maps_to_exit_1(in_tmp, capsys, monkeypatch):
     # Both verified statements actually hold, so force the failing branch.
     monkeypatch.setattr(

@@ -11,6 +11,8 @@ from mbl.core import (
     require_valid,
     validate_dataset,
 )
+from mbl.kernel import KernelSupOracle
+from mbl.lowerbound import Theorem3SupOracle
 from mbl.rademacher import TabulatedSupOracle
 
 
@@ -96,8 +98,15 @@ def test_as_sign_vector_rejects_bad_values():
 
 
 def test_sup_oracle_protocol():
-    oracle = TabulatedSupOracle(TabulatedClass([[1.0, 1.0]]))
-    assert isinstance(oracle, SupOracle)
+    oracles = [
+        TabulatedSupOracle(TabulatedClass([[1.0, 1.0]])),
+        KernelSupOracle(np.eye(2), lambda_cap=1.0),
+        Theorem3SupOracle(np.array([1.25, 1.75]), k=1, t=1),
+    ]
+    for oracle in oracles:
+        assert isinstance(oracle, SupOracle)
+        assert oracle.query_block(np.ones((3, 2), dtype=np.int8)).shape[0] == 3
+    assert not isinstance(object(), SupOracle)
 
 
 def test_cap_exceeded_is_an_exception():

@@ -196,15 +196,21 @@ def test_check_psd_rejects_indefinite():
         check_psd(np.ones((2, 3)))
 
 
+def query_one(oracle, signs):
+    """The oracle's supremum for one sign vector, as a one-row block."""
+    (value,) = oracle.query_block(np.asarray([signs], dtype=np.int8))
+    return value
+
+
 def test_oracle_identity_gram():
     oracle = KernelSupOracle(np.eye(2), lambda_cap=1.0)
-    assert oracle.query([1, -1]) == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
+    assert query_one(oracle, [1, -1]) == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
 
 
 def test_oracle_balanced_signs_on_constant_kernel():
     # Rank-one all-ones Gram: eps^T G eps = (sum eps)^2, zero when balanced.
     oracle = KernelSupOracle(np.ones((4, 4)), lambda_cap=3.0)
-    assert oracle.query([1, -1, 1, -1]) == 0.0
+    assert query_one(oracle, [1, -1, 1, -1]) == 0.0
 
 
 def test_oracle_scales_linearly_in_lambda():
@@ -212,8 +218,8 @@ def test_oracle_scales_linearly_in_lambda():
     v = rng.normal(size=5)
     g = np.outer(v, v)
     signs = [1, 1, -1, 1, -1]
-    one = KernelSupOracle(g, lambda_cap=1.0).query(signs)
-    two = KernelSupOracle(g, lambda_cap=2.0).query(signs)
+    one = query_one(KernelSupOracle(g, lambda_cap=1.0), signs)
+    two = query_one(KernelSupOracle(g, lambda_cap=2.0), signs)
     assert two == 2.0 * one
 
 
@@ -222,9 +228,9 @@ def test_oracle_validation():
         with pytest.raises(ValueError):
             KernelSupOracle(np.eye(2), lambda_cap=bad)
     oracle = KernelSupOracle(np.eye(2), lambda_cap=0.0)
-    assert oracle.query([1, 1]) == 0.0
+    assert query_one(oracle, [1, 1]) == 0.0
     with pytest.raises(ValueError):
-        oracle.query([1, 1, 1])
+        query_one(oracle, [1, 1, 1])
 
 
 def test_oracle_block_matches_scalar_queries():
@@ -237,7 +243,10 @@ def test_oracle_block_matches_scalar_queries():
     )
     out = oracle.query_block(block)
     for row, got in zip(block, out):
-        assert got == pytest.approx(oracle.query(row), rel=1e-13)
+        s = row.astype(np.float64)
+        want = 1.7 / 6 * math.sqrt(max(float(s @ g @ s), 0.0))
+        assert got == pytest.approx(want, rel=1e-13)
+        assert got == pytest.approx(query_one(oracle, row), rel=1e-13)
 
 
 def test_rad_bounds_unit_diagonal():

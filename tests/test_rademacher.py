@@ -12,7 +12,6 @@ from mbl.rademacher import (
     exact_empirical_rademacher,
     mc_empirical_rademacher,
     mc_rademacher_columns,
-    tabulated_sup,
     trial_sign_block,
 )
 
@@ -22,6 +21,13 @@ TWO_POINT = TabulatedClass([[1.0, 1.0], [-1.0, -1.0]])
 def random_class(seed, m=5, n=8):
     rng = np.random.default_rng(seed)
     return TabulatedClass(rng.normal(size=(m, n)))
+
+
+def tabulated_sup(cls, signs):
+    """The oracle's supremum for one sign vector, as a one-row block."""
+    block = np.asarray([signs], dtype=np.int8)
+    (value,) = TabulatedSupOracle(cls).query_block(block)
+    return value
 
 
 def test_tabulated_sup_examples():
@@ -73,6 +79,32 @@ def test_enumerate_sign_vectors_binary_order():
 def test_enumerate_sign_vectors_cap():
     with pytest.raises(CapExceeded):
         enumerate_sign_vectors(21)
+
+
+def _reference_enumeration(n):
+    """All 2^n sign vectors, position i from bit i of the row index."""
+    rows = [[1 if (b >> i) & 1 else -1 for i in range(n)] for b in range(1 << n)]
+    return np.asarray(rows, dtype=np.int8)
+
+
+@pytest.mark.parametrize("n", [1, 5, 9])
+def test_enumerate_sign_vectors_row_ranges_slice_the_full_enumeration(n):
+    full = enumerate_sign_vectors(n)
+    assert full.dtype == np.int8
+    assert np.array_equal(full, _reference_enumeration(n))
+    total = 1 << n
+    for lo, hi in [(0, total), (0, 1), (1, total), (total // 3, total // 2 + 1), (total, total)]:
+        part = enumerate_sign_vectors(n, lo, hi)
+        assert part.dtype == np.int8
+        assert part.shape == (hi - lo, n)
+        assert np.array_equal(part, full[lo:hi])
+    assert np.array_equal(enumerate_sign_vectors(n, total // 2), full[total // 2 :])
+
+
+def test_enumerate_sign_vectors_row_range_validation():
+    for lo, hi in [(-1, 2), (3, 2), (0, 9)]:
+        with pytest.raises(ValueError):
+            enumerate_sign_vectors(3, lo, hi)
 
 
 def test_trial_sign_block_shape_and_values():
@@ -141,6 +173,30 @@ def test_mc_columns_match_one_column_estimates(convention, monkeypatch):
     assert got == want
     with pytest.raises(ValueError, match="columns"):
         mc_empirical_rademacher(_TwoColumns(first, second), 8, 64, 13)
+
+
+@pytest.mark.parametrize("convention", ["signed", "absolute"])
+def test_exact_is_bitwise_stable_under_small_batches(convention, monkeypatch):
+    classes = [random_class(seed, m=6, n=9) for seed in (20, 21)]
+    whole = [exact_empirical_rademacher(TabulatedSupOracle(c), 9, convention) for c in classes]
+    # 512 rows in batches of 100: five full batches and one of 12
+    monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", 9 * 100)
+    batched = [exact_empirical_rademacher(TabulatedSupOracle(c), 9, convention) for c in classes]
+    assert batched == whole
+
+
+def test_exact_peak_memory():
+    # 2^18 sign rows in batches of about 1.2e5: an int64 copy of a batch's
+    # bits, or every per-row value held as a Python float, pushes the
+    # traced peak past this bound.
+    oracle = TabulatedSupOracle(random_class(8, m=4, n=18))
+    tracemalloc.start()
+    try:
+        exact_empirical_rademacher(oracle, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_mc_requires_two_trials():
