@@ -21,7 +21,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 import traceback
@@ -105,21 +104,6 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     if not items:
         raise ValueError(f"{flag} must be nonempty")
     return items
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get("MBL_THREADS", "").strip()
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise ValueError(f"MBL_THREADS must be an integer, got {env!r}") from None
-        else:
-            value = 1
-    if value < 1:
-        raise ValueError("threads must be >= 1")
-    return value
 
 
 def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
@@ -348,9 +332,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="accepted and checked (>= 1; default: MBL_THREADS env var, else 1) but starts "
-        "no worker threads, so it never changes results or speed",
+        default=1,
+        help="accepted and checked (>= 1) but starts no worker threads, so it never "
+        "changes results or speed",
     )
     parser.add_argument(
         "--manifest",
@@ -531,7 +515,8 @@ def main(argv: list[str] | None = None) -> int:
     ctx = _RunContext()
     start = time.monotonic()
     try:
-        args.threads = _resolve_threads(args.threads)
+        if args.threads < 1:
+            raise ValueError("threads must be >= 1")
         code, payload = args.handler(args, ctx)
     except (CapExceeded, MemoryError) as exc:
         print(f"mbl: cap exceeded: {exc}", file=sys.stderr)

@@ -167,10 +167,10 @@ def kernel_trace(spec: KernelSpec, data) -> float:
     return total
 
 
-def check_psd(g: np.ndarray, tol_factor: float = _PSD_TOL_FACTOR) -> float:
+def check_psd(g: np.ndarray) -> float:
     """Validate G is PSD up to rounding; returns the smallest eigenvalue.
 
-    Tolerance: min eigenvalue >= -tol_factor * trace(G).
+    Tolerance: min eigenvalue >= -_PSD_TOL_FACTOR * trace(G).
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -178,7 +178,7 @@ def check_psd(g: np.ndarray, tol_factor: float = _PSD_TOL_FACTOR) -> float:
     eigs = np.linalg.eigvalsh(g)
     lo = float(eigs[0])
     tr = float(np.trace(g))
-    if lo < -tol_factor * max(tr, 0.0):
+    if lo < -_PSD_TOL_FACTOR * max(tr, 0.0):
         raise ValueError(
             f"gram matrix is not PSD within tolerance: min eig {lo:.3e}, trace {tr:.3e}"
         )

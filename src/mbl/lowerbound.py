@@ -200,8 +200,8 @@ def interval_sup_dp(in_interval_signs, t: int) -> float:
     return float(_interval_optima(arr[None, :], [np.arange(arr.size)], t)[0][0, 0])
 
 
-def brute_force_interval_sup(in_interval_signs, t: int, cap: int = BRUTE_FORCE_CAP) -> float:
-    """Exhaustive oracle for interval_sup_dp (n_inside <= cap).
+def brute_force_interval_sup(in_interval_signs, t: int) -> float:
+    """Exhaustive oracle for interval_sup_dp (n_inside <= BRUTE_FORCE_CAP).
 
     Enumerates all sign patterns, filters by change count, and maximizes;
     must match the DP bitwise.
@@ -210,8 +210,10 @@ def brute_force_interval_sup(in_interval_signs, t: int, cap: int = BRUTE_FORCE_C
         raise ValueError("t must be >= 0")
     arr = np.asarray(in_interval_signs)
     m = arr.size
-    if m > cap:
-        raise CapExceeded(f"brute force is capped at {cap} in-interval points, got {m}")
+    if m > BRUTE_FORCE_CAP:
+        raise CapExceeded(
+            f"brute force is capped at {BRUTE_FORCE_CAP} in-interval points, got {m}"
+        )
     if m == 0:
         return 0.0
     eps = as_sign_vector(arr).astype(np.int64)

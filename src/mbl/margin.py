@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -39,6 +39,13 @@ __all__ = [
 
 # Cap on the Cartesian-product size of a materialized margin class.
 MARGIN_CLASS_CAP = 10**6
+
+# Slack allowed on lhs <= rhs in verify_lemma1: both sides are exactly
+# rounded means, so only last-bit rounding can separate them.
+_LEMMA1_TOLERANCE = 1e-12
+
+# Values the per-class functions of a random margin instance take.
+_INSTANCE_VALUES = (-1.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,6 @@ class MarginClassSpec:
     """Per-class tabulated classes (F_1, ..., F_k) sharing one sample."""
 
     per_class: tuple[TabulatedClass, ...]
-    cap: int = MARGIN_CLASS_CAP
 
     def __post_init__(self) -> None:
         classes = tuple(self.per_class)
@@ -105,7 +111,6 @@ class Lemma1Report:
     rhs: float
     per_class: tuple[float, ...]
     passed: bool
-    tolerance: float = 1e-12
 
 
 def _check_row(score_row) -> np.ndarray:
@@ -208,10 +213,8 @@ def materialize_margin_class(spec: MarginClassSpec, labels) -> TabulatedClass:
     if labs.min() < 1 or labs.max() > k:
         raise ValueError(f"labels must lie in [1, {k}]")
     total = spec.product_size
-    if total > spec.cap:
-        raise CapExceeded(
-            f"margin-class product has {total} rows; cap is {spec.cap}"
-        )
+    if total > MARGIN_CLASS_CAP:
+        raise CapExceeded(f"margin-class product has {total} rows; cap is {MARGIN_CLASS_CAP}")
     counts = [c.m for c in spec.per_class]
     digits = np.unravel_index(np.arange(total), counts)
     # chosen[j] has shape (total, n): values of the j-th class under each tuple
@@ -227,7 +230,7 @@ def materialize_margin_class(spec: MarginClassSpec, labels) -> TabulatedClass:
 
 
 def verify_lemma1(spec: MarginClassSpec, labels) -> Lemma1Report:
-    """Exact check of R_hat_n(M_k) <= sum_j R_hat_n(F_j) + 1e-12.
+    """Exact check of R_hat_n(M_k) <= sum_j R_hat_n(F_j) + _LEMMA1_TOLERANCE.
 
     Both sides are computed by full sign enumeration; the inequality holds
     for every sample, so a failure indicates an implementation bug.
@@ -242,7 +245,8 @@ def verify_lemma1(spec: MarginClassSpec, labels) -> Lemma1Report:
         for c in spec.per_class
     )
     rhs = math.fsum(per_class)
-    return Lemma1Report(lhs=lhs, rhs=rhs, per_class=per_class, passed=lhs <= rhs + 1e-12)
+    passed = lhs <= rhs + _LEMMA1_TOLERANCE
+    return Lemma1Report(lhs=lhs, rhs=rhs, per_class=per_class, passed=passed)
 
 
 def random_margin_instance(
@@ -250,15 +254,17 @@ def random_margin_instance(
     max_k: int = 3,
     max_n: int = 8,
     max_class_size: int = 4,
-    values: Sequence[float] = (-1.0, 0.0, 1.0),
 ) -> tuple[MarginClassSpec, np.ndarray]:
-    """Random small margin-class instance for sweep-style verification."""
+    """Random small margin-class instance for sweep-style verification.
+
+    Every per-class function takes values in {-1, 0, 1}.
+    """
     if max_k < 2 or max_n < 1 or max_class_size < 1:
         raise ValueError("need max_k >= 2, max_n >= 1, max_class_size >= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
     k = int(rng.integers(2, max_k + 1))
     n = int(rng.integers(1, max_n + 1))
-    pool = np.asarray(list(values), dtype=np.float64)
+    pool = np.asarray(_INSTANCE_VALUES, dtype=np.float64)
     classes = tuple(
         TabulatedClass(pool[rng.integers(0, pool.size, size=(int(rng.integers(1, max_class_size + 1)), n))])
         for _ in range(k)
@@ -272,7 +278,6 @@ def lemma1_sweep(
     max_k: int = 3,
     max_n: int = 8,
     max_class_size: int = 4,
-    values: Sequence[float] = (-1.0, 0.0, 1.0),
     base_seed: int = 0,
 ) -> dict:
     """Run verify_lemma1 on `seeds` random instances; report any failures.
@@ -297,7 +302,7 @@ def lemma1_sweep(
     worst_slack = -math.inf
     for s in range(seeds):
         spec, labels = random_margin_instance(
-            base_seed + s, max_k=max_k, max_n=max_n, max_class_size=max_class_size, values=values
+            base_seed + s, max_k=max_k, max_n=max_n, max_class_size=max_class_size
         )
         rep = verify_lemma1(spec, labels)
         worst_slack = max(worst_slack, rep.lhs - rep.rhs)

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -52,6 +53,10 @@ _BITS_PER_BLOCK = 64 * _WORDS_PER_BLOCK
 # keeping them fixed keeps per-batch arrays and BLAS call shapes identical
 # across runs).
 _TARGET_BATCH_CELLS = 1 << 21
+
+# Values per Python-float chunk fed to math.fsum: the reduction never holds a
+# whole column as a list (32 bytes per value).
+_REDUCE_CHUNK = 1 << 16
 
 
 def _check_enumerable(n: int) -> None:
@@ -125,6 +130,13 @@ def _block_sups(oracle: SupOracle, block: np.ndarray, convention: str) -> np.nda
     return sups
 
 
+def _floats(col: np.ndarray) -> Iterator[float]:
+    """The column's values as Python floats, in order, a bounded chunk at a time."""
+    return chain.from_iterable(
+        col[lo : lo + _REDUCE_CHUNK].tolist() for lo in range(0, col.shape[0], _REDUCE_CHUNK)
+    )
+
+
 def _estimate_columns(
     oracle: SupOracle,
     n: int,
@@ -151,12 +163,11 @@ def _estimate_columns(
     )
     estimates = []
     for col in vals.reshape(rows, -1).T:
-        col = col.tolist()
-        value = math.fsum(col) / rows
+        value = math.fsum(_floats(col)) / rows
         if seed is None:
             estimates.append(RademacherEstimate(value, "exact-enumeration", 0, 0.0, None))
             continue
-        dev = math.fsum((v - value) ** 2 for v in col)
+        dev = math.fsum((v - value) ** 2 for v in _floats(col))
         std_error = math.sqrt(dev / (rows - 1)) / math.sqrt(rows)
         estimates.append(RademacherEstimate(value, "monte-carlo", rows, std_error, seed))
     return estimates

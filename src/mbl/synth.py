@@ -21,12 +21,20 @@ significant digits so doubles round-trip exactly):
     labels   header ``x_id,y``
     class    no header; one function per row, one column per sample point
 
-Malformed files are reported with 1-based line numbers.
+All four readers share one streaming loop (``_read_table``): a format only
+states its header, if any, and the kind of each column (x_id, label or
+float).  The file is read once, record by record, and each cell goes
+through Python's float()/int() straight into a typed buffer (array "d"
+for floats, "q" for labels), so arrays are bit-identical to those calls
+and no per-row string lists are held.  Blank lines are skipped; malformed
+files are reported with the path and the 1-based line number.
 """
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -156,29 +164,60 @@ def _writer(handle):
     return csv.writer(handle, lineterminator="\n")
 
 
-def _rows_of(path) -> list[tuple[int, list[str]]]:
-    """All CSV rows with their 1-based line numbers, blank lines skipped."""
+# Column kinds: x_id cells are checked as integers and dropped, labels are
+# integers >= 1, and every other column is a float.
+_ID, _LABEL, _FLOAT = "x_id", "label", "float"
+
+
+def _parse_cell(kind: str, cell: str, path, line: int, column: str):
+    """float(cell) or int(cell) by column kind; failures name path and line."""
+    try:
+        value = float(cell) if kind == _FLOAT else int(cell)
+    except ValueError:
+        what = "non-numeric" if kind == _FLOAT else "non-integer"
+        raise ValueError(f"{path}: line {line}: {what} value {cell!r} in column {column}") from None
+    if kind == _LABEL and value < 1:
+        raise ValueError(f"{path}: line {line}: label must be >= 1, got {value}")
+    return value
+
+
+def _read_table(path, layout, header: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Stream a CSV table into its (rows, floats) matrix and its labels.
+
+    ``layout(first)`` maps the first non-blank record to the table's
+    columns, a list of (name, kind); with ``header`` that record is the
+    header and must equal the names.  Each cell goes through float()/int()
+    straight into a typed buffer, so values are exactly what those calls
+    give.  Blank records are skipped but counted in line numbers.
+    """
+    floats, labels, rows = array("d"), array("q"), 0
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        return [(i, row) for i, row in enumerate(csv.reader(handle), start=1) if row]
-
-
-def _parse_float(cell: str, line: int, column: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValueError(f"line {line}: non-numeric value {cell!r} in column {column}") from None
-
-
-def _parse_int(cell: str, line: int, column: str) -> int:
-    try:
-        return int(cell)
-    except ValueError:
-        raise ValueError(f"line {line}: non-integer value {cell!r} in column {column}") from None
-
-
-def _check_header(got: list[str], want: list[str], path) -> None:
-    if got != want:
-        raise ValueError(f"{path}: line 1: expected header {','.join(want)}, got {','.join(got)}")
+        records = ((line, row) for line, row in enumerate(csv.reader(handle), start=1) if row)
+        first = next(records, None)
+        if first is None:
+            raise ValueError(f"{path}: empty file")
+        columns = layout(first[1])
+        names = [name for name, _ in columns]
+        if not header:
+            records = chain([first], records)
+        elif first[1] != names:
+            raise ValueError(
+                f"{path}: line 1: expected header {','.join(names)}, got {','.join(first[1])}"
+            )
+        sinks = {_ID: lambda value: None, _LABEL: labels.append, _FLOAT: floats.append}
+        cells = [(name, kind, sinks[kind]) for name, kind in columns]
+        for line, row in records:
+            if len(row) != len(cells):
+                raise ValueError(
+                    f"{path}: line {line}: expected {len(cells)} fields, got {len(row)}"
+                )
+            for cell, (name, kind, sink) in zip(row, cells):
+                sink(_parse_cell(kind, cell, path, line, name))
+            rows += 1
+    if rows == 0:
+        raise ValueError(f"{path}: no data rows")
+    width = sum(kind == _FLOAT for _, kind in columns)
+    return np.frombuffer(floats).reshape(rows, width), np.frombuffer(labels, dtype=np.int64)
 
 
 def write_dataset_csv(dataset: LabeledDataset, path) -> None:
@@ -193,29 +232,15 @@ def write_dataset_csv(dataset: LabeledDataset, path) -> None:
 
 
 def read_dataset_csv(path) -> LabeledDataset:
-    rows = _rows_of(path)
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    _, header = rows[0]
-    if len(header) < 3 or header[0] != "x_id" or header[-1] != "y":
-        raise ValueError(
-            f"{path}: line 1: expected header x_id,f1,...,fd,y (missing x_id or label column y)"
-        )
-    d = len(header) - 2
-    _check_header(header, ["x_id"] + [f"f{i}" for i in range(1, d + 1)] + ["y"], path)
-    if len(rows) == 1:
-        raise ValueError(f"{path}: no data rows")
-    points = np.empty((len(rows) - 1, d))
-    labels = np.empty(len(rows) - 1, dtype=np.int64)
-    for r, (line, row) in enumerate(rows[1:]):
-        if len(row) != d + 2:
-            raise ValueError(f"{path}: line {line}: expected {d + 2} fields, got {len(row)}")
-        _parse_int(row[0], line, "x_id")
-        for c in range(d):
-            points[r, c] = _parse_float(row[1 + c], line, f"f{c + 1}")
-        labels[r] = _parse_int(row[-1], line, "y")
-        if labels[r] < 1:
-            raise ValueError(f"{path}: line {line}: label must be >= 1, got {labels[r]}")
+    def layout(header):
+        if len(header) < 3 or header[0] != "x_id" or header[-1] != "y":
+            raise ValueError(
+                f"{path}: line 1: expected header x_id,f1,...,fd,y (missing x_id or label column y)"
+            )
+        features = [(f"f{i}", _FLOAT) for i in range(1, len(header) - 1)]
+        return [("x_id", _ID), *features, ("y", _LABEL)]
+
+    points, labels = _read_table(path, layout, header=True)
     if not np.all(np.isfinite(points)):
         raise ValueError(f"{path}: non-finite feature values")
     return LabeledDataset(points, labels, int(labels.max()))
@@ -230,24 +255,12 @@ def write_scores_csv(scores: ScoreMatrix, path) -> None:
 
 
 def read_scores_csv(path) -> ScoreMatrix:
-    rows = _rows_of(path)
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    _, header = rows[0]
-    if len(header) < 3 or header[0] != "x_id":
-        raise ValueError(f"{path}: line 1: expected header x_id,score_1,...,score_k")
-    k = len(header) - 1
-    _check_header(header, ["x_id"] + [f"score_{y}" for y in range(1, k + 1)], path)
-    if len(rows) == 1:
-        raise ValueError(f"{path}: no data rows")
-    values = np.empty((len(rows) - 1, k))
-    for r, (line, row) in enumerate(rows[1:]):
-        if len(row) != k + 1:
-            raise ValueError(f"{path}: line {line}: expected {k + 1} fields, got {len(row)}")
-        _parse_int(row[0], line, "x_id")
-        for c in range(k):
-            values[r, c] = _parse_float(row[1 + c], line, f"score_{c + 1}")
-    return ScoreMatrix(values)
+    def layout(header):
+        if len(header) < 3 or header[0] != "x_id":
+            raise ValueError(f"{path}: line 1: expected header x_id,score_1,...,score_k")
+        return [("x_id", _ID), *((f"score_{y}", _FLOAT) for y in range(1, len(header)))]
+
+    return ScoreMatrix(_read_table(path, layout, header=True)[0])
 
 
 def write_labels_csv(labels, path) -> None:
@@ -260,32 +273,13 @@ def write_labels_csv(labels, path) -> None:
 
 
 def read_labels_csv(path) -> np.ndarray:
-    rows = _rows_of(path)
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    _, header = rows[0]
-    _check_header(header, ["x_id", "y"], path)
-    if len(rows) == 1:
-        raise ValueError(f"{path}: no data rows")
-    labels = np.empty(len(rows) - 1, dtype=np.int64)
-    for r, (line, row) in enumerate(rows[1:]):
-        if len(row) != 2:
-            raise ValueError(f"{path}: line {line}: expected 2 fields, got {len(row)}")
-        _parse_int(row[0], line, "x_id")
-        labels[r] = _parse_int(row[1], line, "y")
-    return labels
+    return _read_table(path, lambda header: [("x_id", _ID), ("y", _LABEL)], header=True)[1]
 
 
 def read_tabulated_csv(path) -> TabulatedClass:
     """Headerless matrix: one function per row, one sample point per column."""
-    rows = _rows_of(path)
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    width = len(rows[0][1])
-    values = np.empty((len(rows), width))
-    for r, (line, row) in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: line {line}: expected {width} fields, got {len(row)}")
-        for c in range(width):
-            values[r, c] = _parse_float(row[c], line, f"column {c + 1}")
-    return TabulatedClass(values)
+
+    def layout(first):
+        return [(f"column {c}", _FLOAT) for c in range(1, len(first) + 1)]
+
+    return TabulatedClass(_read_table(path, layout, header=False)[0])

@@ -526,15 +526,14 @@ def test_synth_invalid_params(in_tmp, capsys):
     assert code == 2
 
 
-def test_threads_env_var(in_tmp, capsys, monkeypatch):
+def test_threads_env_var(in_tmp, capsys):
     (in_tmp / "c.csv").write_text(TWO_ROW, encoding="utf-8")
     argv = ["rad", "--class", "tabulated:c.csv", "--mode", "mc", "--trials", "500"]
-    base = run_cli(argv, capsys)
-    monkeypatch.setenv("MBL_THREADS", "3")
-    assert run_cli(argv, capsys) == base
-    monkeypatch.setenv("MBL_THREADS", "many")
-    code, _, _ = run_cli(argv, capsys)
-    assert code == 2
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert run_cli(argv + ["--threads", "3"], capsys)[:2] == (0, out)
+    code, _, err = run_cli(argv + ["--threads", "0"], capsys)
+    assert code == 2 and "threads must be >= 1" in err
 
 
 def test_manifest_contents_and_digests(in_tmp, capsys):

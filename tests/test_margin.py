@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,11 +179,17 @@ def test_materialize_zero_classes():
 
 
 def test_materialize_cap():
-    f1 = TabulatedClass([[1.0], [-1.0]])
-    f2 = TabulatedClass([[0.0], [1.0], [-1.0]])
-    spec = MarginClassSpec((f1, f2), cap=5)
-    with pytest.raises(CapExceeded):
-        materialize_margin_class(spec, [1])
+    # 1001 * 1001 = 1,002,001 rows, just over MARGIN_CLASS_CAP
+    f = TabulatedClass(np.zeros((1001, 1)))
+    spec = MarginClassSpec((f, f))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="1002001 rows"):
+            materialize_margin_class(spec, [1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # raised before the 8 MB row index was built
 
 
 def test_margin_class_spec_validation():

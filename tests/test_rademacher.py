@@ -199,6 +199,26 @@ def test_exact_peak_memory():
     assert peak < 32e6
 
 
+def test_mc_reduction_peak_memory():
+    # 2e6 draws hold 16 MB of per-draw values; the whole column as a list
+    # of Python floats (32 bytes each) would add 61 MiB and pass the bound.
+    oracle = TabulatedSupOracle(random_class(9, m=8, n=16))
+    tracemalloc.start()
+    try:
+        mc_empirical_rademacher(oracle, 16, 2_000_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20
+
+
+def test_reduction_chunking_keeps_bits(monkeypatch):
+    oracle = TabulatedSupOracle(random_class(10))
+    whole = mc_empirical_rademacher(oracle, 8, 1000, seed=4, convention="absolute")
+    monkeypatch.setattr(rademacher, "_REDUCE_CHUNK", 7)
+    assert mc_empirical_rademacher(oracle, 8, 1000, seed=4, convention="absolute") == whole
+
+
 def test_mc_requires_two_trials():
     oracle = TabulatedSupOracle(TWO_POINT)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Generators, the one-vs-all ridge scorer, and CSV round trips."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,3 +235,63 @@ def test_labels_csv_errors(tmp_path):
     path.write_text("x_id,y\n1,1.5\n", encoding="utf-8")
     with pytest.raises(ValueError, match="non-integer"):
         read_labels_csv(path)
+
+
+def test_dataset_csv_peak_memory(tmp_path):
+    # Cells go straight into typed buffers; holding every row as a list of
+    # strings first peaks near 15x the returned arrays.
+    path = tmp_path / "data.csv"
+    ds = generate(GeneratorSpec(kind="gaussian_blobs", k=3, n=4000, seed=7, d=3))
+    write_dataset_csv(ds, path)
+    tracemalloc.start()
+    try:
+        ds = read_dataset_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (ds.points.nbytes + ds.labels.nbytes)
+
+
+def test_csv_errors_count_blank_lines(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text("x_id,f1,y\n\n1,0.5,1\n\n\n2,0.7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 6: expected 3 fields, got 2"):
+        read_dataset_csv(path)
+    path.write_text("x_id,score_1,score_2\n1,0,1\n\n2,0,one\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 4: non-numeric value 'one' in column score_2"):
+        read_scores_csv(path)
+    path.write_text("x_id,f1,y\n1,0.5,1\n\n2,0.5,0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 4: label must be >= 1, got 0"):
+        read_dataset_csv(path)
+    path.write_text("x_id,y\n1,2\n\n2,0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 4: label must be >= 1, got 0"):
+        read_labels_csv(path)
+
+
+def test_csv_cells_parse_like_float(tmp_path):
+    cells = ["1e-320", "-0", "1_0", " 2.5", "-1.5e+300", "0.1"]
+    path = tmp_path / "odd.csv"
+    path.write_text(",".join(cells) + "\n", encoding="utf-8")
+    got = read_tabulated_csv(path).values[0]
+    assert [v.hex() for v in got.tolist()] == [float(c).hex() for c in cells]
+    path.write_text("x_id,f1,y\n 1,-0,2\n", encoding="utf-8")
+    ds = read_dataset_csv(path)
+    assert math.copysign(1.0, ds.points[0, 0]) == -1.0
+    assert ds.labels.tolist() == [2]
+
+
+@pytest.mark.parametrize(
+    "reader, first",
+    [
+        (read_dataset_csv, "x_id,f1,y"),
+        (read_scores_csv, "x_id,score_1,score_2"),
+        (read_labels_csv, "x_id,y"),
+        (read_tabulated_csv, "1,2,3"),
+    ],
+    ids=["dataset", "scores", "labels", "tabulated"],
+)
+def test_csv_first_record_field_count(tmp_path, reader, first):
+    path = tmp_path / "short.csv"
+    path.write_text(first + "\n1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: expected [23] fields, got 1"):
+        reader(path)
