@@ -15,6 +15,7 @@ from .core import (
 )
 from .rademacher import (
     exact_empirical_rademacher,
+    exact_rademacher_columns,
     mc_empirical_rademacher,
     mc_rademacher_columns,
     trial_sign_block,
@@ -61,6 +62,7 @@ __all__ = [
     "SupOracle",
     "TabulatedClass",
     "exact_empirical_rademacher",
+    "exact_rademacher_columns",
     "mc_empirical_rademacher",
     "mc_rademacher_columns",
     "trial_sign_block",

@@ -112,7 +112,7 @@ def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
         path = source[len("tabulated:") :]
         ctx.track_input(path)
         oracle = TabulatedSupOracle(read_tabulated_csv(path))
-        n = oracle.cls.n
+        n = oracle.n
     elif source.startswith("kernel:"):
         spec = parse_kernel_spec(source[len("kernel:") :])
         if not args.data:

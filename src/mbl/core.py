@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "EXACT_ENUMERATION_CAP",
+    "MC_SIGN_CELL_CAP",
     "CapExceeded",
     "LabeledDataset",
     "TabulatedClass",
@@ -33,6 +34,11 @@ __all__ = [
 
 # Hard cap for exact 2^n sign enumeration (about 10^6 vectors).
 EXACT_ENUMERATION_CAP = 20
+
+# Hard cap on trials * n sign cells of one Monte Carlo estimate: at the
+# roughly 6e7 cells/s of a small tabulated oracle this is minutes of work,
+# 300 times the largest run any demo or benchmark makes (3.2e7 cells).
+MC_SIGN_CELL_CAP = 10**10
 
 
 class CapExceeded(Exception):

@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .core import EXACT_ENUMERATION_CAP, CapExceeded, TabulatedClass
-from .rademacher import TabulatedSupOracle, exact_empirical_rademacher
+from .rademacher import TabulatedSupOracle, exact_rademacher_columns
 
 __all__ = [
     "MARGIN_CLASS_CAP",
@@ -232,18 +232,17 @@ def materialize_margin_class(spec: MarginClassSpec, labels) -> TabulatedClass:
 def verify_lemma1(spec: MarginClassSpec, labels) -> Lemma1Report:
     """Exact check of R_hat_n(M_k) <= sum_j R_hat_n(F_j) + _LEMMA1_TOLERANCE.
 
-    Both sides are computed by full sign enumeration; the inequality holds
-    for every sample, so a failure indicates an implementation bug.
+    Both sides are computed by one full sign enumeration, one oracle column
+    per class; the inequality holds for every sample, so a failure indicates
+    an implementation bug.
     """
     n = spec.n
     if n > EXACT_ENUMERATION_CAP:
         raise CapExceeded(f"n={n} exceeds the exact-enumeration cap")
     mclass = materialize_margin_class(spec, labels)
-    lhs = exact_empirical_rademacher(TabulatedSupOracle(mclass), n).value
-    per_class = tuple(
-        exact_empirical_rademacher(TabulatedSupOracle(c), n).value
-        for c in spec.per_class
-    )
+    oracle = TabulatedSupOracle(mclass, *spec.per_class)
+    values = [est.value for est in exact_rademacher_columns(oracle, n)]
+    lhs, per_class = values[0], tuple(values[1:])
     rhs = math.fsum(per_class)
     passed = lhs <= rhs + _LEMMA1_TOLERANCE
     return Lemma1Report(lhs=lhs, rhs=rhs, per_class=per_class, passed=passed)

@@ -2,34 +2,43 @@
 
 Both estimators accept any object satisfying the ``SupOracle`` contract and
 run through one loop: it draws the sign rows in fixed batches from a sign
-source, calls ``query_block`` on each batch and reduces every column the
-oracle returns.  The exact source is ``enumerate_sign_vectors`` (all 2^n
-rows in binary order); the Monte Carlo source is ``trial_sign_block``.
-``mc_rademacher_columns`` returns one estimate per column of a
-multi-column oracle; ``mc_empirical_rademacher`` is its one-column case.
-The signed convention R_hat_n(F) = E_eps sup_f (1/n) sum_i eps_i f(x_i) is
-the default; ``convention="absolute"`` computes
-E_eps sup_f |(1/n) sum_i eps_i f(x_i)|, which for any oracle equals the
-per-draw max of the suprema at eps and -eps.
+source, calls ``query_block`` on each batch and adds every column the
+oracle returns into exact running sums before the next batch is drawn.  The
+exact source is ``enumerate_sign_vectors`` (all 2^n rows in binary order);
+the Monte Carlo source is ``trial_sign_block``.  ``exact_rademacher_columns``
+and ``mc_rademacher_columns`` return one estimate per column of a
+multi-column oracle; ``exact_empirical_rademacher`` and
+``mc_empirical_rademacher`` are their one-column cases.  The signed
+convention R_hat_n(F) = E_eps sup_f (1/n) sum_i eps_i f(x_i) is the default;
+``convention="absolute"`` computes E_eps sup_f |(1/n) sum_i eps_i f(x_i)|,
+which for any oracle equals the per-draw max of the suprema at eps and -eps.
+
+Reduction: every finite double is m * 2^e with an integer |m| < 2^53, so
+each batch's values are binned by (exponent, column) and the bins' integer
+mantissa sums are added into one Python integer per column.  The sum of a
+column, and for Monte Carlo the sum of its squares, are therefore exact;
+the mean is the exact sum rounded once (bitwise what math.fsum gives), and
+the standard error comes from the exact sum of squared deviations
+S2 - S1^2/N, rounded once.  No draw is kept after its batch, so the working
+set is bounded by the batch, not by the number of rows.
 
 Reproducibility contract for the Monte Carlo estimator: the sign vector of
 trial j is a pure function of (seed, j), produced by a counter-based Philox
 stream (trial j owns a fixed, disjoint range of counter blocks).  Trials can
-therefore be generated in any partition into batches with bitwise-identical
-results, and all reductions use exactly rounded summation (math.fsum), which
-is order-independent.
+therefore be generated in any partition into batches, and as the sums are
+exact, batching never changes a bit.
 """
 from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import chain
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .core import (
     EXACT_ENUMERATION_CAP,
+    MC_SIGN_CELL_CAP,
     CapExceeded,
     RademacherEstimate,
     SupOracle,
@@ -41,6 +50,7 @@ __all__ = [
     "trial_sign_block",
     "TabulatedSupOracle",
     "exact_empirical_rademacher",
+    "exact_rademacher_columns",
     "mc_empirical_rademacher",
     "mc_rademacher_columns",
 ]
@@ -51,12 +61,15 @@ _BITS_PER_BLOCK = 64 * _WORDS_PER_BLOCK
 
 # Fixed trial-batch sizing (batch boundaries are part of no contract, but
 # keeping them fixed keeps per-batch arrays and BLAS call shapes identical
-# across runs).
+# across runs).  A batch must stay at or below 2^26 rows: see _accumulate.
 _TARGET_BATCH_CELLS = 1 << 21
 
-# Values per Python-float chunk fed to math.fsum: the reduction never holds a
-# whole column as a list (32 bytes per value).
-_REDUCE_CHUNK = 1 << 16
+# Cells of one float64 product block in TabulatedSupOracle (2 MiB).
+_PRODUCT_CELLS = 1 << 18
+
+# np.frexp writes every finite double as f * 2^x with x >= -1073, so it is
+# an integer multiple of 2^-_UNIT and its square one of 2^-(2 _UNIT).
+_UNIT = 1073 + 53
 
 
 def _check_enumerable(n: int) -> None:
@@ -68,12 +81,16 @@ def _check_enumerable(n: int) -> None:
         )
 
 
-def _signs_from_words(words: np.ndarray, rows: int, width: int, n: int) -> np.ndarray:
-    """(rows, n) int8 signs: bit i of a row's `width` little-endian bits -> position i."""
-    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
-    # one int8 copy, mapped {0, 1} -> {-1, +1} in place: the block is the
-    # largest per-batch array, so no further temporaries of its size
-    signs = bits.reshape(rows, width)[:, :n].astype(np.int8)
+def _signs_from_words(words: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) int8 signs: bit i of a row of little-endian words -> position i.
+
+    ``words`` is a (rows, w) uint64 array; only the first ceil(n/8) bytes of
+    each row are unpacked.
+    """
+    row_bytes = words.astype("<u8", copy=False).view(np.uint8)
+    bits = np.unpackbits(row_bytes[:, : -(-n // 8)], axis=1, count=n, bitorder="little")
+    # {0, 1} -> {-1, +1} in place: the block is the largest per-batch array
+    signs = bits.view(np.int8)
     signs *= 2
     signs -= 1
     return signs
@@ -90,7 +107,7 @@ def enumerate_sign_vectors(n: int, start: int = 0, stop: int | None = None) -> n
     stop = total if stop is None else stop
     if not 0 <= start <= stop <= total:
         raise ValueError(f"need 0 <= start <= stop <= 2^{n}")
-    return _signs_from_words(np.arange(start, stop, dtype=np.uint64), stop - start, 64, n)
+    return _signs_from_words(np.arange(start, stop, dtype=np.uint64)[:, None], n)
 
 
 def trial_sign_block(seed: int, start: int, stop: int, n: int) -> np.ndarray:
@@ -108,33 +125,82 @@ def trial_sign_block(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     bpt = max(1, -(-n // _BITS_PER_BLOCK))
     gen = np.random.Philox(key=seed, counter=[start * bpt, 0, 0, 0])
     raw = np.asarray(gen.random_raw(_WORDS_PER_BLOCK * bpt * trials), dtype=np.uint64)
-    return _signs_from_words(raw, trials, bpt * _BITS_PER_BLOCK, n)
+    return _signs_from_words(raw.reshape(trials, _WORDS_PER_BLOCK * bpt), n)
 
 
 class TabulatedSupOracle:
-    """SupOracle over an explicit finite class (one matrix product per block)."""
+    """SupOracle over explicit finite classes tabulated on one sample.
 
-    def __init__(self, cls: TabulatedClass):
-        self.cls = cls
-        self.n = cls.n
+    One class gives a (rows,) block of suprema; several give a (rows, c)
+    block, one column per class, from one matrix product per class.  The
+    products run over row sub-blocks of about _PRODUCT_CELLS cells, so their
+    float64 blocks never outgrow the int8 sign block by much.
+    """
+
+    def __init__(self, *classes: TabulatedClass):
+        if not classes:
+            raise ValueError("TabulatedSupOracle needs at least one class")
+        self.n = classes[0].n
+        if any(c.n != self.n for c in classes):
+            raise ValueError("all classes must be tabulated on the same sample")
+        self.values = [c.values for c in classes]
 
     def query_block(self, signs_block: np.ndarray) -> np.ndarray:
-        prods = self.cls.values @ signs_block.T.astype(np.float64)
-        return prods.max(axis=0) / self.n
+        rows = signs_block.shape[0]
+        sups = np.empty((rows, len(self.values)))
+        step = max(1, _PRODUCT_CELLS // max(v.shape[0] for v in self.values))
+        for lo in range(0, rows, step):
+            signs = signs_block[lo : lo + step].T.astype(np.float64)
+            for j, values in enumerate(self.values):
+                sups[lo : lo + step, j] = (values @ signs).max(axis=0)
+        sups /= self.n
+        return sups[:, 0] if len(self.values) == 1 else sups
 
 
 def _block_sups(oracle: SupOracle, block: np.ndarray, convention: str) -> np.ndarray:
+    """The oracle's (rows, c) suprema on one block; non-finite values raise."""
     sups = np.asarray(oracle.query_block(block), dtype=np.float64)
     if convention == "absolute":
         sups = np.maximum(sups, np.asarray(oracle.query_block(-block), dtype=np.float64))
-    return sups
+    if not np.isfinite(sups).all():
+        raise ValueError("the oracle returned a non-finite supremum")
+    return sups.reshape(block.shape[0], -1)
 
 
-def _floats(col: np.ndarray) -> Iterator[float]:
-    """The column's values as Python floats, in order, a bounded chunk at a time."""
-    return chain.from_iterable(
-        col[lo : lo + _REDUCE_CHUNK].tolist() for lo in range(0, col.shape[0], _REDUCE_CHUNK)
-    )
+def _accumulate(sums: list[int], squares: list[int] | None, vals: np.ndarray) -> None:
+    """Add each column of the (rows, c) float64 batch into exact integer totals.
+
+    sums[j] gains the column's sum in units of 2^-_UNIT and, unless squares
+    is None, squares[j] the sum of its squares in units of 2^-(2 _UNIT).
+    Each value is m * 2^(x - 53) with an integer |m| < 2^53, binned by
+    (x, column).  m, and for squares the parts of
+    m^2 = a^2 2^54 + ab 2^28 + b^2 where m = a 2^27 + b with |a|, |b| <= 2^26,
+    are split into a high part (>> 26) and a low part (26 bits): while a
+    batch has at most 2^26 rows, every float64 bin sum bincount forms is an
+    integer below 2^53, so it is exact in any order.
+    """
+    c = vals.shape[1]
+    fraction, exponent = np.frexp(vals)
+    m = (fraction * (1 << 53)).astype(np.int64)
+    low_exp = int(exponent.min())
+    keys = ((exponent - low_exp) * c + np.arange(c)).ravel()
+    parts = [m]
+    if squares is not None:
+        b = ((m + (1 << 26)) & ((1 << 27) - 1)) - (1 << 26)
+        a = (m - b) >> 27
+        parts += [a * a, a * b, b * b]
+    halves = ((p >> 26, p & ((1 << 26) - 1)) for p in parts)
+    bins = np.stack([np.bincount(keys, weights=h.ravel()) for pair in halves for h in pair])
+    occupied = np.flatnonzero(bins.any(axis=0))
+    for key, part_sums in zip(occupied.tolist(), bins[:, occupied].T.tolist()):
+        exp, col = divmod(key, c)
+        shift = exp + low_exp - 53 + _UNIT
+        high, low, *square_parts = map(int, part_sums)
+        sums[col] += ((high << 26) + low) << shift
+        if square_parts:
+            a2h, a2l, abh, abl, b2h, b2l = square_parts
+            total = (((a2h << 26) + a2l) << 54) + (((abh << 26) + abl) << 28)
+            squares[col] += (total + (b2h << 26) + b2l) << (2 * shift)
 
 
 def _estimate_columns(
@@ -147,27 +213,33 @@ def _estimate_columns(
 ) -> list[RademacherEstimate]:
     """Estimates of every oracle column over the sign rows [0, rows).
 
-    ``signs(start, stop)`` returns the int8 block of those rows; each block
-    is drawn inside the comprehension, so it is freed before the next one.
-    Each column's math.fsum mean is exact for seed None, else Monte Carlo
-    with a standard error.
+    ``signs(start, stop)`` returns the int8 block of those rows.  Each
+    batch's suprema go into exact per-column sums (and sums of squares for
+    Monte Carlo, seed not None) and are then dropped.  The mean is exact
+    for seed None, else Monte Carlo with a standard error.
     """
     if convention not in ("signed", "absolute"):
         raise ValueError(f"convention must be 'signed' or 'absolute', got {convention!r}")
     batch = max(1, _TARGET_BATCH_CELLS // n)
-    vals = np.concatenate(
-        [
-            _block_sups(oracle, signs(lo, min(lo + batch, rows)), convention)
-            for lo in range(0, rows, batch)
-        ]
-    )
+    sums: list[int] = []
+    squares: list[int] = []
+    for lo in range(0, rows, batch):
+        vals = _block_sups(oracle, signs(lo, min(lo + batch, rows)), convention)
+        if not sums:
+            sums, squares = [0] * vals.shape[1], [0] * vals.shape[1]
+        elif vals.shape[1] != len(sums):
+            raise ValueError("the oracle returned a different number of columns per batch")
+        _accumulate(sums, None if seed is None else squares, vals)
     estimates = []
-    for col in vals.reshape(rows, -1).T:
-        value = math.fsum(_floats(col)) / rows
-        if seed is None:
-            estimates.append(RademacherEstimate(value, "exact-enumeration", 0, 0.0, None))
-            continue
-        dev = math.fsum((v - value) ** 2 for v in _floats(col))
+    for s1, s2 in zip(sums, squares):
+        try:
+            value = s1 / (1 << _UNIT) / rows
+            if seed is None:
+                estimates.append(RademacherEstimate(value, "exact-enumeration", 0, 0.0, None))
+                continue
+            dev = (rows * s2 - s1 * s1) / (rows << 2 * _UNIT)
+        except OverflowError:
+            raise ValueError("the oracle's suprema are too large to average in float64") from None
         std_error = math.sqrt(dev / (rows - 1)) / math.sqrt(rows)
         estimates.append(RademacherEstimate(value, "monte-carlo", rows, std_error, seed))
     return estimates
@@ -175,8 +247,28 @@ def _estimate_columns(
 
 def _one_column(estimates: list[RademacherEstimate]) -> RademacherEstimate:
     if len(estimates) != 1:
-        raise ValueError("the oracle returns several columns; use mc_rademacher_columns")
+        raise ValueError(
+            "the oracle returns several columns; use mc_rademacher_columns or exact_rademacher_columns"
+        )
     return estimates[0]
+
+
+def exact_rademacher_columns(
+    oracle: SupOracle,
+    n: int,
+    convention: str = "signed",
+) -> list[RademacherEstimate]:
+    """Exact averages of every oracle column over all 2^n sign vectors.
+
+    The exact twin of mc_rademacher_columns: one enumeration in binary
+    order serves every column, and column j's value is exactly what
+    exact_empirical_rademacher gives for an oracle returning that column
+    alone.  n above EXACT_ENUMERATION_CAP raises CapExceeded before any
+    batch runs.
+    """
+    _check_enumerable(n)
+    signs = partial(enumerate_sign_vectors, n)
+    return _estimate_columns(oracle, n, 1 << n, signs, convention, None)
 
 
 def exact_empirical_rademacher(
@@ -190,9 +282,7 @@ def exact_empirical_rademacher(
     result does not depend on enumeration batching.  n above
     EXACT_ENUMERATION_CAP raises CapExceeded before any batch runs.
     """
-    _check_enumerable(n)
-    signs = partial(enumerate_sign_vectors, n)
-    return _one_column(_estimate_columns(oracle, n, 1 << n, signs, convention, None))
+    return _one_column(exact_rademacher_columns(oracle, n, convention))
 
 
 def mc_rademacher_columns(
@@ -208,12 +298,17 @@ def mc_rademacher_columns(
     (trials, c) matrix of c suprema sharing each draw; the absolute
     convention takes each column's max at eps and -eps.  Column j's value
     and std_error are exactly what mc_empirical_rademacher gives for an
-    oracle returning that column alone.
+    oracle returning that column alone.  trials * n above MC_SIGN_CELL_CAP
+    raises CapExceeded before any batch runs.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2 for a standard error")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if trials * n > MC_SIGN_CELL_CAP:
+        raise CapExceeded(
+            f"{trials} trials x n={n} need {trials * n} sign cells; cap is {MC_SIGN_CELL_CAP}"
+        )
     signs = partial(trial_sign_block, seed, n=n)
     return _estimate_columns(oracle, n, trials, signs, convention, seed)
 

@@ -178,7 +178,18 @@ def _parse_cell(kind: str, cell: str, path, line: int, column: str):
         raise ValueError(f"{path}: line {line}: {what} value {cell!r} in column {column}") from None
     if kind == _LABEL and value < 1:
         raise ValueError(f"{path}: line {line}: label must be >= 1, got {value}")
+    if kind == _LABEL and value >= 1 << 63:
+        raise ValueError(f"{path}: line {line}: label exceeds 2^63 - 1, the int64 maximum")
     return value
+
+
+def _records(path, handle):
+    """(line, row) for each non-blank CSV record; a csv.Error names path and line."""
+    reader = csv.reader(handle)
+    try:
+        yield from ((line, row) for line, row in enumerate(reader, start=1) if row)
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _read_table(path, layout, header: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +203,7 @@ def _read_table(path, layout, header: bool) -> tuple[np.ndarray, np.ndarray]:
     """
     floats, labels, rows = array("d"), array("q"), 0
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        records = ((line, row) for line, row in enumerate(csv.reader(handle), start=1) if row)
+        records = _records(path, handle)
         first = next(records, None)
         if first is None:
             raise ValueError(f"{path}: empty file")

@@ -163,10 +163,7 @@ def test_acceptance_7_bound_arithmetic():
                    f"kp ratio exact on {len(kp_rows)}/{len(kp_rows)} cells")
 
 
-def _run(argv, cwd, env, env_threads=None):
-    env = dict(env)
-    if env_threads is not None:
-        env["MBL_THREADS"] = str(env_threads)
+def _run(argv, cwd, env):
     proc = subprocess.run(
         [sys.executable, "-m", "mbl"] + argv,
         cwd=cwd, capture_output=True, text=True, env=env,
@@ -208,7 +205,7 @@ def test_acceptance_8_cli_determinism(tmp_path, mbl_env):
         runs = []
         for threads in (None, None, 2):
             extra = [] if threads is None else ["--threads", str(threads)]
-            stdout = _run(argv + extra, tmp_path, mbl_env, env_threads=None)
+            stdout = _run(argv + extra, tmp_path, mbl_env)
             files = {name: (tmp_path / name).read_bytes() for name in outputs}
             runs.append((stdout, files))
         assert runs[0] == runs[1] == runs[2], argv

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -99,6 +100,17 @@ def test_rad_exact_cap_is_exit_3(in_tmp, capsys):
     assert "cap" in err
 
 
+def test_rad_runaway_trials_is_exit_3_before_any_batch(in_tmp, capsys):
+    (in_tmp / "c.csv").write_text("1,-1,1,0.5\n-1,1,0.25,-1\n", encoding="utf-8")
+    argv = ["rad", "--class", "tabulated:c.csv", "--mode", "mc", "--trials", "100000000000"]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3, err
+    assert out == ""
+    assert "cap" in err
+
+
 @pytest.mark.parametrize("entry, mode", [("nan", "exact"), ("inf", "mc"), ("-inf", "exact")])
 def test_rad_non_finite_tabulated_class_is_exit_2(in_tmp, capsys, entry, mode):
     (in_tmp / "c.csv").write_text(f"1,{entry}\n-1,-1\n", encoding="utf-8")
@@ -190,6 +202,29 @@ def test_bound_eval_missing_scores_is_exit_2(tmp_path, mbl_env):
     )
     assert proc.returncode == 2, proc.stderr
     assert "the following arguments are required: --scores" in proc.stderr
+
+
+@pytest.mark.parametrize("defect", ["label", "cell"])
+def test_bound_eval_input_defects_are_exit_2(in_tmp, capsys, defect):
+    # a label beyond int64 and a cell beyond the csv field limit are input
+    # errors naming the file and line, not internal errors (exit 4)
+    spath, lpath = _write_margin3_files(in_tmp, n=3)
+    if defect == "label":
+        Path(lpath).write_text("x_id,y\n1,1\n2,99999999999999999999\n3,1\n", encoding="utf-8")
+        where = "labels.csv: line 3"
+    else:
+        Path(spath).write_text(
+            "x_id,score_1,score_2\n1,3,0\n2," + "3" * 200_000 + ",0\n3,3,0\n", encoding="utf-8"
+        )
+        where = "scores.csv: line 3"
+    code, out, err = run_cli(
+        ["bound", "eval", "--method", "thm1", "--scores", spath, "--labels", lpath,
+         "--t", "1", "--rad", "0"],
+        capsys,
+    )
+    assert code == 2, err
+    assert out == ""
+    assert where in err
 
 
 def test_bound_eval_flag_conflicts(in_tmp, capsys):

@@ -1,15 +1,18 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mbl import rademacher
-from mbl.core import CapExceeded, TabulatedClass
+from mbl.core import MC_SIGN_CELL_CAP, CapExceeded, TabulatedClass
 from mbl.lowerbound import reference_complexity
 from mbl.rademacher import (
     TabulatedSupOracle,
     enumerate_sign_vectors,
     exact_empirical_rademacher,
+    exact_rademacher_columns,
     mc_empirical_rademacher,
     mc_rademacher_columns,
     trial_sign_block,
@@ -149,30 +152,34 @@ def test_mc_determinism():
     assert d.value != a.value
 
 
-class _TwoColumns:
-    """Two tabulated classes queried on the same draws, one column each."""
-
-    def __init__(self, first, second):
-        self.parts = (TabulatedSupOracle(first), TabulatedSupOracle(second))
-        self.n = first.n
-
-    def query_block(self, block):
-        return np.stack([p.query_block(block) for p in self.parts], axis=1)
-
-
 @pytest.mark.parametrize("convention", ["signed", "absolute"])
 def test_mc_columns_match_one_column_estimates(convention, monkeypatch):
-    # batches of 1000 trials: the columns of three blocks are concatenated
+    # batches of 1000 trials: the columns of three blocks are reduced in turn
     monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", 8 * 1000)
     first, second = random_class(5), random_class(6)
-    got = mc_rademacher_columns(_TwoColumns(first, second), 8, 3000, 13, convention)
+    got = mc_rademacher_columns(TabulatedSupOracle(first, second), 8, 3000, 13, convention)
     want = [
         mc_empirical_rademacher(TabulatedSupOracle(c), 8, 3000, 13, convention)
         for c in (first, second)
     ]
     assert got == want
     with pytest.raises(ValueError, match="columns"):
-        mc_empirical_rademacher(_TwoColumns(first, second), 8, 64, 13)
+        mc_empirical_rademacher(TabulatedSupOracle(first, second), 8, 64, 13)
+
+
+@pytest.mark.parametrize("convention", ["signed", "absolute"])
+def test_exact_columns_match_one_column_estimates(convention):
+    classes = [random_class(seed, m=seed - 20, n=9) for seed in (21, 23, 27)]
+    got = exact_rademacher_columns(TabulatedSupOracle(*classes), 9, convention)
+    want = [exact_empirical_rademacher(TabulatedSupOracle(c), 9, convention) for c in classes]
+    assert got == want
+    with pytest.raises(ValueError, match="columns"):
+        exact_empirical_rademacher(TabulatedSupOracle(*classes), 9)
+
+
+def test_tabulated_oracle_classes_share_one_sample():
+    with pytest.raises(ValueError, match="same sample"):
+        TabulatedSupOracle(random_class(1, n=8), random_class(2, n=7))
 
 
 @pytest.mark.parametrize("convention", ["signed", "absolute"])
@@ -212,11 +219,133 @@ def test_mc_reduction_peak_memory():
     assert peak < 60 * 2**20
 
 
-def test_reduction_chunking_keeps_bits(monkeypatch):
-    oracle = TabulatedSupOracle(random_class(10))
-    whole = mc_empirical_rademacher(oracle, 8, 1000, seed=4, convention="absolute")
-    monkeypatch.setattr(rademacher, "_REDUCE_CHUNK", 7)
-    assert mc_empirical_rademacher(oracle, 8, 1000, seed=4, convention="absolute") == whole
+@pytest.mark.parametrize("cells", [16 * 7, 16 * 1000, 16 * 4096])
+def test_mc_is_bitwise_stable_under_batch_sizes(cells, monkeypatch):
+    # 5000 trials in batches of 7, 1000 and 4096 rows against one batch
+    oracle = TabulatedSupOracle(random_class(10, m=6, n=16))
+    whole = [mc_empirical_rademacher(oracle, 16, 5000, seed=4, convention=c)
+             for c in ("signed", "absolute")]
+    monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", cells)
+    assert [mc_empirical_rademacher(oracle, 16, 5000, seed=4, convention=c)
+            for c in ("signed", "absolute")] == whole
+
+
+def test_mc_peak_memory_does_not_grow_with_trials():
+    oracle = TabulatedSupOracle(random_class(9, m=8, n=16))
+    peaks = []
+    for trials in (200_000, 800_000):
+        tracemalloc.start()
+        try:
+            mc_empirical_rademacher(oracle, 16, trials, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_tabulated_query_block_peak_memory():
+    # a full enumeration batch of the 64 x 20 class: the float64 product of
+    # the whole block would be 64 * 8 = 512 bytes per row, 256x the block
+    oracle = TabulatedSupOracle(random_class(12, m=64, n=20))
+    block = enumerate_sign_vectors(20, 0, rademacher._TARGET_BATCH_CELLS // 20)
+    tracemalloc.start()
+    try:
+        oracle.query_block(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * block.nbytes
+
+
+class _ColumnOracle:
+    """Returns the rows of a fixed column in call order, one block at a time."""
+
+    def __init__(self, column, n):
+        self.column, self.n, self.next = np.asarray(column, dtype=np.float64), n, 0
+
+    def query_block(self, block):
+        rows = block.shape[0]
+        self.next += rows
+        return self.column[self.next - rows : self.next]
+
+
+def _adversarial_column(seed, size):
+    rng = np.random.default_rng(seed)
+    mags = 10.0 ** rng.uniform(-300, 300, size)
+    col = np.where(rng.random(size) < 0.5, -mags, mags)
+    col[rng.random(size) < 0.1] = 0.0
+    col[rng.random(size) < 0.1] = -0.0
+    subnormal = rng.random(size) < 0.1
+    col[subnormal] = rng.integers(-(2**52), 2**52, subnormal.sum()) * 2.0**-1074
+    # heavy cancellation: large pairs that cancel exactly around small values
+    big = rng.choice(size, size // 8, replace=False)
+    col[big[: len(big) // 2]] = 1e300
+    col[big[len(big) // 2 : 2 * (len(big) // 2)]] = -1e300
+    return col
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_streaming_mean_is_bitwise_fsum_on_adversarial_columns(seed, monkeypatch):
+    monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", 8 * 100)  # 100-row batches
+    col = _adversarial_column(seed, 1 << 10)
+    est = exact_empirical_rademacher(_ColumnOracle(col, 10), 10)
+    assert est.value.hex() == (math.fsum(col.tolist()) / col.size).hex()
+    assert [
+        e.value for e in exact_rademacher_columns(_ColumnOracle(np.column_stack([col, -col]), 10), 10)
+    ] == [est.value, -est.value]
+    with pytest.raises(ValueError, match="too large"):
+        mc_empirical_rademacher(_ColumnOracle(col, 10), 10, col.size, seed=1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_streaming_std_error_is_the_exact_deviation_rounded_once(seed, monkeypatch):
+    monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", 8 * 100)
+    col = _adversarial_column(seed, 1000) * 1e-152  # squares stay finite
+    est = mc_empirical_rademacher(_ColumnOracle(col, 8), 8, col.size, seed=1)
+    exact = [Fraction(v) for v in col.tolist()]
+    dev = sum(v * v for v in exact) - sum(exact) ** 2 / col.size
+    assert est.value.hex() == (math.fsum(col.tolist()) / col.size).hex()
+    assert est.std_error == math.sqrt(float(dev) / (col.size - 1)) / math.sqrt(col.size)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_suprema_raise(bad):
+    col = np.ones(1 << 8)
+    col[200] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        exact_empirical_rademacher(_ColumnOracle(col, 8), 8)
+    with pytest.raises(ValueError, match="non-finite"):
+        mc_empirical_rademacher(_ColumnOracle(col, 8), 8, col.size, seed=0)
+
+
+def _full_unpack(words, rows, n):
+    """Every bit of each row's words unpacked, then cut to n: the reference."""
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
+    return bits.reshape(rows, -1)[:, :n].astype(np.int8) * 2 - 1
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 255, 256, 257, 300])
+def test_sign_sources_match_the_full_unpack(n):
+    trials, bpt = 37, -(-n // 256)
+    gen = np.random.Philox(key=5, counter=[3 * bpt, 0, 0, 0])
+    words = np.asarray(gen.random_raw(4 * bpt * trials), dtype=np.uint64)
+    assert np.array_equal(trial_sign_block(5, 3, 3 + trials, n), _full_unpack(words, trials, n))
+    m = min(n, 20)  # the enumeration cap
+    lo, hi = (1 << m) // 3, min((1 << m) // 3 + 4096, 1 << m)
+    words = np.arange(lo, hi, dtype=np.uint64)
+    assert np.array_equal(enumerate_sign_vectors(m, lo, hi), _full_unpack(words, hi - lo, m))
+
+
+def test_mc_sign_cell_cap_raises_before_any_batch():
+    class NeverQueried:
+        n = 16
+
+        def query_block(self, block):
+            raise AssertionError("no batch may run")
+
+    trials = MC_SIGN_CELL_CAP // 16 + 1
+    with pytest.raises(CapExceeded, match="cap"):
+        mc_empirical_rademacher(NeverQueried(), 16, trials, seed=0)
 
 
 def test_mc_requires_two_trials():

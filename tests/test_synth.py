@@ -295,3 +295,22 @@ def test_csv_first_record_field_count(tmp_path, reader, first):
     path.write_text(first + "\n1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2: expected [23] fields, got 1"):
         reader(path)
+
+
+def test_csv_label_above_int64_names_file_and_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("x_id,y\n1,1\n2,9223372036854775808\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"big.csv: line 3: label exceeds 2\^63 - 1"):
+        read_labels_csv(path)
+    path.write_text("x_id,f1,y\n1,0.5,9223372036854775807\n", encoding="utf-8")
+    assert read_dataset_csv(path).labels.tolist() == [2**63 - 1]
+
+
+@pytest.mark.parametrize("reader", [read_scores_csv, read_tabulated_csv], ids=["scores", "tabulated"])
+def test_csv_cell_above_field_limit_names_file_and_line(tmp_path, reader):
+    path = tmp_path / "long.csv"
+    first = "x_id,score_1,score_2\n" if reader is read_scores_csv else ""
+    path.write_text(first + "1,0,1\n\n2,0," + "1" * 200_000 + "\n", encoding="utf-8")
+    line = 4 if first else 3
+    with pytest.raises(ValueError, match=f"long.csv: line {line}: field larger than field limit"):
+        reader(path)
