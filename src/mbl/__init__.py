@@ -24,12 +24,9 @@ from .margin import (
     MarginClassSpec,
     ScoreMatrix,
     empirical_margin_cdf,
-    margin,
     margin_distribution,
     margins,
     materialize_margin_class,
-    partial_margin,
-    predict,
     verify_lemma1,
 )
 from .kernel import KernelSpec, gram, kernel_rad_bounds, parse_kernel_spec
@@ -69,12 +66,9 @@ __all__ = [
     "MarginClassSpec",
     "ScoreMatrix",
     "empirical_margin_cdf",
-    "margin",
     "margin_distribution",
     "margins",
     "materialize_margin_class",
-    "partial_margin",
-    "predict",
     "verify_lemma1",
     "KernelSpec",
     "gram",

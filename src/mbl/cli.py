@@ -24,7 +24,7 @@ import math
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .bounds import METHODS, BoundInput, compare_bounds, theorem1_bound, theorem2_bound
@@ -86,21 +86,12 @@ def _fmt17(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind: type) -> list:
     try:
-        items = [int(part) for part in text.split(",") if part.strip() != ""]
+        items = [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"{flag} must be a comma-separated integer list, got {text!r}") from None
-    if not items:
-        raise ValueError(f"{flag} must be nonempty")
-    return items
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        items = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"{flag} must be a comma-separated number list, got {text!r}") from None
+        noun = "integer" if kind is int else "number"
+        raise ValueError(f"{flag} must be a comma-separated {noun} list, got {text!r}") from None
     if not items:
         raise ValueError(f"{flag} must be nonempty")
     return items
@@ -185,7 +176,7 @@ def _cmd_bound_eval(args, ctx: _RunContext) -> tuple[int, dict]:
         if args.delta is not None:
             grid = [args.delta]
         elif args.delta_grid:
-            grid = _parse_float_list(args.delta_grid, "--delta-grid")
+            grid = _parse_list(args.delta_grid, "--delta-grid", float)
         rad_value = _thm1_rad_value(args, ctx, n)
         inp = BoundInput(
             k=k,
@@ -218,9 +209,9 @@ def _cmd_bound_eval(args, ctx: _RunContext) -> tuple[int, dict]:
 
 
 def _cmd_compare(args, ctx: _RunContext) -> tuple[int, dict]:
-    ks = _parse_int_list(args.k_list, "--k-list")
-    ns = _parse_int_list(args.n_list, "--n-list")
-    deltas = _parse_float_list(args.delta_list, "--delta-list")
+    ks = _parse_list(args.k_list, "--k-list", int)
+    ns = _parse_list(args.n_list, "--n-list", int)
+    deltas = _parse_list(args.delta_list, "--delta-list", float)
     rows = compare_bounds(ks, ns, deltas)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -271,7 +262,15 @@ def _write_thm3_csv(path, reports: list[Theorem3Report]) -> None:
 
 def _cmd_verify_thm3(args, ctx: _RunContext) -> tuple[int, dict]:
     if args.sweep:
-        ks = _parse_int_list(args.sweep, "--sweep")
+        # The sweep runs the sum variant at n = density * k for each k.
+        for flag, given in (
+            ("--k", args.k is not None),
+            ("--n", args.n is not None),
+            ("--variant union", args.variant == "union"),
+        ):
+            if given:
+                raise ValueError(f"{flag} does not apply to --sweep runs")
+        ks = _parse_list(args.sweep, "--sweep", int)
         t = args.t if args.t is not None else 4
         reports, summary = sweep_theorem3(
             ks,
@@ -496,16 +495,8 @@ def _manifest_parameters(args) -> dict:
 
 
 def _write_manifest(path, manifest: RunManifest) -> None:
-    payload = {
-        "subcommand": manifest.subcommand,
-        "parameters": manifest.parameters,
-        "seed": manifest.seed,
-        "version": manifest.version,
-        "inputs": manifest.inputs,
-        "duration_s": manifest.duration_s,
-    }
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(asdict(manifest), handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 

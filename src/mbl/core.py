@@ -28,8 +28,6 @@ __all__ = [
     "RademacherEstimate",
     "SupOracle",
     "as_sign_vector",
-    "validate_dataset",
-    "require_valid",
 ]
 
 # Hard cap for exact 2^n sign enumeration (about 10^6 vectors).
@@ -49,9 +47,10 @@ class CapExceeded(Exception):
 class LabeledDataset:
     """A sample of n feature vectors with 1-based integer labels in [1, k].
 
-    Construction only coerces dtypes; structural problems are reported by
-    ``validate_dataset`` so malformed inputs can be diagnosed rather than
-    rejected at the constructor.
+    Construction only coerces dtypes (scalar points become one column).
+    Inputs are checked where they enter: ``read_dataset_csv`` rejects
+    non-finite points and labels below 1, and ``Theorem3SupOracle`` checks
+    the labels it needs.
     """
 
     points: np.ndarray
@@ -156,36 +155,3 @@ def as_sign_vector(signs, n: int | None = None) -> np.ndarray:
         raise ValueError(f"sign vector length {out.shape[0]} != expected {n}")
     return out
 
-
-def validate_dataset(dataset: LabeledDataset) -> list[str]:
-    """Structural diagnostics for a dataset; returns [] when well-formed.
-
-    Never raises: violations (length mismatch, label out of range,
-    non-finite coordinates) are reported as strings.
-    """
-    out: list[str] = []
-    pts, labels = dataset.points, dataset.labels
-    if pts.shape[0] < 1:
-        out.append("empty dataset: n must be >= 1")
-    if labels.shape[0] != pts.shape[0]:
-        out.append(
-            f"length mismatch: {pts.shape[0]} points vs {labels.shape[0]} labels"
-        )
-    if dataset.k < 1:
-        out.append(f"class count k={dataset.k} must be >= 1")
-    if labels.size and (labels.min(initial=1) < 1 or labels.max(initial=1) > dataset.k):
-        out.append(
-            f"label out of range: labels must lie in [1, {dataset.k}], "
-            f"saw [{labels.min()}, {labels.max()}]"
-        )
-    if not np.isfinite(pts).all():
-        out.append("non-finite coordinates in points")
-    return out
-
-
-def require_valid(dataset: LabeledDataset) -> LabeledDataset:
-    """Raise ValueError listing every violation; identity on valid datasets."""
-    problems = validate_dataset(dataset)
-    if problems:
-        raise ValueError("invalid dataset: " + "; ".join(problems))
-    return dataset

@@ -1,18 +1,21 @@
-"""Margins, prediction, margin classes, and the subadditivity check.
+"""Margins, margin classes, and the subadditivity check.
 
 The margin of a labeled example under a score row s is
 m(s, y) = s_y - max_{y' != y} s_{y'}; an example is misclassified exactly
-when its margin is <= 0.  The induced margin class M_k over per-class
-function classes (F_1, ..., F_k) tabulates, for every tuple
-(f_1, ..., f_k) in the Cartesian product, the margins of all examples.
-``verify_lemma1`` checks, by exact enumeration, the subadditivity
-R_hat_n(M_k) <= sum_j R_hat_n(F_j).
+when its margin is <= 0.  One private helper computes it for a whole block
+of score rows; ``margins`` (per-example margins and their distribution)
+and ``materialize_margin_class`` both call it.  The induced margin class
+M_k over per-class function classes (F_1, ..., F_k) tabulates, for every
+tuple (f_1, ..., f_k) in the Cartesian product, the margins of all
+examples.  ``verify_lemma1`` checks, by exact enumeration, the
+subadditivity R_hat_n(M_k) <= sum_j R_hat_n(F_j).  The scalar ``margin``
+is the textbook one-row definition that tests compare both against.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -23,12 +26,9 @@ __all__ = [
     "MARGIN_CLASS_CAP",
     "ScoreMatrix",
     "MarginClassSpec",
-    "Prediction",
     "Lemma1Report",
-    "predict",
     "margin",
     "margins",
-    "partial_margin",
     "margin_distribution",
     "empirical_margin_cdf",
     "materialize_margin_class",
@@ -100,12 +100,6 @@ class MarginClassSpec:
 
 
 @dataclass(frozen=True)
-class Prediction:
-    label: int
-    tie: bool
-
-
-@dataclass(frozen=True)
 class Lemma1Report:
     lhs: float
     rhs: float
@@ -113,71 +107,48 @@ class Lemma1Report:
     passed: bool
 
 
-def _check_row(score_row) -> np.ndarray:
+def margin(score_row, y: int) -> float:
+    """s_y minus the best competing score, s_y - max_{y' != y} s_{y'}.
+
+    The one-row textbook definition, kept as the reference that tests
+    compare ``margins`` and ``materialize_margin_class`` against.
+    """
     row = np.asarray(score_row, dtype=np.float64)
     if row.ndim != 1 or row.shape[0] < 2:
         raise ValueError("score row must be 1-d with k >= 2 entries")
     if not np.isfinite(row).all():
         raise ValueError("score row contains non-finite values")
-    return row
-
-
-def predict(score_row) -> Prediction:
-    """Highest-scoring label (1-based); ties resolve to the smallest index.
-
-    A tied maximum means no label wins by a strict inequality, so tie=True
-    marks the prediction as a forced choice rather than a true winner.
-    """
-    row = _check_row(score_row)
-    best = int(np.argmax(row))
-    tie = bool((row == row[best]).sum() > 1)
-    return Prediction(label=best + 1, tie=tie)
-
-
-def margin(score_row, y: int) -> float:
-    """s_y minus the best competing score, s_y - max_{y' != y} s_{y'}."""
-    row = _check_row(score_row)
     if not 1 <= y <= row.shape[0]:
         raise ValueError(f"label {y} out of range [1, {row.shape[0]}]")
     others = np.delete(row, y - 1)
     return float(row[y - 1] - others.max())
 
 
-def partial_margin(score_row, y: int, subset: Iterable[int]) -> float:
-    """Margin against a restricted competitor set.
+def _check_labels(labels, n: int, k: int) -> np.ndarray:
+    labs = np.asarray(labels, dtype=np.int64)
+    if labs.shape != (n,):
+        raise ValueError(f"labels length {labs.shape} != n={n}")
+    if labs.min() < 1 or labs.max() > k:
+        raise ValueError(f"labels must lie in [1, {k}]")
+    return labs
 
-    For y in subset: s_y - max over subset \\ {y}, where the max over the
-    empty set is 0 (so subset = {y} gives s_y).  For y not in subset:
-    -max over subset.
+
+def _margin_block(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """m(s, y) over the last (class) axis of ``scores``.
+
+    ``labels`` are 1-based and broadcast against ``scores.shape[:-1]``.
+    The competitor max masks each point's own class with -inf, and the own
+    score is a max with every other class masked; -inf never wins a max
+    over finite values, so both are exact, signed zeros included.
     """
-    row = _check_row(score_row)
-    k = row.shape[0]
-    sub = sorted(set(int(v) for v in subset))
-    if not sub:
-        raise ValueError("subset must be nonempty")
-    if sub[0] < 1 or sub[-1] > k:
-        raise ValueError(f"subset entries must lie in [1, {k}]")
-    if not 1 <= y <= k:
-        raise ValueError(f"label {y} out of range [1, {k}]")
-    if y in sub:
-        competitors = [row[v - 1] for v in sub if v != y]
-        best = max(competitors) if competitors else 0.0
-        return float(row[y - 1] - best)
-    return float(-max(row[v - 1] for v in sub))
+    own = labels[..., None] - 1 == np.arange(scores.shape[-1])
+    best_other = np.where(own, -np.inf, scores).max(axis=-1)
+    return np.where(own, scores, -np.inf).max(axis=-1) - best_other
 
 
 def margins(scores: ScoreMatrix, labels) -> np.ndarray:
     """Vector of margins, one per example."""
-    labs = np.asarray(labels, dtype=np.int64)
-    if labs.shape != (scores.n,):
-        raise ValueError(f"labels length {labs.shape} != n={scores.n}")
-    if labs.min() < 1 or labs.max() > scores.k:
-        raise ValueError(f"labels must lie in [1, {scores.k}]")
-    arr = scores.scores
-    own = arr[np.arange(scores.n), labs - 1]
-    masked = arr.copy()
-    masked[np.arange(scores.n), labs - 1] = -np.inf
-    return own - masked.max(axis=1)
+    return _margin_block(scores.scores, _check_labels(labels, scores.n, scores.k))
 
 
 def margin_distribution(scores: ScoreMatrix, labels, delta: float) -> float:
@@ -206,27 +177,14 @@ def materialize_margin_class(spec: MarginClassSpec, labels) -> TabulatedClass:
     (F_1, ..., F_k), the last class varying fastest; column i holds
     m(x_i, y_i) for that tuple.
     """
-    labs = np.asarray(labels, dtype=np.int64)
-    k, n = spec.k, spec.n
-    if labs.shape != (n,):
-        raise ValueError(f"labels length {labs.shape} != n={n}")
-    if labs.min() < 1 or labs.max() > k:
-        raise ValueError(f"labels must lie in [1, {k}]")
+    labs = _check_labels(labels, spec.n, spec.k)
     total = spec.product_size
     if total > MARGIN_CLASS_CAP:
         raise CapExceeded(f"margin-class product has {total} rows; cap is {MARGIN_CLASS_CAP}")
-    counts = [c.m for c in spec.per_class]
-    digits = np.unravel_index(np.arange(total), counts)
-    # chosen[j] has shape (total, n): values of the j-th class under each tuple
-    chosen = [spec.per_class[j].values[digits[j]] for j in range(k)]
-    stacked = np.stack(chosen)  # (k, total, n)
-    out = np.empty((total, n), dtype=np.float64)
-    for i in range(n):
-        y = labs[i] - 1
-        col = stacked[:, :, i]
-        others = np.delete(col, y, axis=0)
-        out[:, i] = col[y] - others.max(axis=0)
-    return TabulatedClass(out)
+    digits = np.unravel_index(np.arange(total), [c.m for c in spec.per_class])
+    # scores[r, i, j]: the j-th class's function in tuple r, at point i
+    scores = np.stack([c.values[d] for c, d in zip(spec.per_class, digits)], axis=-1)
+    return TabulatedClass(_margin_block(scores, labs))
 
 
 def verify_lemma1(spec: MarginClassSpec, labels) -> Lemma1Report:

@@ -388,7 +388,7 @@ def test_verify_lemma1_passes(in_tmp, capsys):
 
 @pytest.mark.parametrize("seeds", ["1", "40"])
 def test_verify_lemma1_max_n_above_cap_is_exit_3_up_front(in_tmp, capsys, monkeypatch, seeds):
-    margin_module = sys.modules["mbl.margin"]
+    margin_module = mbl.margin
     real = margin_module.random_margin_instance
 
     def no_instance(*args, **kwargs):
@@ -409,7 +409,7 @@ def test_verify_lemma1_max_n_above_cap_is_exit_3_up_front(in_tmp, capsys, monkey
 def test_verify_lemma1_product_above_cap_is_exit_3_up_front(in_tmp, capsys, monkeypatch, seeds):
     # 8**12 rows exceed the margin-class cap; with 30 seeds an instance
     # would reach it mid-run, with 10 none would, and both stop up front.
-    margin_module = sys.modules["mbl.margin"]
+    margin_module = mbl.margin
 
     def no_instance(*args, **kwargs):
         raise AssertionError("an instance ran before the cap check")
@@ -483,11 +483,27 @@ def test_verify_thm3_sweep(in_tmp, capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert "slope_aggregate_vs_k" in payload["summary"]
+    assert set(payload["summary"]) == {
+        "t", "points_per_interval", "slope_aggregate_vs_k", "aggregate_doubling_ratios", "pass"
+    }
     assert len(payload["rows"]) == 2
     lines = (in_tmp / "sweep.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "k,t,n,lhs,rhs,ratio"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--k", "3"], "--k"), (["--n", "5"], "--n"), (["--variant", "union"], "--variant union")],
+    ids=["k", "n", "variant"],
+)
+def test_verify_thm3_sweep_rejects_flags_it_ignores(in_tmp, capsys, flags, named):
+    # the sweep checks the sum variant at n = density * k for each k
+    argv = ["verify", "thm3", "--sweep", "2,4", "--t", "1", "--epsilon", "0.5",
+            "--trials", "50", *flags]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"{named} does not apply to --sweep" in err
 
 
 def test_verify_thm3_usage_errors(in_tmp, capsys):

@@ -8,8 +8,6 @@ from mbl.core import (
     SupOracle,
     TabulatedClass,
     as_sign_vector,
-    require_valid,
-    validate_dataset,
 )
 from mbl.kernel import KernelSupOracle
 from mbl.lowerbound import Theorem3SupOracle
@@ -29,32 +27,6 @@ def test_dataset_keeps_2d_points():
     ds = LabeledDataset(np.zeros((4, 3)), [1, 2, 1, 2], 2)
     assert ds.n == 4
     assert ds.d == 3
-
-
-def test_validate_dataset_reports_each_problem():
-    ds = LabeledDataset(np.array([[0.0], [np.inf]]), [1, 2, 3], 2)
-    problems = validate_dataset(ds)
-    text = "; ".join(problems)
-    assert "length mismatch" in text
-    assert "label out of range" in text
-    assert "non-finite" in text
-
-
-def test_validate_dataset_clean():
-    ds = LabeledDataset(np.array([[0.0], [1.0]]), [1, 2], 2)
-    assert validate_dataset(ds) == []
-    assert require_valid(ds) is ds
-
-
-def test_require_valid_raises_with_details():
-    ds = LabeledDataset(np.zeros((2, 1)), [1, 5], 2)
-    with pytest.raises(ValueError, match="label out of range"):
-        require_valid(ds)
-
-
-def test_validate_dataset_bad_k():
-    ds = LabeledDataset(np.zeros((1, 1)), [1], 0)
-    assert any("k=0" in p for p in validate_dataset(ds))
 
 
 def test_tabulated_class_shape_validation():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -17,8 +18,6 @@ from mbl.margin import (
     margin_distribution,
     margins,
     materialize_margin_class,
-    partial_margin,
-    predict,
     random_margin_instance,
     verify_lemma1,
 )
@@ -28,22 +27,6 @@ ROW = (2.0, 0.5, 1.0)
 int_rows = st.lists(st.integers(-5, 5), min_size=2, max_size=6).map(
     lambda xs: [float(v) for v in xs]
 )
-
-
-def test_predict_examples():
-    p = predict(ROW)
-    assert (p.label, p.tie) == (1, False)
-    p = predict((1.0, 1.0))
-    assert (p.label, p.tie) == (1, True)
-    p = predict((-3.0, -1.0))
-    assert (p.label, p.tie) == (2, False)
-
-
-def test_predict_rejects_bad_rows():
-    with pytest.raises(ValueError):
-        predict((1.0,))
-    with pytest.raises(ValueError):
-        predict((1.0, math.nan))
 
 
 def test_margin_examples():
@@ -60,48 +43,67 @@ def test_margin_label_out_of_range():
         margin(ROW, 4)
 
 
-def test_partial_margin_examples():
-    assert partial_margin(ROW, 1, {1}) == 2.0
-    assert partial_margin(ROW, 2, {1}) == -2.0
-    assert partial_margin(ROW, 1, {1, 2, 3}) == 1.0
-
-
-def test_partial_margin_empty_subset():
-    with pytest.raises(ValueError):
-        partial_margin(ROW, 1, set())
-
-
-def test_partial_margin_subset_bounds():
-    with pytest.raises(ValueError):
-        partial_margin(ROW, 1, {0, 1})
-    with pytest.raises(ValueError):
-        partial_margin(ROW, 1, {1, 4})
-
-
-@given(int_rows, st.data())
-@settings(max_examples=150, deadline=None)
-def test_partial_margin_full_subset_is_margin(row, data):
-    y = data.draw(st.integers(1, len(row)))
-    full = set(range(1, len(row) + 1))
-    assert partial_margin(row, y, full) == margin(row, y)
-
-
 @given(int_rows, st.data())
 @settings(max_examples=150, deadline=None)
 def test_misclassified_iff_margin_nonpositive(row, data):
     y = data.draw(st.integers(1, len(row)))
-    p = predict(row)
-    correct_strict = p.label == y and not p.tie
+    top = max(row)
+    correct_strict = row[y - 1] == top and row.count(top) == 1
     assert correct_strict == (margin(row, y) > 0.0)
+
+
+def _same_bits(got, want) -> bool:
+    """Equal values and equal signs, so -0.0 and 0.0 count as different."""
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_margins_matches_scalar_loop():
     rng = np.random.default_rng(0)
-    scores = ScoreMatrix(rng.normal(size=(20, 4)))
-    labels = rng.integers(1, 5, size=20)
-    vec = margins(scores, labels)
-    for i in range(20):
-        assert vec[i] == margin(scores.scores[i], int(labels[i]))
+    # ties and signed zeros, each row under every label
+    tied = np.array(
+        [
+            [-0.0, 0.0, -0.0],
+            [0.0, -0.0, 0.0],
+            [-0.0, -0.0, -0.0],
+            [0.0, 0.0, 0.0],
+            [1.0, 1.0, -1.0],
+            [2.5, -0.0, 2.5],
+            [-1.0, 0.0, -0.0],
+        ]
+    )
+    cases = [
+        (rng.normal(size=(20, 4)), rng.integers(1, 5, size=20)),
+        (np.repeat(tied, 3, axis=0), np.tile([1, 2, 3], len(tied))),
+    ]
+    for rows, labels in cases:
+        vec = margins(ScoreMatrix(rows), labels)
+        want = [margin(rows[i], int(labels[i])) for i in range(len(labels))]
+        assert _same_bits(vec, np.array(want))
+
+
+def test_materialize_matches_scalar_margin_per_tuple():
+    # Mixed-radix row order, last class fastest, is itertools.product order;
+    # each product element stacks to a (k, n) score block, one column per point.
+    rng = np.random.default_rng(3)
+    pool = np.array([-0.0, 0.0, 1.0, -1.0, 2.5])
+    negative_zeros = 0
+    for _ in range(60):
+        k, n = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+        classes = tuple(
+            TabulatedClass(pool[rng.integers(0, pool.size, size=(int(rng.integers(1, 4)), n))])
+            for _ in range(k)
+        )
+        labels = rng.integers(1, k + 1, size=n)
+        got = materialize_margin_class(MarginClassSpec(classes), labels).values
+        want = np.array(
+            [
+                [margin(row, int(y)) for row, y in zip(np.array(block).T, labels)]
+                for block in itertools.product(*(c.values for c in classes))
+            ]
+        )
+        assert _same_bits(got, want)
+        negative_zeros += int(np.count_nonzero((want == 0.0) & np.signbit(want)))
+    assert negative_zeros > 0
 
 
 def test_margins_validates_labels():
@@ -245,3 +247,25 @@ def test_lemma1_sweep_passes():
     assert report["instances"] == 40
     assert report["failures"] == []
     assert report["worst_slack"] <= 1e-12
+
+
+def test_lemma1_rejects_the_false_max_claim():
+    # R(M_k) <= max_j R(F_j) is false in general; the exact check must see it.
+    rejected = 0
+    for seed in range(200):
+        rep = verify_lemma1(*random_margin_instance(seed))
+        rejected += rep.lhs > max(rep.per_class) + 1e-12
+    assert rejected > 50
+
+
+def test_lemma1_is_an_equality_at_k_2():
+    # With two classes every margin is +-(f_1 - f_2), so both sides agree.
+    checked = 0
+    for seed in range(200):
+        spec, labels = random_margin_instance(seed)
+        if spec.k != 2:
+            continue
+        rep = verify_lemma1(spec, labels)
+        assert abs(rep.lhs - rep.rhs) <= 1e-12, seed
+        checked += 1
+    assert checked > 50
