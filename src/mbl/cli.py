@@ -100,6 +100,9 @@ def _parse_list(text: str, flag: str, kind: type) -> list:
 def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
     source = args.cls
     if source.startswith("tabulated:"):
+        for flag, given in (("--data", args.data), ("--lambda", args.lambda_cap is not None)):
+            if given:
+                raise ValueError(f"{flag} does not apply to tabulated classes")
         path = source[len("tabulated:") :]
         ctx.track_input(path)
         oracle = TabulatedSupOracle(read_tabulated_csv(path))

@@ -134,6 +134,17 @@ class SupOracle(Protocol):
     (trials, c) array for an oracle whose c classes share each draw (one
     column per class).  It must be deterministic (same block, same values,
     bitwise); a single sign vector is a one-row block.
+
+    An oracle is row-invariant when a row's values, bit for bit, do not
+    depend on the rest of the block: its place, the block's size, the other
+    rows.  Only then are the estimators' results independent of how the
+    sign rows are batched, or of whether Monte Carlo queries each draw or
+    each distinct sign pattern once.  ``Theorem3SupOracle`` is (integer
+    arithmetic per row, then one division by n).  The BLAS-backed
+    ``TabulatedSupOracle`` and ``KernelSupOracle`` are not: in 1- to 3-row
+    blocks and in ragged trailing sub-blocks BLAS may sum a row's products
+    in another order, which changes the last bits of some suprema within
+    the float error of an n-term sum.
     """
 
     n: int

@@ -20,13 +20,24 @@ column, and for Monte Carlo the sum of its squares, are therefore exact;
 the mean is the exact sum rounded once (bitwise what math.fsum gives), and
 the standard error comes from the exact sum of squared deviations
 S2 - S1^2/N, rounded once.  No draw is kept after its batch, so the working
-set is bounded by the batch, not by the number of rows.
+set is bounded by the batch (and the counted path's 2^n counts below), not
+by the number of rows.
 
 Reproducibility contract for the Monte Carlo estimator: the sign vector of
 trial j is a pure function of (seed, j), produced by a counter-based Philox
 stream (trial j owns a fixed, disjoint range of counter blocks).  Trials can
 therefore be generated in any partition into batches, and as the sums are
-exact, batching never changes a bit.
+exact, batching never changes a bit for a row-invariant oracle (one whose
+row values do not depend on the rest of the block; see ``SupOracle``).
+
+Counted Monte Carlo: when n <= EXACT_ENUMERATION_CAP and 2^n <= trials, the
+draws can take at most 2^n distinct values.  The estimator then keeps only
+each trial's pattern index (the low n bits of its first Philox word, the row
+of ``enumerate_sign_vectors`` it equals), counts the indices, and runs the
+exact-enumeration loop with each row weighted by its count.  S1 and S2 are
+the same exact integers as the per-draw loop's on the same draws, so it is
+the same estimator: for a row-invariant oracle the value and std_error are
+bitwise those of the per-draw loop.
 """
 from __future__ import annotations
 
@@ -61,7 +72,7 @@ _BITS_PER_BLOCK = 64 * _WORDS_PER_BLOCK
 
 # Fixed trial-batch sizing (batch boundaries are part of no contract, but
 # keeping them fixed keeps per-batch arrays and BLAS call shapes identical
-# across runs).  A batch must stay at or below 2^26 rows: see _accumulate.
+# across runs).
 _TARGET_BATCH_CELLS = 1 << 21
 
 # Cells of one float64 product block in TabulatedSupOracle (2 MiB).
@@ -110,8 +121,8 @@ def enumerate_sign_vectors(n: int, start: int = 0, stop: int | None = None) -> n
     return _signs_from_words(np.arange(start, stop, dtype=np.uint64)[:, None], n)
 
 
-def trial_sign_block(seed: int, start: int, stop: int, n: int) -> np.ndarray:
-    """Sign vectors for trials [start, stop) as a (stop-start, n) int8 matrix.
+def _trial_words(seed: int, start: int, stop: int, n: int) -> np.ndarray:
+    """The philox words of trials [start, stop) as a (stop-start, 4 B) uint64 array.
 
     Trial j consumes philox counter blocks [j*B, (j+1)*B) where
     B = ceil(n/256), so the output is independent of how trials are grouped
@@ -125,7 +136,30 @@ def trial_sign_block(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     bpt = max(1, -(-n // _BITS_PER_BLOCK))
     gen = np.random.Philox(key=seed, counter=[start * bpt, 0, 0, 0])
     raw = np.asarray(gen.random_raw(_WORDS_PER_BLOCK * bpt * trials), dtype=np.uint64)
-    return _signs_from_words(raw.reshape(trials, _WORDS_PER_BLOCK * bpt), n)
+    return raw.reshape(trials, _WORDS_PER_BLOCK * bpt)
+
+
+def trial_sign_block(seed: int, start: int, stop: int, n: int) -> np.ndarray:
+    """Sign vectors for trials [start, stop) as a (stop-start, n) int8 matrix.
+
+    Row j is a pure function of (seed, start + j): see _trial_words.
+    """
+    return _signs_from_words(_trial_words(seed, start, stop, n), n)
+
+
+def _pattern_counts(seed: int, n: int, trials: int) -> np.ndarray:
+    """How many of trials [0, trials) draw each of the 2^n sign vectors.
+
+    Trial j draws row b of enumerate_sign_vectors(n), where b is the low n
+    bits of its first philox word: both sources map bit i to position i.
+    """
+    counts = np.zeros(1 << n, dtype=np.int64)
+    mask = np.uint64((1 << n) - 1)
+    batch = max(1, _TARGET_BATCH_CELLS // n)
+    for lo in range(0, trials, batch):
+        patterns = _trial_words(seed, lo, min(lo + batch, trials), n)[:, 0] & mask
+        counts += np.bincount(patterns.view(np.int64), minlength=1 << n)
+    return counts
 
 
 class TabulatedSupOracle:
@@ -167,19 +201,37 @@ def _block_sups(oracle: SupOracle, block: np.ndarray, convention: str) -> np.nda
     return sups.reshape(block.shape[0], -1)
 
 
-def _accumulate(sums: list[int], squares: list[int] | None, vals: np.ndarray) -> None:
+def _pieces(part: np.ndarray, p: int, pieces: int):
+    """part = sum_j piece_j 2^(j p): pieces - 1 low p-bit pieces, then the signed rest."""
+    for _ in range(pieces - 1):
+        yield part & ((1 << p) - 1)
+        part = part >> p
+    yield part
+
+
+def _accumulate(
+    sums: list[int],
+    squares: list[int] | None,
+    vals: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> None:
     """Add each column of the (rows, c) float64 batch into exact integer totals.
 
-    sums[j] gains the column's sum in units of 2^-_UNIT and, unless squares
-    is None, squares[j] the sum of its squares in units of 2^-(2 _UNIT).
-    Each value is m * 2^(x - 53) with an integer |m| < 2^53, binned by
-    (x, column).  m, and for squares the parts of
+    Row r counts weights[r] times (an int64 count; once if weights is None).
+    sums[j] gains the column's weighted sum in units of 2^-_UNIT and, unless
+    squares is None, squares[j] the weighted sum of its squares in units of
+    2^-(2 _UNIT).  Each value is m * 2^(x - 53) with an integer |m| < 2^53,
+    binned by (x, column).  m, and for squares the parts of
     m^2 = a^2 2^54 + ab 2^28 + b^2 where m = a 2^27 + b with |a|, |b| <= 2^26,
-    are split into a high part (>> 26) and a low part (26 bits): while a
-    batch has at most 2^26 rows, every float64 bin sum bincount forms is an
-    integer below 2^53, so it is exact in any order.
+    are cut into p-bit pieces of magnitude at most 2^p, p = 53 - bits(W)
+    for the batch's total weight W.  Every weighted piece, and every float64
+    bin sum bincount forms, is then an integer of magnitude at most
+    2^p W < 2^53, so it is exact in any order.
     """
     c = vals.shape[1]
+    total = vals.shape[0] if weights is None else int(weights.sum())
+    p = 53 - total.bit_length()
+    pieces = -(-53 // p)
     fraction, exponent = np.frexp(vals)
     m = (fraction * (1 << 53)).astype(np.int64)
     low_exp = int(exponent.min())
@@ -189,18 +241,25 @@ def _accumulate(sums: list[int], squares: list[int] | None, vals: np.ndarray) ->
         b = ((m + (1 << 26)) & ((1 << 27) - 1)) - (1 << 26)
         a = (m - b) >> 27
         parts += [a * a, a * b, b * b]
-    halves = ((p >> 26, p & ((1 << 26) - 1)) for p in parts)
-    bins = np.stack([np.bincount(keys, weights=h.ravel()) for pair in halves for h in pair])
+    cut = (piece for part in parts for piece in _pieces(part, p, pieces))
+    if weights is not None:
+        cut = (piece * weights[:, None] for piece in cut)
+    bins = np.stack([np.bincount(keys, weights=piece.ravel()) for piece in cut])
     occupied = np.flatnonzero(bins.any(axis=0))
-    for key, part_sums in zip(occupied.tolist(), bins[:, occupied].T.tolist()):
+    piece_sums = bins[:, occupied].astype(np.int64).tolist()
+    wholes = []
+    for i in range(0, len(piece_sums), pieces):
+        whole = piece_sums[i]
+        for j in range(1, pieces):
+            whole = [w + (s << (j * p)) for w, s in zip(whole, piece_sums[i + j])]
+        wholes.append(whole)
+    for key, m_sum, *square_sums in zip(occupied.tolist(), *wholes):
         exp, col = divmod(key, c)
         shift = exp + low_exp - 53 + _UNIT
-        high, low, *square_parts = map(int, part_sums)
-        sums[col] += ((high << 26) + low) << shift
-        if square_parts:
-            a2h, a2l, abh, abl, b2h, b2l = square_parts
-            total = (((a2h << 26) + a2l) << 54) + (((abh << 26) + abl) << 28)
-            squares[col] += (total + (b2h << 26) + b2l) << (2 * shift)
+        sums[col] += m_sum << shift
+        if square_sums:
+            a2, ab, b2 = square_sums
+            squares[col] += ((a2 << 54) + (ab << 28) + b2) << (2 * shift)
 
 
 def _estimate_columns(
@@ -210,11 +269,13 @@ def _estimate_columns(
     signs: Callable[[int, int], np.ndarray],
     convention: str,
     seed: int | None,
+    counts: np.ndarray | None = None,
 ) -> list[RademacherEstimate]:
     """Estimates of every oracle column over the sign rows [0, rows).
 
-    ``signs(start, stop)`` returns the int8 block of those rows.  Each
-    batch's suprema go into exact per-column sums (and sums of squares for
+    ``signs(start, stop)`` returns the int8 block of those rows, and row r
+    stands for counts[r] draws (one if counts is None).  Each batch's
+    suprema go into exact weighted per-column sums (and sums of squares for
     Monte Carlo, seed not None) and are then dropped.  The mean is exact
     for seed None, else Monte Carlo with a standard error.
     """
@@ -224,24 +285,27 @@ def _estimate_columns(
     sums: list[int] = []
     squares: list[int] = []
     for lo in range(0, rows, batch):
-        vals = _block_sups(oracle, signs(lo, min(lo + batch, rows)), convention)
+        hi = min(lo + batch, rows)
+        vals = _block_sups(oracle, signs(lo, hi), convention)
         if not sums:
             sums, squares = [0] * vals.shape[1], [0] * vals.shape[1]
         elif vals.shape[1] != len(sums):
             raise ValueError("the oracle returned a different number of columns per batch")
-        _accumulate(sums, None if seed is None else squares, vals)
+        weights = None if counts is None else counts[lo:hi]
+        _accumulate(sums, None if seed is None else squares, vals, weights)
+    draws = rows if counts is None else int(counts.sum())
     estimates = []
     for s1, s2 in zip(sums, squares):
         try:
-            value = s1 / (1 << _UNIT) / rows
+            value = s1 / (1 << _UNIT) / draws
             if seed is None:
                 estimates.append(RademacherEstimate(value, "exact-enumeration", 0, 0.0, None))
                 continue
-            dev = (rows * s2 - s1 * s1) / (rows << 2 * _UNIT)
+            dev = (draws * s2 - s1 * s1) / (draws << 2 * _UNIT)
         except OverflowError:
             raise ValueError("the oracle's suprema are too large to average in float64") from None
-        std_error = math.sqrt(dev / (rows - 1)) / math.sqrt(rows)
-        estimates.append(RademacherEstimate(value, "monte-carlo", rows, std_error, seed))
+        std_error = math.sqrt(dev / (draws - 1)) / math.sqrt(draws)
+        estimates.append(RademacherEstimate(value, "monte-carlo", draws, std_error, seed))
     return estimates
 
 
@@ -309,6 +373,11 @@ def mc_rademacher_columns(
         raise CapExceeded(
             f"{trials} trials x n={n} need {trials * n} sign cells; cap is {MC_SIGN_CELL_CAP}"
         )
+    if n <= EXACT_ENUMERATION_CAP and 1 << n <= trials:
+        # at most 2^n distinct draws: query each pattern once, weighted by its count
+        counts = _pattern_counts(seed, n, trials)
+        signs = partial(enumerate_sign_vectors, n)
+        return _estimate_columns(oracle, n, 1 << n, signs, convention, seed, counts)
     signs = partial(trial_sign_block, seed, n=n)
     return _estimate_columns(oracle, n, trials, signs, convention, seed)
 
@@ -323,8 +392,9 @@ def mc_empirical_rademacher(
     """Monte Carlo average of the oracle over `trials` sign draws.
 
     std_error is the sample standard deviation over trials divided by
-    sqrt(trials).  Output is a pure function of (oracle, n, trials, seed,
-    convention): batching never changes a bit.  Batches run one after
-    another on the calling thread.
+    sqrt(trials).  For a row-invariant oracle the output is a pure function
+    of (oracle, n, trials, seed, convention): neither batching nor the
+    counted path (2^n <= trials, module docstring) changes a bit.  Batches
+    run one after another on the calling thread.
     """
     return _one_column(mc_rademacher_columns(oracle, n, trials, seed, convention))

@@ -77,6 +77,20 @@ def test_rad_mc_deterministic_across_threads(in_tmp, capsys):
     assert json.loads(other_seed[1])["value"] != json.loads(first[1])["value"]
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--data", "x.csv"], "--data"), (["--lambda", "2"], "--lambda")],
+    ids=["data", "lambda"],
+)
+def test_rad_tabulated_rejects_flags_it_ignores(in_tmp, capsys, flags, named):
+    # --data and --lambda describe kernel classes; x.csv does not exist
+    (in_tmp / "c.csv").write_text(TWO_ROW, encoding="utf-8")
+    argv = ["rad", "--class", "tabulated:c.csv", "--mode", "mc", "--trials", "64", *flags]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert f"{named} does not apply to tabulated classes" in err
+
+
 def test_rad_trials_below_two_is_usage_error(in_tmp, capsys):
     (in_tmp / "c.csv").write_text(TWO_ROW, encoding="utf-8")
     code, out, err = run_cli(

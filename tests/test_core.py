@@ -81,5 +81,48 @@ def test_sup_oracle_protocol():
     assert not isinstance(object(), SupOracle)
 
 
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_theorem3_oracle_is_row_invariant():
+    # integer arithmetic per row, then a division by n: a row's suprema are
+    # the same bits in a whole block, alone, or at another place in the block
+    rng = np.random.default_rng(31)
+    oracle = Theorem3SupOracle(1.0 + 3.0 * rng.random(12), k=3, t=2)
+    block = rng.choice(np.array([-1, 1], dtype=np.int8), size=(40, 12))
+    whole = oracle.query_block(block)
+    alone = np.vstack([oracle.query_block(row[None, :]) for row in block])
+    order = rng.permutation(len(block))
+    assert np.array_equal(_bits(whole), _bits(alone))
+    assert np.array_equal(_bits(whole[order]), _bits(oracle.query_block(block[order])))
+
+
+def test_blas_oracles_vary_with_the_block_only_within_the_summation_error():
+    # BLAS may sum a row's products in another order in a 1-row block than in
+    # a large one; both results lie within the float error bound of an
+    # n-term sum, so they differ by at most twice that bound
+    rng = np.random.default_rng(32)
+    n = 16
+    block = rng.choice(np.array([-1, 1], dtype=np.int8), size=(2000, n))
+    values = rng.standard_normal((64, n))
+    oracle = TabulatedSupOracle(TabulatedClass(values))
+    whole = oracle.query_block(block)
+    alone = np.concatenate([oracle.query_block(row[None, :]) for row in block])
+    scale = np.abs(values).sum(axis=1).max() / n
+    assert np.all(np.abs(whole - alone) <= 2 * (n + 1) * np.spacing(scale))
+
+    g = values.T @ values  # PSD, n x n
+    lam = 2.0
+    oracle = KernelSupOracle(g, lam)
+    whole = oracle.query_block(block)
+    alone = np.concatenate([oracle.query_block(row[None, :]) for row in block])
+    # the quadratic form is a 2n-term sum per product; sqrt and scaling
+    # add a few roundings relative to the value itself
+    quad_scale = (lam / n) ** 2 * np.abs(g).sum()
+    bound = 4 * (n + 1) * np.spacing(quad_scale) + 8 * np.spacing(np.maximum(whole, alone) ** 2)
+    assert np.all(np.abs(whole**2 - alone**2) <= bound)
+
+
 def test_cap_exceeded_is_an_exception():
     assert issubclass(CapExceeded, Exception)

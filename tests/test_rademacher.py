@@ -1,13 +1,14 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from mbl import rademacher
-from mbl.core import MC_SIGN_CELL_CAP, CapExceeded, TabulatedClass
-from mbl.lowerbound import reference_complexity
+from mbl.core import MC_SIGN_CELL_CAP, CapExceeded, RademacherEstimate, TabulatedClass
+from mbl.lowerbound import Theorem3SupOracle, reference_complexity
 from mbl.rademacher import (
     TabulatedSupOracle,
     enumerate_sign_vectors,
@@ -284,6 +285,10 @@ def _adversarial_column(seed, size):
     return col
 
 
+# _ColumnOracle's rows are not a function of the sign row, so its Monte Carlo
+# runs keep 2^n > trials: the per-draw path, one query row per draw.
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_streaming_mean_is_bitwise_fsum_on_adversarial_columns(seed, monkeypatch):
     monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", 8 * 100)  # 100-row batches
@@ -294,18 +299,97 @@ def test_streaming_mean_is_bitwise_fsum_on_adversarial_columns(seed, monkeypatch
         e.value for e in exact_rademacher_columns(_ColumnOracle(np.column_stack([col, -col]), 10), 10)
     ] == [est.value, -est.value]
     with pytest.raises(ValueError, match="too large"):
-        mc_empirical_rademacher(_ColumnOracle(col, 10), 10, col.size, seed=1)
+        mc_empirical_rademacher(_ColumnOracle(col, 11), 11, col.size, seed=1)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_streaming_std_error_is_the_exact_deviation_rounded_once(seed, monkeypatch):
     monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", 8 * 100)
     col = _adversarial_column(seed, 1000) * 1e-152  # squares stay finite
-    est = mc_empirical_rademacher(_ColumnOracle(col, 8), 8, col.size, seed=1)
+    est = mc_empirical_rademacher(_ColumnOracle(col, 10), 10, col.size, seed=1)
     exact = [Fraction(v) for v in col.tolist()]
     dev = sum(v * v for v in exact) - sum(exact) ** 2 / col.size
     assert est.value.hex() == (math.fsum(col.tolist()) / col.size).hex()
     assert est.std_error == math.sqrt(float(dev) / (col.size - 1)) / math.sqrt(col.size)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_weighted_reduction_is_exact_with_large_counts(seed):
+    # counts up to 2^34 per row, 2^43 draws in all: far past what one
+    # float64 bin sum of the unweighted pieces could hold exactly
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 2**34, 1 << 10)
+    counts[:3] = [2**34 - 1, 2**33, 0]
+    col = _adversarial_column(seed, 1 << 10) * 1e-154  # squares stay finite
+    signs = partial(enumerate_sign_vectors, 10)
+    (est,) = rademacher._estimate_columns(
+        _ColumnOracle(col, 10), 10, col.size, signs, "signed", 1, counts
+    )
+    draws = int(counts.sum())
+    exact = [Fraction(v) for v in col.tolist()]
+    s1 = sum(c * v for c, v in zip(counts.tolist(), exact))
+    s2 = sum(c * v * v for c, v in zip(counts.tolist(), exact))
+    dev = s2 - s1 * s1 / draws
+    assert est.trials == draws
+    assert est.value.hex() == (float(s1) / draws).hex()
+    assert est.std_error == math.sqrt(float(dev) / (draws - 1)) / math.sqrt(draws)
+    with pytest.raises(ValueError, match="too large"):
+        rademacher._estimate_columns(
+            _ColumnOracle(col * 1e154, 10), 10, col.size, signs, "signed", 1, counts
+        )
+
+
+def _per_draw_estimates(oracle, n, trials, seed, convention):
+    """Every column from one block of all draws: fsum means, exact deviations."""
+    block = trial_sign_block(seed, 0, trials, n)
+    vals = oracle.query_block(block)
+    if convention == "absolute":
+        vals = np.maximum(vals, oracle.query_block(-block))
+    estimates = []
+    for col in vals.reshape(trials, -1).T.tolist():
+        exact = [Fraction(v) for v in col]
+        dev = sum(v * v for v in exact) - sum(exact) ** 2 / trials
+        std_error = math.sqrt(float(dev) / (trials - 1)) / math.sqrt(trials)
+        estimates.append(
+            RademacherEstimate(math.fsum(col) / trials, "monte-carlo", trials, std_error, seed)
+        )
+    return estimates
+
+
+@pytest.mark.parametrize("cells", [None, 8 * 100])
+@pytest.mark.parametrize("convention", ["signed", "absolute"])
+@pytest.mark.parametrize("trials", [255, 256, 257])
+def test_counted_mc_is_bitwise_the_per_draw_estimate(trials, convention, cells, monkeypatch):
+    # 2^8 = 256 patterns: 255 trials take the per-draw path, 256 and 257 the
+    # counted one.  Theorem3SupOracle's columns are integers over n, row by
+    # row, so both paths must agree bitwise on every one of the 4 + k columns.
+    if cells is not None:
+        monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", cells)  # 100-row batches
+    counted = []
+    count_patterns = rademacher._pattern_counts
+    monkeypatch.setattr(
+        rademacher, "_pattern_counts", lambda *a: counted.append(a) or count_patterns(*a)
+    )
+    x = 1.0 + 3.0 * np.random.default_rng(trials).random(8)
+    oracle = Theorem3SupOracle(x, k=3, t=1)
+    got = mc_rademacher_columns(oracle, 8, trials, 21, convention)
+    assert len(counted) == (trials >= 256)
+    assert len(got) == 4 + 3
+    assert got == _per_draw_estimates(oracle, 8, trials, 21, convention)
+
+
+def test_counted_mc_weights_each_pattern_by_its_draw_count():
+    n, trials, seed = 10, 5000, 3
+    oracle = TabulatedSupOracle(random_class(14, m=6, n=n))
+    block = trial_sign_block(seed, 0, trials, n)
+    counts = np.bincount(((block > 0) << np.arange(n)).sum(axis=1), minlength=1 << n)
+    sups = [Fraction(v) for v in oracle.query_block(enumerate_sign_vectors(n)).tolist()]
+    s1 = sum(c * v for c, v in zip(counts.tolist(), sups))
+    s2 = sum(c * v * v for c, v in zip(counts.tolist(), sups))
+    est = mc_empirical_rademacher(oracle, n, trials, seed)
+    assert est.value.hex() == (float(s1) / trials).hex()
+    dev = s2 - s1 * s1 / trials
+    assert est.std_error == math.sqrt(float(dev) / (trials - 1)) / math.sqrt(trials)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
