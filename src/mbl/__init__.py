@@ -6,6 +6,18 @@ evaluates margin-based risk bounds with their additive term breakdowns,
 tabulates competitor order terms, and numerically verifies the margin
 class's subadditivity and its linear-in-k lower-bound construction.
 """
+import os
+
+# An idle OpenBLAS worker spin-waits for 2^28 cycles (about 0.1 s) after
+# OpenBLAS loads and after every threaded call, which costs CPU in every
+# command, even one that makes no BLAS call.  2^20 cycles is under 1 ms; a
+# threaded call still wakes the worker, and shorter timeouts slowed the
+# tabulated oracle's back-to-back sub-block products.  OpenBLAS reads the
+# variable when numpy first loads it, so this must run before any numpy
+# import: it does nothing if numpy was imported before mbl, under other BLAS
+# libraries, or when the variable is already set.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from .core import (
     CapExceeded,
     LabeledDataset,

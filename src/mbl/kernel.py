@@ -139,12 +139,15 @@ def gram(spec: KernelSpec, data) -> np.ndarray:
     elif spec.kind == "linear":
         g = dots
     else:
-        with np.errstate(over="ignore"):  # overflow is rejected just below
+        with np.errstate(over="ignore"):  # overflow is rejected below
             g = (dots + spec.coef) ** spec.degree
+    # (g + g.T)/2 is exactly symmetric in IEEE arithmetic.  Entries above
+    # DBL_MAX/2 overflow in the sum, so finiteness is checked after it.
+    with np.errstate(over="ignore"):
+        g = (g + g.T) / 2.0
     if not np.isfinite(g).all():
         raise ValueError("gram matrix has non-finite entries")
-    # (g + g.T)/2 is exactly symmetric in IEEE arithmetic.
-    return (g + g.T) / 2.0
+    return g
 
 
 def kernel_trace(spec: KernelSpec, data) -> float:
@@ -170,11 +173,14 @@ def kernel_trace(spec: KernelSpec, data) -> float:
 def check_psd(g: np.ndarray) -> float:
     """Validate G is PSD up to rounding; returns the smallest eigenvalue.
 
-    Tolerance: min eigenvalue >= -_PSD_TOL_FACTOR * trace(G).
+    Tolerance: min eigenvalue >= -_PSD_TOL_FACTOR * trace(G).  Raises
+    ValueError on a non-finite G, whose eigenvalues would be NaN and pass.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("gram matrix must be square")
+    if not np.isfinite(g).all():
+        raise ValueError("gram matrix has non-finite entries")
     eigs = np.linalg.eigvalsh(g)
     lo = float(eigs[0])
     tr = float(np.trace(g))

@@ -148,7 +148,7 @@ def train_ova_ridge(
     if not np.all(np.isfinite(alphas)):
         raise ValueError("ridge system is numerically singular (reg too small)")
     scores = g @ alphas
-    norms = np.sqrt(np.maximum(np.einsum("ny,nm,my->y", alphas, g, alphas), 0.0))
+    norms = np.sqrt(np.maximum(np.einsum("ny,ny->y", alphas, scores), 0.0))
     return ScoreMatrix(scores), norms
 
 

@@ -1,3 +1,7 @@
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -126,3 +130,33 @@ def test_blas_oracles_vary_with_the_block_only_within_the_summation_error():
 
 def test_cap_exceeded_is_an_exception():
     assert issubclass(CapExceeded, Exception)
+
+
+# Records OPENBLAS_THREAD_TIMEOUT at the moment numpy is first imported, which
+# is when OpenBLAS loads and reads it, then imports mbl.
+_RECORD_BLAS_ENV_AT_NUMPY_IMPORT = """
+import json, os, sys
+seen = []
+class Recorder:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+        return None
+assert "numpy" not in sys.modules
+sys.meta_path.insert(0, Recorder())
+import mbl
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("preset, want", [(None, "20"), ("7", "7")])
+def test_blas_thread_timeout_is_set_before_numpy_loads(tmp_path, mbl_env, preset, want):
+    env = {k: v for k, v in mbl_env.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", _RECORD_BLAS_ENV_AT_NUMPY_IMPORT],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [want]

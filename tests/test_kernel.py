@@ -1,5 +1,6 @@
 """Kernel grammar, Gram construction, PSD checks, and the norm-ball oracle."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,16 @@ def test_gram_rejects_non_finite():
         gram(KernelSpec(kind="poly", degree=400), [[3.0], [0.5]])
 
 
+def test_gram_rejects_entries_that_overflow_when_symmetrized():
+    # Every entry is finite (1.2e308 < DBL_MAX), but g + g.T overflows.
+    pts = [[1e154], [1.2e154]]
+    assert np.isfinite(np.asarray(pts) @ np.asarray(pts).T).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            gram(KernelSpec(kind="linear"), pts)
+
+
 _POINTS = st.integers(1, 12).flatmap(
     lambda n: st.integers(1, 4).flatmap(
         lambda d: arrays(np.float64, (n, d), elements=st.floats(-10.0, 10.0))
@@ -194,6 +205,19 @@ def test_check_psd_rejects_indefinite():
         check_psd(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         check_psd(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_gram_is_rejected(bad):
+    # eigvalsh turns a NaN or inf entry into NaN eigenvalues, which pass an
+    # ordered comparison against the tolerance.
+    g = np.array([[1.0, bad], [bad, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        check_psd(g)
+    with pytest.raises(ValueError, match="non-finite"):
+        KernelSupOracle(g, lambda_cap=1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        kernel_rad_bounds(g, lambda_cap=1.0)
 
 
 def query_one(oracle, signs):

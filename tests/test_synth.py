@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mbl.core import LabeledDataset
-from mbl.kernel import KernelSpec
+from mbl.kernel import KernelSpec, gram
 from mbl.lowerbound import partition_points
 from mbl.margin import ScoreMatrix, margins
 from mbl.synth import (
@@ -119,6 +119,19 @@ def test_ridge_shrinkage_limit():
     assert np.abs(margins(big, ds.labels)).max() < 1e-5
     assert np.abs(margins(small, ds.labels)).max() > 1.0
     assert big_norms.max() < 1e-5
+
+
+def test_ridge_norms_are_the_quadratic_form():
+    # The norms reuse scores = G alpha; compare with sqrt(alpha' G alpha)
+    # contracted from G itself.
+    ds = generate(GeneratorSpec(kind="gaussian_blobs", k=3, n=60, seed=7, d=2, spread=0.5))
+    kernel = KernelSpec(kind="rbf", gamma=0.5)
+    _, norms = train_ova_ridge(ds, kernel, reg=0.1)
+    g = gram(kernel, ds.points)
+    targets = np.where(ds.labels[:, None] == np.arange(1, 4)[None, :], 1.0, -1.0)
+    alphas = np.linalg.solve(g + 0.1 * np.eye(60), targets)
+    want = np.sqrt(np.einsum("ny,nm,my->y", alphas, g, alphas))
+    np.testing.assert_allclose(norms, want, rtol=1e-12, atol=0.0)
 
 
 def test_ridge_permutation_equivariance():
