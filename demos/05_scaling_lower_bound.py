@@ -20,7 +20,7 @@ print(f"lhs {report.lhs:.4f} +- {report.lhs_std_error:.4f}   "
 
 # Sweep k at fixed t and density: the aggregate n*rhs doubles with k while
 # the normalized rhs stays flat (the 1/n normalizer absorbs the count).
-reports, summary = sweep_theorem3([2, 4, 8, 16], t=2, points_per_interval=64, trials=1000)
+reports, summary = sweep_theorem3([2, 4, 8, 16], t=2, trials=1000)
 print(f"\nsweep at t=2, 64 points per interval:")
 print(f"{'k':>3} {'n':>6} {'rhs':>8} {'n*rhs':>10} {'ratio':>7}")
 for rep in reports:

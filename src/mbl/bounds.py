@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
+from .kernel import worst_case_complexity
 
 __all__ = [
     "METHODS",
@@ -36,8 +36,15 @@ __all__ = [
     "compare_bounds",
 ]
 
-# Fixed method order for comparison tables.
-METHODS = ("kp", "guermeur", "zhang", "crammer_singer", "this_paper")
+# Order term of each method, in the fixed method order of comparison tables.
+_TABLE1 = {
+    "kp": lambda k, n, delta: (k * k) / (delta * math.sqrt(n)),
+    "guermeur": lambda k, n, delta: k / (delta * delta * math.sqrt(n)),
+    "zhang": lambda k, n, delta: math.sqrt(k / n) / delta,
+    "crammer_singer": lambda k, n, delta: (k * k) / (delta * delta * n),
+    "this_paper": lambda k, n, delta: k / (delta * math.sqrt(n)),
+}
+METHODS = tuple(_TABLE1)
 
 
 @dataclass(frozen=True)
@@ -92,16 +99,23 @@ def _check_delta(delta: float) -> float:
     return float(delta)
 
 
+def _finite_total(method: str, delta: float, terms: dict[str, float]) -> float:
+    """The exactly rounded sum of the terms; ValueError unless all are finite."""
+    try:
+        value = math.fsum(terms.values())
+    except OverflowError:  # finite terms whose sum leaves the float range
+        value = math.inf
+    if not all(map(math.isfinite, (*terms.values(), value))):
+        raise ValueError(f"{method} bound at delta={delta!r} is not finite: terms {terms}")
+    return value
+
+
 def _thm1_terms(inp: BoundInput, delta: float) -> dict[str, float]:
-    empirical = float(inp.margin_cdf(delta))
-    complexity = (4.0 * inp.k / delta) * inp.rad_value
-    loglog = math.sqrt(math.log(math.log2(2.0 / delta)) / inp.n)
-    confidence = inp.confidence_t / math.sqrt(inp.n)
     return {
-        "empirical": empirical,
-        "complexity": complexity,
-        "loglog": loglog,
-        "confidence": confidence,
+        "empirical": float(inp.margin_cdf(delta)),
+        "complexity": (4.0 * inp.k / delta) * inp.rad_value,
+        "loglog": math.sqrt(math.log(math.log2(2.0 / delta)) / inp.n),
+        "confidence": inp.confidence_t / math.sqrt(inp.n),
     }
 
 
@@ -115,19 +129,15 @@ def theorem1_bound(
     Ties prefer the smallest delta.  With clamp=True the reported value is
     min(value, 1.0) (the bound is vacuous past 1); the term breakdown is
     always left unclamped, so clamped reports carry a fifth "clamp" term.
+    Raises ValueError if any grid point has a non-finite term or value.
     """
     grid = list(delta_grid) if delta_grid is not None else default_delta_grid(inp.n)
     if not grid:
         raise ValueError("delta grid must be nonempty")
-    grid = sorted(_check_delta(d) for d in grid)
-    best_val = math.inf
-    best_delta = grid[0]
-    best_terms: dict[str, float] = {}
-    for delta in grid:
-        terms = _thm1_terms(inp, delta)
-        val = math.fsum(terms.values())
-        if val < best_val:
-            best_val, best_delta, best_terms = val, delta, terms
+    terms_at = {d: _thm1_terms(inp, d) for d in sorted(_check_delta(d) for d in grid)}
+    totals = {d: _finite_total("thm1", d, terms) for d, terms in terms_at.items()}
+    best_delta = min(totals, key=totals.__getitem__)  # the first, smallest, delta on ties
+    best_val, best_terms = totals[best_delta], terms_at[best_delta]
     if clamp and best_val > 1.0:
         best_terms = dict(best_terms, clamp=1.0 - best_val)
         best_val = 1.0
@@ -146,7 +156,8 @@ def theorem2_bound(
     """Fixed-delta kernel-class bound (no grid minimization).
 
     value = margin_frac + (2k/delta) sqrt(R^2 lam^2 / n) + t/sqrt(n), as an
-    exactly rounded sum of the three terms.
+    exactly rounded sum of the three terms; ValueError unless every term and
+    the value are finite.
     """
     _check_delta(delta)
     if k < 2:
@@ -161,15 +172,13 @@ def theorem2_bound(
         )
     if not (math.isfinite(confidence_t) and confidence_t > 0):
         raise ValueError(f"confidence_t must be finite and > 0, got {confidence_t!r}")
-    complexity = (2.0 * k / delta) * math.sqrt(radius * radius * lambda_cap * lambda_cap / n)
-    confidence = confidence_t / math.sqrt(n)
-    value = math.fsum((margin_frac, complexity, confidence))
-    return BoundReport(
-        method="thm2",
-        value=value,
-        delta_star=float(delta),
-        terms={"empirical": float(margin_frac), "complexity": complexity, "confidence": confidence},
-    )
+    terms = {
+        "empirical": float(margin_frac),
+        "complexity": (2.0 * k / delta) * worst_case_complexity(radius, lambda_cap, n),
+        "confidence": confidence_t / math.sqrt(n),
+    }
+    value = _finite_total("thm2", delta, terms)
+    return BoundReport(method="thm2", value=value, delta_star=float(delta), terms=terms)
 
 
 def table1_term(method: str, k: int, n: int, delta: float) -> float:
@@ -177,7 +186,8 @@ def table1_term(method: str, k: int, n: int, delta: float) -> float:
 
     kp: k^2/(delta sqrt(n)); guermeur: k/(delta^2 sqrt(n));
     zhang: sqrt(k/n)/delta; crammer_singer: k^2/(delta^2 n);
-    this_paper: k/(delta sqrt(n)).
+    this_paper: k/(delta sqrt(n)).  Raises ValueError unless the term is a
+    finite float.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -186,16 +196,13 @@ def table1_term(method: str, k: int, n: int, delta: float) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_delta(delta)
-    root_n = math.sqrt(n)
-    if method == "kp":
-        return (k * k) / (delta * root_n)
-    if method == "guermeur":
-        return k / (delta * delta * root_n)
-    if method == "zhang":
-        return math.sqrt(k / n) / delta
-    if method == "crammer_singer":
-        return (k * k) / (delta * delta * n)
-    return k / (delta * root_n)
+    try:
+        value = _TABLE1[method](k, n, delta)
+    except (OverflowError, ZeroDivisionError):  # k or n beyond floats, delta^2 underflow
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{method} term at k={k}, n={n}, delta={delta!r} is not a finite float")
+    return value
 
 
 def compare_bounds(

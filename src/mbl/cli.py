@@ -20,7 +20,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 import time
 import traceback
@@ -29,7 +28,8 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .bounds import METHODS, BoundInput, compare_bounds, theorem1_bound, theorem2_bound
 from .core import CapExceeded
-from .kernel import KernelSupOracle, gram, kernel_trace, parse_kernel_spec, trace_complexity
+from .kernel import KernelSupOracle, gram, kernel_trace, parse_kernel_spec
+from .kernel import trace_complexity, worst_case_complexity
 from .lowerbound import LowerBoundConfig, Theorem3Report, sweep_theorem3, verify_theorem3
 from .margin import empirical_margin_cdf, lemma1_sweep, margin_distribution
 from .rademacher import (
@@ -155,7 +155,7 @@ def _thm1_rad_value(args, ctx: _RunContext, n: int) -> float:
         return trace_complexity(kernel_trace(spec, dataset.points), args.lambda_cap, n)
     if args.radius is None:
         raise ValueError("with --lambda give --R (norm-ball worst case) or --data (data dependent)")
-    return math.sqrt(args.radius**2 * args.lambda_cap**2 / n)
+    return worst_case_complexity(args.radius, args.lambda_cap, n)
 
 
 def _cmd_bound_eval(args, ctx: _RunContext) -> tuple[int, dict]:
@@ -165,12 +165,7 @@ def _cmd_bound_eval(args, ctx: _RunContext) -> tuple[int, dict]:
     labels = read_labels_csv(args.labels)
     if labels.shape[0] != scores.n:
         raise ValueError(f"labels file has {labels.shape[0]} rows, scores file has {scores.n}")
-    k = args.k if args.k is not None else scores.k
-    if k != scores.k:
-        raise ValueError(f"--k {k} does not match the scores file width {scores.k}")
-    n = args.n if args.n is not None else scores.n
-    if n != scores.n:
-        raise ValueError(f"--n {n} does not match the scores file rows {scores.n}")
+    k, n = scores.k, scores.n
 
     if args.method == "thm1":
         if args.delta is not None and args.delta_grid:
@@ -265,32 +260,19 @@ def _write_thm3_csv(path, reports: list[Theorem3Report]) -> None:
 
 def _cmd_verify_thm3(args, ctx: _RunContext) -> tuple[int, dict]:
     if args.sweep:
-        # The sweep runs the sum variant at n = density * k for each k.
-        for flag, given in (
-            ("--k", args.k is not None),
-            ("--n", args.n is not None),
-            ("--variant union", args.variant == "union"),
-        ):
-            if given:
+        # Each k runs at its default n = 16kt^2, so the sweep takes neither flag.
+        for flag, value in (("--k", args.k), ("--n", args.n)):
+            if value is not None:
                 raise ValueError(f"{flag} does not apply to --sweep runs")
         ks = _parse_list(args.sweep, "--sweep", int)
         t = args.t if args.t is not None else 4
-        reports, summary = sweep_theorem3(
-            ks,
-            t=t,
-            points_per_interval=args.density,
-            epsilon=args.epsilon,
-            trials=args.trials,
-            seed=args.seed,
-        )
+        reports, summary = sweep_theorem3(ks, t, args.epsilon, args.trials, args.seed, args.variant)
         if args.out:
             _write_thm3_csv(args.out, reports)
         payload = {"rows": [r.to_json_dict() for r in reports], "summary": summary}
         return (0 if summary["pass"] else 1), payload
     if args.k is None:
         raise ValueError("--k is required without --sweep")
-    if args.density is not None:
-        raise ValueError("--density applies to --sweep runs only")
     config = LowerBoundConfig(
         k=args.k,
         epsilon=args.epsilon,
@@ -381,6 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bound_sub = bound.add_subparsers(dest="bound_command", required=True)
     beval = bound_sub.add_parser(
         "eval",
+        # No prefix matching: "--k" (a deleted option) must not parse as --kernel.
+        allow_abbrev=False,
         help="evaluate a bound on a scores/labels pair",
         description="Evaluate a margin risk bound. thm1 takes the complexity via --rad, or "
         "--lambda with --R (worst case sqrt(R^2*lambda^2/n)) or --data [--kernel] "
@@ -390,8 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     beval.add_argument("--method", choices=["thm1", "thm2"], required=True)
     beval.add_argument("--scores", required=True, help="scores CSV (x_id,score_1,...,score_k)")
     beval.add_argument("--labels", required=True, help="labels CSV (x_id,y)")
-    beval.add_argument("--k", type=int, help="class count; default: scores file width")
-    beval.add_argument("--n", type=int, help="sample size; default: scores file rows")
     beval.add_argument(
         "--t", dest="confidence_t", type=float, required=True, help="confidence parameter (> 0)"
     )
@@ -434,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     vthm.add_argument("--k", type=int, help="interval count (required without --sweep)")
     vthm.add_argument("--epsilon", type=float, required=True, help="slack in (0, 1)")
-    vthm.add_argument("--t", type=int, help="discontinuity budget; default: doubling search")
+    vthm.add_argument("--t", type=int, help="budget t; default: doubling search, 4 with --sweep")
     vthm.add_argument(
         "--n", type=int, help="sample size (>= 16kt^2); with auto t this is the n budget"
     )
@@ -452,12 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="sum",
         help="per-class slots: one class per interval (sum) or the union class",
     )
-    vthm.add_argument("--sweep", help="comma-separated k values for a scaling sweep")
-    vthm.add_argument(
-        "--density",
-        type=int,
-        help="points per interval for --sweep (default 16t^2); n = density*k",
-    )
+    vthm.add_argument("--sweep", help="comma-separated k values; one run per k at n = 16kt^2")
     vthm.add_argument("--out", help="CSV path for the k,t,n,lhs,rhs,ratio rows")
     _add_common(vthm)
     vthm.set_defaults(handler=_cmd_verify_thm3)

@@ -7,7 +7,7 @@ of the Rademacher definition has the closed form
 
 (Cauchy-Schwarz with equality at the aligned w), where G is the Gram matrix.
 Only the 2-norm ball gets an exact oracle; other aggregations are served
-through the worst-case surrogate sqrt(R^2 lam^2 / n).
+through the worst-case surrogate sqrt(R^2 lam^2 / n) (``worst_case_complexity``).
 
 Every KernelSpec is positive semi-definite by construction: linear is a Gram
 of inner products, rbf with finite gamma > 0 is a Gaussian kernel, and poly
@@ -33,6 +33,7 @@ __all__ = [
     "check_psd",
     "KernelSupOracle",
     "trace_complexity",
+    "worst_case_complexity",
     "kernel_rad_bounds",
 ]
 
@@ -217,6 +218,14 @@ def trace_complexity(trace: float, lambda_cap: float, n: int) -> float:
     return lambda_cap * math.sqrt(max(trace, 0.0)) / n
 
 
+def worst_case_complexity(radius: float, lambda_cap: float, n: int) -> float:
+    """sqrt(R^2 lam^2 / n), the norm-ball bound when every G_ii <= R^2; ValueError if not finite."""
+    value = math.sqrt(radius * radius * lambda_cap * lambda_cap / n)
+    if not math.isfinite(value):
+        raise ValueError(f"sqrt(R^2*lambda^2/n) is not finite: R={radius!r}, lambda={lambda_cap!r}")
+    return value
+
+
 def kernel_rad_bounds(
     g: np.ndarray, lambda_cap: float
 ) -> tuple[float, Callable[[float], float]]:
@@ -231,8 +240,4 @@ def kernel_rad_bounds(
     check_psd(g)
     n = g.shape[0]
     data_dependent = trace_complexity(float(np.trace(g)), lambda_cap, n)
-
-    def worst_case(radius: float) -> float:
-        return math.sqrt(radius * radius * lambda_cap * lambda_cap / n)
-
-    return data_dependent, worst_case
+    return data_dependent, lambda radius: worst_case_complexity(radius, lambda_cap, n)

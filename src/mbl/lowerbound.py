@@ -75,6 +75,11 @@ BRUTE_FORCE_CAP = 12
 _DEFAULT_T_BUDGET = 10**6
 
 
+def _lawful_n(k: int, t: int) -> int:
+    """The paper's sample-size floor n = 16*k*t^2 (the default n at fixed t)."""
+    return 16 * k * t * t
+
+
 @dataclass(frozen=True)
 class LowerBoundConfig:
     """Experiment configuration for the lower-bound verification.
@@ -110,10 +115,9 @@ class LowerBoundConfig:
                 raise ValueError(
                     "t = 0 makes the default n = 16*k*t^2 zero; give the sample size (--n)"
                 )
-            if self.n is not None and self.n < 16 * self.k * self.t * self.t:
-                raise ValueError(
-                    f"n={self.n} violates n >= 16*k*t^2 = {16 * self.k * self.t * self.t}"
-                )
+            floor = _lawful_n(self.k, self.t)
+            if self.n is not None and self.n < floor:
+                raise ValueError(f"n={self.n} violates n >= 16*k*t^2 = {floor}")
 
 
 @dataclass(frozen=True)
@@ -363,7 +367,7 @@ def select_t(
     big_c = 1.0 / epsilon
     t = 1
     while True:
-        n = 16 * k * t * t
+        n = _lawful_n(k, t)
         if n > n_budget:
             raise CapExceeded(
                 f"t-selection budget exhausted: candidate t={t} needs n={n} > {n_budget}"
@@ -396,7 +400,7 @@ def verify_theorem3(config: LowerBoundConfig, variant: str = "sum") -> Theorem3R
         auto = True
     else:
         t = config.t
-        n = config.n if config.n is not None else 16 * k * t * t
+        n = config.n if config.n is not None else _lawful_n(k, t)
         auto = False
     dataset = _uniform_dataset(k, n, _derived_seed(config.seed, 0, 0))
     oracle = Theorem3SupOracle(dataset, k, t)
@@ -436,46 +440,37 @@ def verify_theorem3(config: LowerBoundConfig, variant: str = "sum") -> Theorem3R
 def sweep_theorem3(
     k_list: Sequence[int],
     t: int = 4,
-    points_per_interval: int | None = None,
     epsilon: float = 0.5,
     trials: int = 500,
     seed: int = 0,
+    variant: str = "sum",
 ) -> tuple[list[Theorem3Report], dict]:
-    """Scaling sweep over k at fixed t and fixed per-interval point density.
+    """Scaling sweep over k at fixed t: one ``verify_theorem3`` run per k.
 
-    Uses n = k * points_per_interval (default density 16 t^2, the smallest
-    lawful one).  Under this scaling the normalized rhs is constant in k by
-    construction (each of the k intervals contributes one m-point DP optimum
-    and the normalization n = k m cancels the count), so the quantity that
-    exhibits the linear growth is the aggregate n * rhs, the summed expected
-    interval optima.  The summary reports its slope fit and doubling ratios.
+    Each k runs at its default n = 16*k*t^2 (16 t^2 points per interval)
+    with the seed derived from (seed, k).  Under this scaling the
+    normalized rhs is constant in k by construction (each of the k
+    intervals contributes one m-point DP optimum and the normalization
+    n = k m cancels the count), so the quantity that exhibits the linear
+    growth is the aggregate n * rhs, the summed expected interval optima.
+    The summary reports its slope fit and doubling ratios.
     """
     ks = [int(k) for k in k_list]
     if not ks:
         raise ValueError("k_list must be nonempty")
-    if points_per_interval is None and t == 0:
-        raise ValueError(
-            "t = 0 makes the default density 16*t^2 zero; give the points per interval (--density)"
-        )
-    density = points_per_interval if points_per_interval is not None else 16 * t * t
-    if density < 16 * t * t:
-        raise ValueError(f"points_per_interval={density} violates n >= 16*k*t^2")
+    if t < 1:
+        raise ValueError(f"a sweep needs t >= 1 (t = 0 makes n = 16*k*t^2 zero), got t={t}")
     reports = []
     for k in ks:
         cfg = LowerBoundConfig(
-            k=k,
-            epsilon=epsilon,
-            t=t,
-            n=density * k,
-            seed=_derived_seed(seed, k),
-            trials=trials,
+            k=k, epsilon=epsilon, t=t, seed=_derived_seed(seed, k), trials=trials
         )
-        reports.append(verify_theorem3(cfg))
+        reports.append(verify_theorem3(cfg, variant))
     karr = np.asarray(ks, dtype=np.float64)
     aggregate = np.asarray([r.n * r.rhs for r in reports])
     summary = {
         "t": t,
-        "points_per_interval": density,
+        "points_per_interval": _lawful_n(1, t),
         "slope_aggregate_vs_k": float(np.polyfit(karr, aggregate, 1)[0]) if len(ks) > 1 else math.nan,
         "aggregate_doubling_ratios": [
             float(aggregate[i + 1] / aggregate[i])

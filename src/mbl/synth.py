@@ -32,6 +32,7 @@ files are reported with the path and the 1-based line number.
 from __future__ import annotations
 
 import csv
+import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain
@@ -81,6 +82,8 @@ class GeneratorSpec:
             raise ValueError(f"kind must be one of {_KINDS}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.k + 1 > np.iinfo(np.int64).max:
+            raise ValueError("k + 1 must fit an int64 label (k <= 2^63 - 2)")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -89,8 +92,8 @@ class GeneratorSpec:
             raise ValueError("d must be >= 1")
         if self.kind == "uniform_interval" and self.d != 1:
             raise ValueError("uniform_interval points are scalar; d must be 1")
-        if not self.spread >= 0.0:
-            raise ValueError("spread must be >= 0")
+        if not (math.isfinite(self.spread) and self.spread >= 0.0):
+            raise ValueError(f"spread must be finite and >= 0, got {self.spread!r}")
         if self.labels_mode not in _LABEL_MODES:
             raise ValueError(f"labels_mode must be one of {_LABEL_MODES}")
 
@@ -107,7 +110,7 @@ def _blob_centers(k: int, d: int) -> np.ndarray:
 
 
 def generate(spec: GeneratorSpec) -> LabeledDataset:
-    """Draw a dataset; a pure function of the spec (including its seed)."""
+    """Draw a dataset, a pure function of the spec; ValueError if a coordinate overflows."""
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     if spec.kind == "uniform_interval":
         points = 1.0 + spec.k * rng.random(spec.n)
@@ -118,7 +121,10 @@ def generate(spec: GeneratorSpec) -> LabeledDataset:
         return LabeledDataset(points[:, None], labels, spec.k)
     labels = rng.integers(1, spec.k + 1, size=spec.n)
     noise = rng.standard_normal((spec.n, spec.d))
-    points = _blob_centers(spec.k, spec.d)[labels - 1] + spec.spread * noise
+    with np.errstate(over="ignore"):  # overflow is rejected just below
+        points = _blob_centers(spec.k, spec.d)[labels - 1] + spec.spread * noise
+    if not np.isfinite(points).all():
+        raise ValueError(f"spread={spec.spread!r} gives non-finite blob coordinates")
     return LabeledDataset(points, labels, spec.k)
 
 

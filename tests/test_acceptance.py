@@ -101,9 +101,7 @@ def test_acceptance_5_linear_scaling_in_k():
     # At fixed t and per-interval density the normalized interval sum is
     # constant in k by construction, so linear growth is checked on the
     # aggregate (unnormalized) sum of interval optima.
-    reports, summary = sweep_theorem3(
-        [2, 4, 8, 16], t=4, points_per_interval=256, trials=500, seed=0
-    )
+    reports, summary = sweep_theorem3([2, 4, 8, 16], t=4, trials=500, seed=0)
     ratios = summary["aggregate_doubling_ratios"]
     ok = (
         summary["pass"]

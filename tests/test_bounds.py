@@ -158,6 +158,13 @@ def test_thm2_doubling_k_doubles_complexity_term():
     assert hi == 2.0 * lo
 
 
+def test_thm1_rejects_a_sum_that_overflows():
+    # every term is finite, but their sum leaves the float range
+    big = BoundInput(k=2, n=1, confidence_t=1e308, rad_value=1e308 / 8, margin_cdf=_zero_cdf)
+    with pytest.raises(ValueError, match="not finite"):
+        theorem1_bound(big, delta_grid=[1.0])
+
+
 def test_thm2_validation():
     good = dict(margin_frac=0.0, radius=1.0, lambda_cap=1.0, k=2, n=100, delta=0.5, confidence_t=1.0)
     for bad in (
@@ -176,6 +183,8 @@ def test_thm2_validation():
         dict(lambda_cap=math.nan),
         dict(lambda_cap=math.inf),
         dict(delta=math.nan),
+        dict(radius=1e200, lambda_cap=1e200),  # R^2 lam^2 overflows
+        dict(radius=1e77, lambda_cap=1e77, n=1, delta=1e-300),  # (2k/delta) * 1e154 overflows
     ):
         with pytest.raises(ValueError):
             theorem2_bound(**{**good, **bad})

@@ -14,6 +14,7 @@ import pytest
 
 import mbl
 from mbl.cli import _RunContext, _thm1_rad_value, main
+from mbl.lowerbound import sweep_theorem3
 from mbl.margin import ScoreMatrix
 from mbl.synth import (
     GeneratorSpec,
@@ -28,7 +29,10 @@ TWO_ROW = "1,1\n-1,-1\n"
 
 
 def run_cli(argv, capsys):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -248,7 +252,8 @@ def test_bound_eval_flag_conflicts(in_tmp, capsys):
         ["--method", "thm2", "--delta", "0.5", "--lambda", "1", "--R", "1", "--rad", "0.1"],
         ["--method", "thm2", "--lambda", "1", "--R", "1"],  # no --delta
         ["--method", "thm1", "--rad", "0", "--delta", "0.5", "--delta-grid", "0.5,1"],
-        ["--method", "thm1", "--rad", "0", "--k", "7"],  # contradicts file width
+        ["--method", "thm1", "--rad", "0", "--k", "7"],  # no such option (k is the file width)
+        ["--method", "thm1", "--lambda", "1", "--R", "1", "--n", "10"],  # nor is n
         ["--method", "thm1"],  # no complexity source
     ):
         code, _, err = run_cli(base + extra, capsys)
@@ -341,6 +346,10 @@ def test_kernel_outside_psd_or_finite_range_is_exit_2(in_tmp, capsys, spec):
         ["--method", "thm2", "--delta", "0.5", "--lambda", "1", "--R", "inf"],
         ["--method", "thm2", "--delta", "0.5", "--lambda", "1", "--R", "1", "--t", "inf"],
         ["--method", "thm2", "--delta", "nan", "--lambda", "1", "--R", "1"],
+        # finite flags whose bound is not finite
+        ["--method", "thm1", "--rad", "0", "--delta", "1e-310"],
+        ["--method", "thm2", "--lambda", "1e200", "--R", "1e200", "--delta", "0.5"],
+        ["--method", "thm1", "--lambda", "1e200", "--R", "1e200"],
     ],
 )
 def test_bound_eval_non_finite_or_negative_flags_are_exit_2(in_tmp, capsys, flags):
@@ -380,6 +389,21 @@ def test_compare_reruns_byte_identical(in_tmp, capsys):
     first = (in_tmp / "table.csv").read_bytes()
     run_cli(argv, capsys)
     assert (in_tmp / "table.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "k_list, n_list, delta_list",
+    [("2", "100", "1e-160"), (str(10**154), "100", "0.01"), ("2", "100", "1e-200"),
+     (str(10**400), "100", "0.01"), ("2", str(10**400), "0.5")],
+    ids=["delta-overflow", "k-overflow", "delta-squared-underflow", "k-beyond-float",
+         "n-beyond-float"],
+)
+def test_compare_non_finite_term_is_exit_2(in_tmp, capsys, k_list, n_list, delta_list):
+    argv = ["compare", "--k-list", k_list, "--n-list", n_list, "--delta-list", delta_list,
+            "--out", "t.csv"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, ""), err
+    assert "not a finite float" in err
 
 
 def test_compare_empty_grid_is_exit_2(in_tmp, capsys):
@@ -492,7 +516,7 @@ def test_verify_thm3_single(in_tmp, capsys):
 def test_verify_thm3_sweep(in_tmp, capsys):
     code, out, _ = run_cli(
         ["verify", "thm3", "--sweep", "1,2", "--epsilon", "0.5", "--t", "1",
-         "--density", "16", "--trials", "64", "--out", "sweep.csv"],
+         "--trials", "64", "--out", "sweep.csv"],
         capsys,
     )
     assert code == 0
@@ -500,19 +524,33 @@ def test_verify_thm3_sweep(in_tmp, capsys):
     assert set(payload["summary"]) == {
         "t", "points_per_interval", "slope_aggregate_vs_k", "aggregate_doubling_ratios", "pass"
     }
-    assert len(payload["rows"]) == 2
+    assert payload["summary"]["points_per_interval"] == 16
+    assert [(r["k"], r["n"]) for r in payload["rows"]] == [(1, 16), (2, 32)]
     lines = (in_tmp / "sweep.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "k,t,n,lhs,rhs,ratio"
     assert len(lines) == 3
 
 
+def test_verify_thm3_sweep_union(in_tmp, capsys):
+    # the sweep passes --variant through: its rows are the union reports
+    code, out, err = run_cli(
+        ["verify", "thm3", "--sweep", "1,2", "--epsilon", "0.5", "--t", "1",
+         "--variant", "union", "--trials", "64", "--seed", "3"],
+        capsys,
+    )
+    assert code in (0, 1), err
+    reports, summary = sweep_theorem3([1, 2], t=1, epsilon=0.5, trials=64, seed=3,
+                                      variant="union")
+    assert reports[0].variant == "union"
+    assert out == json.dumps({"rows": [r.to_json_dict() for r in reports], "summary": summary}) + "\n"
+    assert code == (0 if summary["pass"] else 1)
+
+
 @pytest.mark.parametrize(
-    "flags, named",
-    [(["--k", "3"], "--k"), (["--n", "5"], "--n"), (["--variant", "union"], "--variant union")],
-    ids=["k", "n", "variant"],
+    "flags, named", [(["--k", "3"], "--k"), (["--n", "5"], "--n")], ids=["k", "n"]
 )
 def test_verify_thm3_sweep_rejects_flags_it_ignores(in_tmp, capsys, flags, named):
-    # the sweep checks the sum variant at n = density * k for each k
+    # each k of a sweep runs at its default n = 16kt^2
     argv = ["verify", "thm3", "--sweep", "2,4", "--t", "1", "--epsilon", "0.5",
             "--trials", "50", *flags]
     code, out, err = run_cli(argv, capsys)
@@ -521,17 +559,19 @@ def test_verify_thm3_sweep_rejects_flags_it_ignores(in_tmp, capsys, flags, named
 
 
 def test_verify_thm3_usage_errors(in_tmp, capsys):
-    # --k is required without --sweep; --density only applies to sweeps
-    code, _, _ = run_cli(["verify", "thm3", "--epsilon", "0.5"], capsys)
-    assert code == 2
-    code, _, _ = run_cli(
-        ["verify", "thm3", "--k", "2", "--epsilon", "0.5", "--t", "1", "--density", "16"], capsys
+    # --k is required without --sweep; a sweep needs an integer k list
+    code, out, err = run_cli(["verify", "thm3", "--epsilon", "0.5"], capsys)
+    assert (code, out) == (2, "")
+    assert "--k" in err
+    code, out, err = run_cli(
+        ["verify", "thm3", "--sweep", "2,x", "--epsilon", "0.5", "--t", "1"], capsys
     )
-    assert code == 2
+    assert (code, out) == (2, "")
+    assert "--sweep" in err
 
 
 def test_verify_thm3_t0_needs_explicit_size(in_tmp, capsys):
-    # the default n = 16kt^2 (density 16t^2) is 0 at t = 0
+    # the default n = 16kt^2 is 0 at t = 0; a sweep, which takes no --n, needs t >= 1
     code, out, err = run_cli(["verify", "thm3", "--k", "2", "--t", "0", "--epsilon", "0.5"], capsys)
     assert (code, out) == (2, "")
     assert "t = 0" in err and "--n" in err
@@ -539,7 +579,7 @@ def test_verify_thm3_t0_needs_explicit_size(in_tmp, capsys):
         ["verify", "thm3", "--sweep", "1,2", "--t", "0", "--epsilon", "0.5"], capsys
     )
     assert (code, out) == (2, "")
-    assert "t = 0" in err and "--density" in err
+    assert "t = 0" in err and "t >= 1" in err
     code, out, _ = run_cli(
         ["verify", "thm3", "--k", "2", "--t", "0", "--n", "20", "--epsilon", "0.5",
          "--trials", "64"],
@@ -589,6 +629,23 @@ def test_synth_invalid_params(in_tmp, capsys):
         capsys,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--kind", "blobs", "--k", "3", "--n", "5", "--d", "2", "--spread", "inf"], "spread"),
+        (["--kind", "blobs", "--k", "3", "--n", "100", "--d", "2", "--spread", "1e308"],
+         "non-finite"),
+        (["--kind", "uniform", "--k", str(10**400), "--n", "5"], "int64"),
+    ],
+    ids=["spread-inf", "spread-overflow", "k-beyond-int64"],
+)
+def test_synth_out_of_range_is_exit_2(in_tmp, capsys, flags, named):
+    code, out, err = run_cli(["synth", *flags, "--out", "x.csv"], capsys)
+    assert (code, out) == (2, ""), err
+    assert named in err
+    assert not (in_tmp / "x.csv").exists()
 
 
 def test_threads_env_var(in_tmp, capsys):

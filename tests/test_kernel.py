@@ -17,6 +17,7 @@ from mbl.kernel import (
     kernel_trace,
     parse_kernel_spec,
     trace_complexity,
+    worst_case_complexity,
 )
 from mbl.rademacher import (
     TabulatedSupOracle,
@@ -283,6 +284,17 @@ def test_rad_bounds_zero_cap():
     dd, worst = kernel_rad_bounds(np.eye(4), lambda_cap=0.0)
     assert dd == 0.0
     assert worst(5.0) == 0.0
+
+
+def test_worst_case_complexity_bits_and_overflow():
+    rng = np.random.default_rng(8)
+    for radius, lam, n in zip(rng.uniform(0, 10, 50), rng.uniform(0, 10, 50), range(1, 51)):
+        want = math.sqrt(radius * radius * lam * lam / n)
+        assert worst_case_complexity(radius, lam, n) == want
+        assert kernel_rad_bounds(np.eye(n), lam)[1](radius) == want
+    for radius, lam in ((1e200, 1e200), (math.nan, 1.0), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="not finite"):
+            worst_case_complexity(radius, lam, 10)
 
 
 def test_rad_bounds_data_dependent_is_trace_complexity():

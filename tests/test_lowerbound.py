@@ -377,7 +377,7 @@ def test_report_json_keys():
 
 
 def test_sweep_theorem3_small():
-    reports, summary = sweep_theorem3([1, 2], t=1, points_per_interval=16, trials=256, seed=2)
+    reports, summary = sweep_theorem3([1, 2], t=1, trials=256, seed=2)
     assert len(reports) == 2
     assert summary["pass"]
     assert summary["t"] == 1
@@ -389,8 +389,28 @@ def test_sweep_theorem3_small():
 def test_sweep_theorem3_validation():
     with pytest.raises(ValueError):
         sweep_theorem3([], t=1)
-    with pytest.raises(ValueError):
-        sweep_theorem3([2, 4], t=2, points_per_interval=16)
+    # n = 16kt^2 is zero at t = 0, and a sweep takes no explicit n
+    with pytest.raises(ValueError, match="t = 0"):
+        sweep_theorem3([2, 4], t=0)
+    with pytest.raises(ValueError, match="variant"):
+        sweep_theorem3([2], t=1, variant="product")
+
+
+@pytest.mark.parametrize("variant", ["sum", "union"])
+def test_sweep_theorem3_is_verify_theorem3_per_k(variant):
+    # one run path: row k is the single run at n = 16kt^2 under the seed derived from (seed, k)
+    reports, summary = sweep_theorem3([2, 4, 8], t=2, trials=64, seed=5, variant=variant)
+    want = [
+        verify_theorem3(
+            LowerBoundConfig(k=k, epsilon=0.5, t=2, seed=lowerbound._derived_seed(5, k), trials=64),
+            variant,
+        )
+        for k in (2, 4, 8)
+    ]
+    assert reports == want
+    assert [r.n for r in reports] == [16 * k * 2 * 2 for k in (2, 4, 8)]
+    assert summary["points_per_interval"] == 64
+    assert summary["pass"] == all(r.passed for r in want)
 
 
 @settings(max_examples=200, deadline=None)

@@ -79,10 +79,19 @@ def test_generator_spec_validation():
         dict(d=0),
         dict(d=2),
         dict(spread=-1.0),
+        dict(spread=math.inf),
+        dict(spread=math.nan),
+        dict(k=2**63 - 1),  # its k + 1 label overflows int64
+        dict(k=10**400),
         dict(labels_mode="alternating"),
     ):
         with pytest.raises(ValueError):
             GeneratorSpec(**{**good, **bad})
+
+
+def test_generator_spec_accepts_largest_label():
+    ds = generate(GeneratorSpec(kind="uniform_interval", k=2**63 - 2, n=3, seed=0))
+    assert ds.labels.tolist() == [2**63 - 1] * 3
 
 
 def test_interval_counts_meet_density_floor():
