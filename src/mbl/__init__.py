@@ -41,7 +41,7 @@ from .margin import (
     materialize_margin_class,
     verify_lemma1,
 )
-from .kernel import KernelSpec, gram, kernel_rad_bounds, parse_kernel_spec
+from .kernel import KernelSpec, gram, kernel_mc_rademacher, kernel_rad_bounds, parse_kernel_spec
 from .bounds import (
     BoundInput,
     BoundReport,
@@ -84,6 +84,7 @@ __all__ = [
     "verify_lemma1",
     "KernelSpec",
     "gram",
+    "kernel_mc_rademacher",
     "kernel_rad_bounds",
     "parse_kernel_spec",
     "BoundInput",

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .bounds import METHODS, BoundInput, compare_bounds, theorem1_bound, theorem2_bound
 from .core import CapExceeded
-from .kernel import KernelSupOracle, gram, kernel_trace, parse_kernel_spec
+from .kernel import KernelSupOracle, gram, kernel_mc_rademacher, kernel_trace, parse_kernel_spec
 from .kernel import trace_complexity, worst_case_complexity
 from .lowerbound import LowerBoundConfig, Theorem3Report, sweep_theorem3, verify_theorem3
 from .margin import empirical_margin_cdf, lemma1_sweep, margin_distribution
@@ -99,6 +99,7 @@ def _parse_list(text: str, flag: str, kind: type) -> list:
 
 def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
     source = args.cls
+    convention = args.convention
     if source.startswith("tabulated:"):
         for flag, given in (("--data", args.data), ("--lambda", args.lambda_cap is not None)):
             if given:
@@ -117,12 +118,17 @@ def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
         dataset = read_dataset_csv(args.data)
         oracle = KernelSupOracle(gram(spec, dataset.points), args.lambda_cap)
         n = dataset.n
+        # The norm-ball supremum is even in eps, so both conventions give the
+        # signed estimate, at one oracle query per draw.
+        convention = "signed"
     else:
         raise ValueError("--class must be tabulated:<csv> or kernel:<spec>")
     if args.mode == "exact":
-        est = exact_empirical_rademacher(oracle, n, convention=args.convention)
+        est = exact_empirical_rademacher(oracle, n, convention=convention)
+    elif isinstance(oracle, KernelSupOracle):
+        est = kernel_mc_rademacher(oracle, args.trials, args.seed)
     else:
-        est = mc_empirical_rademacher(oracle, n, args.trials, args.seed, convention=args.convention)
+        est = mc_empirical_rademacher(oracle, n, args.trials, args.seed, convention=convention)
     payload = {
         "value": est.value,
         "method": est.method,
@@ -147,12 +153,16 @@ def _thm1_rad_value(args, ctx: _RunContext, n: int) -> float:
     if not args.lambda_cap >= 0 or (args.radius is not None and not args.radius >= 0):
         raise ValueError("--lambda and --R must be >= 0")
     if args.data:
+        if args.radius is not None:
+            raise ValueError("give --R (worst case) or --data (data dependent), not both")
         spec = parse_kernel_spec(args.kernel) if args.kernel else parse_kernel_spec("linear")
         ctx.track_input(args.data)
         dataset = read_dataset_csv(args.data)
         if dataset.n != n:
             raise ValueError(f"--data has {dataset.n} rows but the scores file has {n}")
         return trace_complexity(kernel_trace(spec, dataset.points), args.lambda_cap, n)
+    if args.kernel:
+        raise ValueError("--kernel needs --data: the kernel enters only through trace G")
     if args.radius is None:
         raise ValueError("with --lambda give --R (norm-ball worst case) or --data (data dependent)")
     return worst_case_complexity(args.radius, args.lambda_cap, n)
@@ -185,8 +195,13 @@ def _cmd_bound_eval(args, ctx: _RunContext) -> tuple[int, dict]:
         )
         report = theorem1_bound(inp, delta_grid=grid)
     else:
-        if args.rad_value is not None:
-            raise ValueError("thm2 does not take --rad: its complexity term is built in")
+        for flag, given in (
+            ("--rad", args.rad_value is not None),
+            ("--kernel", args.kernel),
+            ("--data", args.data),
+        ):
+            if given:
+                raise ValueError(f"thm2 does not take {flag}: --lambda and --R give its complexity")
         if args.delta_grid:
             raise ValueError("thm2 takes a single --delta, not --delta-grid")
         if args.delta is None:

@@ -349,6 +349,21 @@ def exact_empirical_rademacher(
     return _one_column(exact_rademacher_columns(oracle, n, convention))
 
 
+def _check_mc_request(n: int, trials: int, seed: int) -> None:
+    """Reject a Monte Carlo request before any batch: too few trials, n < 1,
+    more than MC_SIGN_CELL_CAP sign cells, or a seed outside the stream's keys."""
+    if trials < 2:
+        raise ValueError("trials must be >= 2 for a standard error")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if trials * n > MC_SIGN_CELL_CAP:
+        raise CapExceeded(
+            f"{trials} trials x n={n} need {trials * n} sign cells; cap is {MC_SIGN_CELL_CAP}"
+        )
+    if not 0 <= seed < (1 << 64):
+        raise ValueError("seed must be an integer in [0, 2^64)")
+
+
 def mc_rademacher_columns(
     oracle: SupOracle,
     n: int,
@@ -365,14 +380,7 @@ def mc_rademacher_columns(
     oracle returning that column alone.  trials * n above MC_SIGN_CELL_CAP
     raises CapExceeded before any batch runs.
     """
-    if trials < 2:
-        raise ValueError("trials must be >= 2 for a standard error")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if trials * n > MC_SIGN_CELL_CAP:
-        raise CapExceeded(
-            f"{trials} trials x n={n} need {trials * n} sign cells; cap is {MC_SIGN_CELL_CAP}"
-        )
+    _check_mc_request(n, trials, seed)
     if n <= EXACT_ENUMERATION_CAP and 1 << n <= trials:
         # at most 2^n distinct draws: query each pattern once, weighted by its count
         counts = _pattern_counts(seed, n, trials)

@@ -14,6 +14,7 @@ import pytest
 
 import mbl
 from mbl.cli import _RunContext, _thm1_rad_value, main
+from mbl.kernel import KernelSpec, KernelSupOracle, gram, kernel_mc_rademacher
 from mbl.lowerbound import sweep_theorem3
 from mbl.margin import ScoreMatrix
 from mbl.synth import (
@@ -166,6 +167,35 @@ def test_rad_kernel_class(in_tmp, capsys):
     assert code == 2
 
 
+def _write_blobs(path, n):
+    write_dataset_csv(generate(GeneratorSpec(kind="gaussian_blobs", k=3, n=n, seed=3, d=2)), path)
+
+
+def test_rad_kernel_mc_is_the_jensen_gap_estimator_bitwise(in_tmp, capsys):
+    _write_blobs(in_tmp / "d.csv", 40)
+    argv = ["rad", "--class", "kernel:rbf:gamma=0.5", "--mode", "mc", "--data", "d.csv",
+            "--lambda", "2.0", "--trials", "3000", "--seed", "7"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    g = gram(KernelSpec(kind="rbf", gamma=0.5), read_dataset_csv("d.csv").points)
+    est = kernel_mc_rademacher(KernelSupOracle(g, 2.0), 3000, 7)
+    assert (payload["value"], payload["std_error"]) == (est.value, est.std_error)
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_rad_kernel_conventions_differ_only_in_the_echo(in_tmp, capsys, mode):
+    _write_blobs(in_tmp / "d.csv", 10)
+    argv = ["rad", "--class", "kernel:poly:degree=2", "--mode", mode, "--data", "d.csv",
+            "--lambda", "1.5", "--trials", "500", "--convention"]
+    code, signed, err = run_cli(argv + ["signed"], capsys)
+    assert code == 0, err
+    code, absolute, err = run_cli(argv + ["absolute"], capsys)
+    assert code == 0, err
+    assert '"convention": "signed"' in signed
+    assert absolute == signed.replace('"convention": "signed"', '"convention": "absolute"')
+
+
 def test_bound_eval_thm1_trivial(in_tmp, capsys):
     spath, lpath = _write_margin3_files(in_tmp, n=100)
     code, out, _ = run_cli(
@@ -258,6 +288,19 @@ def test_bound_eval_flag_conflicts(in_tmp, capsys):
     ):
         code, _, err = run_cli(base + extra, capsys)
         assert code == 2, (extra, err)
+    # Flags that do not apply are refused by name, not ignored.
+    _write_blobs(in_tmp / "d.csv", 10)
+    for flag, extra in (
+        ("--kernel", ["--method", "thm2", "--delta", "0.5", "--lambda", "1", "--R", "1",
+                      "--kernel", "rbf:gamma=0.5", "--data", "nonexistent.csv"]),
+        ("--data", ["--method", "thm2", "--delta", "0.5", "--lambda", "1", "--R", "1",
+                    "--data", "d.csv"]),
+        ("--kernel", ["--method", "thm1", "--lambda", "1", "--R", "1", "--kernel", "poly:degree=2"]),
+        ("--R", ["--method", "thm1", "--lambda", "1", "--R", "5", "--data", "d.csv"]),
+    ):
+        code, out, err = run_cli(base + extra, capsys)
+        assert (code, out) == (2, ""), (extra, err)
+        assert flag in err, (extra, err)
 
 
 

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mbl.core import CapExceeded
 from mbl.kernel import (
     KernelSpec,
     KernelSupOracle,
+    _JensenGapOracle,
     check_psd,
     gram,
+    kernel_mc_rademacher,
     kernel_rad_bounds,
     kernel_trace,
     parse_kernel_spec,
@@ -351,3 +354,77 @@ def test_grid_class_approaches_kernel_oracle():
     kern_val = exact_empirical_rademacher(kern_oracle, 5).value
     assert grid_val <= kern_val + 1e-12
     assert kern_val - grid_val <= 1e-4
+
+
+_SPECS = (
+    KernelSpec(kind="rbf", gamma=0.5),
+    KernelSpec(kind="linear"),
+    KernelSpec(kind="poly", degree=2, coef=1.0),
+)
+
+
+def _trace_bound(oracle):
+    return trace_complexity(float(np.trace(oracle.g)), oracle.lambda_cap, oracle.n)
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=KernelSpec.label)
+def test_kernel_conventions_coincide_bitwise(spec):
+    # eps^T G eps is even in eps, so taking the max at eps and -eps changes
+    # no bit: the CLI estimates kernel classes once, under the signed one.
+    rng = np.random.default_rng(5)
+    for n, estimate in (
+        (300, lambda o, conv: mc_empirical_rademacher(o, 300, 2000, 3, convention=conv)),
+        (12, lambda o, conv: exact_empirical_rademacher(o, 12, convention=conv)),
+    ):
+        oracle = KernelSupOracle(gram(spec, rng.normal(size=(n, 2))), 1.3)
+        assert estimate(oracle, "signed") == estimate(oracle, "absolute")
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=KernelSpec.label)
+def test_jensen_gap_exact_identity(spec):
+    # Over all 2^n signs the mean of eps^T G eps is trace G, so the trace
+    # bound minus the mean gap is the exact complexity.
+    rng = np.random.default_rng(17)
+    for n in (3, 8, 12):
+        oracle = KernelSupOracle(gram(spec, rng.normal(size=(n, 2))), 0.7)
+        c = _trace_bound(oracle)
+        gap = exact_empirical_rademacher(_JensenGapOracle(oracle, c), n).value
+        exact = exact_empirical_rademacher(oracle, n).value
+        assert c - gap == pytest.approx(exact, rel=1e-12)
+        est = kernel_mc_rademacher(oracle, 20000, n)
+        assert abs(est.value - exact) <= 4.0 * est.std_error
+
+
+def test_kernel_mc_variance_below_plain_monte_carlo():
+    rng = np.random.default_rng(2)
+    for g in (gram(KernelSpec(kind="rbf", gamma=0.5), rng.normal(size=(60, 3))), np.ones((60, 60))):
+        oracle = KernelSupOracle(g, 1.0)
+        for seed in range(3):
+            plain = mc_empirical_rademacher(oracle, 60, 4000, seed)
+            est = kernel_mc_rademacher(oracle, 4000, seed)
+            assert est.std_error <= 0.5 * plain.std_error
+            assert abs(est.value - plain.value) <= 4.0 * plain.std_error
+            assert (est.method, est.trials, est.seed) == ("monte-carlo", 4000, seed)
+
+
+def test_kernel_mc_never_above_trace_bound():
+    rng = np.random.default_rng(6)
+    for seed in range(20):
+        spec = _SPECS[seed % len(_SPECS)]
+        oracle = KernelSupOracle(gram(spec, rng.normal(size=(30, 2))), 2.0)
+        assert kernel_mc_rademacher(oracle, 500, seed).value <= _trace_bound(oracle)
+
+
+@pytest.mark.parametrize("g, lam", [(np.eye(7), 0.0), (np.zeros((7, 7)), 1.5)])
+def test_kernel_mc_zero_trace_bound(g, lam):
+    oracle = KernelSupOracle(g, lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = kernel_mc_rademacher(oracle, 100, 4)
+    assert (est.value, est.std_error, est.trials, est.seed) == (0.0, 0.0, 100, 4)
+    with pytest.raises(ValueError, match="trials"):
+        kernel_mc_rademacher(oracle, 1, 4)
+    with pytest.raises(CapExceeded):
+        kernel_mc_rademacher(oracle, 10**10, 4)
+    with pytest.raises(ValueError, match="seed"):
+        kernel_mc_rademacher(oracle, 100, -1)
