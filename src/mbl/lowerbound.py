@@ -24,9 +24,10 @@ One oracle, ``Theorem3SupOracle``, turns those (trials, k) optima and sign
 sums into every supremum the verification needs, one column each (margin
 side, interval sum, union, union-margin side, restricted interval j);
 everything before the normalization by n is integer arithmetic, so batched
-and per-vector evaluation agree bitwise.  ``mc_rademacher_columns`` reduces
-all columns of one sign stream: ``select_t`` makes one such call per
-candidate t and ``verify_theorem3`` one per side.
+and per-vector evaluation agree bitwise.  Every Theorem-3 run (one
+``select_t`` candidate, one ``verify_theorem3`` check) is one
+``mc_rademacher_columns`` call on one uniform sample and one sign stream,
+and ``verify_theorem3`` reads both of its sides off that call.
 
 With labels concentrated on class k+1 and the per-class classes
 (F_t^1, ..., F_t^k, F_0), every margin is m(x_i) = -1 - max_j f_j(x_i), so
@@ -48,8 +49,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CapExceeded, LabeledDataset, as_sign_vector
-from .rademacher import enumerate_sign_vectors, mc_rademacher_columns
+from .core import CapExceeded, LabeledDataset, RademacherEstimate, as_sign_vector
+from .rademacher import _check_mc_request, enumerate_sign_vectors, mc_rademacher_columns
 from .synth import GeneratorSpec, generate
 
 __all__ = [
@@ -244,17 +245,16 @@ def partition_points(points, k: int) -> tuple[list[np.ndarray], np.ndarray]:
 
     Returns (inside, boundary): ``inside[j-1]`` holds the indices strictly
     inside (j, j+1) sorted by coordinate; ``boundary`` holds indices that sit
-    exactly on an integer (where every interval function takes -1).
+    exactly on an integer (where every interval function takes -1).  A point
+    outside [1, k+1], NaN included, raises ValueError.
     """
     x = _scalar_points(points)
-    if x.size and (x.min() < 1.0 or x.max() > k + 1.0):
+    if x.size and not (x.min() >= 1.0 and x.max() <= k + 1.0):  # NaN fails both
         raise ValueError(f"points must lie in [1, {k + 1}]")
     on_boundary = x == np.floor(x)
-    interval = np.floor(x).astype(np.int64)
-    inside: list[np.ndarray] = []
-    for j in range(1, k + 1):
-        idx = np.nonzero((interval == j) & ~on_boundary)[0]
-        inside.append(idx[np.argsort(x[idx], kind="stable")])
+    order = np.argsort(x, kind="stable")
+    interior = order[~on_boundary[order]]
+    inside = np.split(interior, np.searchsorted(x[interior], np.arange(2, k + 1)))
     return inside, np.nonzero(on_boundary)[0]
 
 
@@ -339,8 +339,14 @@ def _derived_seed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence((seed, *tags)).generate_state(1, np.uint64)[0])
 
 
-def _uniform_dataset(k: int, n: int, seed: int) -> LabeledDataset:
-    return generate(GeneratorSpec(kind="uniform_interval", k=k, n=n, seed=seed))
+def _theorem3_columns(
+    k: int, t: int, n: int, trials: int, sample_seed: int, sign_seed: int
+) -> list[RademacherEstimate]:
+    """Every Theorem3SupOracle column on one uniform sample and one sign stream;
+    a runaway request raises CapExceeded before the sample is drawn."""
+    _check_mc_request(n, trials, sign_seed)
+    dataset = generate(GeneratorSpec(kind="uniform_interval", k=k, n=n, seed=sample_seed))
+    return mc_rademacher_columns(Theorem3SupOracle(dataset, k, t), n, trials, sign_seed)
 
 
 def select_t(
@@ -372,10 +378,9 @@ def select_t(
             raise CapExceeded(
                 f"t-selection budget exhausted: candidate t={t} needs n={n} > {n_budget}"
             )
-        dataset = _uniform_dataset(k, n, _derived_seed(seed, t, 0))
         ref = reference_complexity(n, convention)
-        ests = mc_rademacher_columns(
-            Theorem3SupOracle(dataset, k, t), n, trials, _derived_seed(seed, t, 1)
+        ests = _theorem3_columns(
+            k, t, n, trials, _derived_seed(seed, t, 0), _derived_seed(seed, t, 1)
         )
         if all(est.value >= big_c * ref for est in ests[COL_RESTRICTED:]):
             return t, n
@@ -388,8 +393,14 @@ def verify_theorem3(config: LowerBoundConfig, variant: str = "sum") -> Theorem3R
     lhs estimates the margin-class complexity (labels concentrated on k+1),
     rhs the sum over intervals of unrestricted complexities (variant
     "union": k times the union-class complexity instead).  Passes when
-    lhs >= (1 - epsilon) rhs - 4 * combined std error.  The two sides are
-    columns of one oracle, estimated on independent sign streams.
+    lhs >= (1 - epsilon) rhs - 4 * combined std error, where the combined
+    error sqrt(se_lhs^2 + ((1 - epsilon) se_rhs)^2) is the one independent
+    sides would have.  Both sides are columns of one estimator call, so they
+    share every sign draw and are positively correlated (in the sum variant
+    n^2 Cov = Var(sum_j optimum_j) + (k - 1)(n - #boundary points) >= 0, as
+    each optimum is even in its interval's signs).  The combined error then
+    overstates the error of lhs - (1 - epsilon) rhs, so Monte Carlo noise
+    fails the check no more often than it would on independent streams.
     """
     if variant not in ("sum", "union"):
         raise ValueError("variant must be 'sum' or 'union'")
@@ -402,19 +413,13 @@ def verify_theorem3(config: LowerBoundConfig, variant: str = "sum") -> Theorem3R
         t = config.t
         n = config.n if config.n is not None else _lawful_n(k, t)
         auto = False
-    dataset = _uniform_dataset(k, n, _derived_seed(config.seed, 0, 0))
-    oracle = Theorem3SupOracle(dataset, k, t)
+    ests = _theorem3_columns(
+        k, t, n, config.trials, _derived_seed(config.seed, 0, 0), _derived_seed(config.seed, 0, 2)
+    )
     if variant == "sum":
-        lhs_col, rhs_col, rhs_scale = COL_MARGIN, COL_SUM, 1.0
+        lhs_est, rhs_est, rhs_scale = ests[COL_MARGIN], ests[COL_SUM], 1.0
     else:
-        lhs_col, rhs_col, rhs_scale = COL_UNION_MARGIN, COL_UNION, float(k)
-
-    lhs_est = mc_rademacher_columns(
-        oracle, n, config.trials, _derived_seed(config.seed, 0, 1)
-    )[lhs_col]
-    rhs_est = mc_rademacher_columns(
-        oracle, n, config.trials, _derived_seed(config.seed, 0, 2)
-    )[rhs_col]
+        lhs_est, rhs_est, rhs_scale = ests[COL_UNION_MARGIN], ests[COL_UNION], float(k)
     lhs, se_lhs = lhs_est.value, lhs_est.std_error
     rhs = rhs_scale * rhs_est.value
     se_rhs = rhs_scale * rhs_est.std_error
@@ -453,19 +458,24 @@ def sweep_theorem3(
     intervals contributes one m-point DP optimum and the normalization
     n = k m cancels the count), so the quantity that exhibits the linear
     growth is the aggregate n * rhs, the summed expected interval optima.
-    The summary reports its slope fit and doubling ratios.
+    The summary reports its slope fit and doubling ratios.  A repeated k
+    raises ValueError; a k whose request is over the sign-cell cap raises
+    CapExceeded before the first run.
     """
     ks = [int(k) for k in k_list]
     if not ks:
         raise ValueError("k_list must be nonempty")
     if t < 1:
         raise ValueError(f"a sweep needs t >= 1 (t = 0 makes n = 16*k*t^2 zero), got t={t}")
-    reports = []
-    for k in ks:
-        cfg = LowerBoundConfig(
-            k=k, epsilon=epsilon, t=t, seed=_derived_seed(seed, k), trials=trials
-        )
-        reports.append(verify_theorem3(cfg, variant))
+    if len(set(ks)) != len(ks):
+        raise ValueError(f"the sweep's k values (--sweep) must be distinct, got {ks}")
+    configs = [
+        LowerBoundConfig(k=k, epsilon=epsilon, t=t, seed=_derived_seed(seed, k), trials=trials)
+        for k in ks
+    ]
+    for cfg in configs:  # refuse a runaway k before the first run
+        _check_mc_request(_lawful_n(cfg.k, t), trials, _derived_seed(cfg.seed, 0, 2))
+    reports = [verify_theorem3(cfg, variant) for cfg in configs]
     karr = np.asarray(ks, dtype=np.float64)
     aggregate = np.asarray([r.n * r.rhs for r in reports])
     summary = {

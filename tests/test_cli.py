@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import mbl
+from mbl import lowerbound
 from mbl.cli import _RunContext, _thm1_rad_value, main
 from mbl.kernel import KernelSpec, KernelSupOracle, gram, kernel_mc_rademacher
 from mbl.lowerbound import sweep_theorem3
@@ -611,6 +612,12 @@ def test_verify_thm3_usage_errors(in_tmp, capsys):
     )
     assert (code, out) == (2, "")
     assert "--sweep" in err
+    # a repeated k would fit the slope through one distinct k
+    code, out, err = run_cli(
+        ["verify", "thm3", "--sweep", "2,2", "--epsilon", "0.5", "--trials", "16"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "--sweep" in err
 
 
 def test_verify_thm3_t0_needs_explicit_size(in_tmp, capsys):
@@ -630,6 +637,22 @@ def test_verify_thm3_t0_needs_explicit_size(in_tmp, capsys):
     )
     assert code in (0, 1)
     assert (json.loads(out)["t"], json.loads(out)["n"]) == (0, 20)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--k", "2", "--t", "1", "--n", "20000000"],  # 1000 x 2e7 sign cells
+        ["--sweep", "2,4,40000", "--t", "4", "--trials", "1000"],  # k = 40000: 1000 x 1.024e7
+    ],
+    ids=["single", "sweep"],
+)
+def test_verify_thm3_runaway_request_is_exit_3_before_sampling(in_tmp, capsys, monkeypatch, flags):
+    drawn = []
+    monkeypatch.setattr(lowerbound, "generate", drawn.append)
+    code, out, err = run_cli(["verify", "thm3", *flags, "--epsilon", "0.5"], capsys)
+    assert (code, out, drawn) == (3, "", [])
+    assert "sign cells" in err
 
 
 def test_verify_thm3_budget_cap_is_exit_3(in_tmp, capsys):

@@ -97,6 +97,36 @@ def test_partition_points():
         partition_points(np.array([0.5]), k=2)
     with pytest.raises(ValueError):
         partition_points(np.array([3.5]), k=2)
+    # NaN lies in no interval and on no boundary
+    with pytest.raises(ValueError):
+        partition_points(np.array([1.5, np.nan]), k=2)
+
+
+def _partition_by_masks(x, k):
+    """Reference partition: one mask pass per interval, each interior sorted on its own."""
+    on_boundary = x == np.floor(x)
+    interval = np.floor(x).astype(np.int64)
+    inside = []
+    for j in range(1, k + 1):
+        idx = np.nonzero((interval == j) & ~on_boundary)[0]
+        inside.append(idx[np.argsort(x[idx], kind="stable")])
+    return inside, np.nonzero(on_boundary)[0]
+
+
+def test_partition_points_matches_per_interval_masks():
+    # a quarter grid makes ties and integer (boundary) points common, and
+    # empty intervals occur at small n
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        k = int(rng.integers(1, 9))
+        n = int(rng.integers(0, 40))
+        grid = 1.0 + rng.integers(0, 4 * k + 1, size=n) / 4.0
+        x = np.where(rng.random(n) < 0.5, grid, 1.0 + k * rng.random(n))
+        (inside, boundary), (want, want_boundary) = partition_points(x, k), _partition_by_masks(x, k)
+        assert len(inside) == k
+        for got, ref in zip([*inside, boundary], [*want, want_boundary]):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
 
 
 def _columns(data, k, t, signs):
@@ -368,6 +398,57 @@ def test_verify_theorem3_union_variant():
         verify_theorem3(cfg, variant="both")
 
 
+def test_verify_theorem3_makes_one_estimator_call(monkeypatch):
+    calls = []
+    real = lowerbound.mc_rademacher_columns
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lowerbound, "mc_rademacher_columns", counting)
+    verify_theorem3(LowerBoundConfig(k=3, epsilon=0.5, t=1, seed=2, trials=64))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "variant, lhs_col, rhs_col, scale",
+    [("sum", COL_MARGIN, COL_SUM, 1.0), ("union", COL_UNION_MARGIN, COL_UNION, 3.0)],
+    ids=["sum", "union"],
+)
+def test_verify_theorem3_reads_both_sides_off_one_stream(variant, lhs_col, rhs_col, scale):
+    # the sample comes from (seed, 0, 0) and the signs of both sides from (seed, 0, 2)
+    k, t, n, seed, trials = 3, 2, 192, 11, 200
+    report = verify_theorem3(
+        LowerBoundConfig(k=k, epsilon=0.5, t=t, seed=seed, trials=trials), variant
+    )
+    ds = generate(
+        GeneratorSpec(kind="uniform_interval", k=k, n=n, seed=lowerbound._derived_seed(seed, 0, 0))
+    )
+    ests = rademacher.mc_rademacher_columns(
+        Theorem3SupOracle(ds, k, t), n, trials, lowerbound._derived_seed(seed, 0, 2)
+    )
+    assert (report.lhs, report.lhs_std_error) == (ests[lhs_col].value, ests[lhs_col].std_error)
+    assert (report.rhs, report.rhs_std_error) == (
+        scale * ests[rhs_col].value,
+        scale * ests[rhs_col].std_error,
+    )
+
+
+@pytest.mark.parametrize("k, t", [(2, 2), (4, 4), (8, 8), (2, 4), (16, 4)])
+@pytest.mark.parametrize(
+    "lhs_col, rhs_col", [(COL_MARGIN, COL_SUM), (COL_UNION_MARGIN, COL_UNION)], ids=["sum", "union"]
+)
+def test_both_sides_are_positively_correlated_on_one_stream(k, t, lhs_col, rhs_col):
+    # The shapes of acceptance gates 4 (auto t at seed 0) and 5 (the t = 4
+    # sweep).  On common draws the independence formula for the combined
+    # standard error then overstates the error of lhs - (1 - eps) rhs.
+    n = 16 * k * t * t
+    ds = generate(GeneratorSpec(kind="uniform_interval", k=k, n=n, seed=k))
+    cols = Theorem3SupOracle(ds, k, t).query_block(trial_sign_block(t, 0, 256, n))
+    assert np.cov(cols[:, lhs_col], cols[:, rhs_col])[0, 1] > 0.0
+
+
 def test_report_json_keys():
     cfg = LowerBoundConfig(k=1, epsilon=0.5, t=1, n=16, seed=0, trials=64)
     payload = verify_theorem3(cfg).to_json_dict()
@@ -394,6 +475,9 @@ def test_sweep_theorem3_validation():
         sweep_theorem3([2, 4], t=0)
     with pytest.raises(ValueError, match="variant"):
         sweep_theorem3([2], t=1, variant="product")
+    # a repeated k would fit the slope through fewer distinct k than rows
+    with pytest.raises(ValueError, match="distinct"):
+        sweep_theorem3([2, 2], t=1, trials=16)
 
 
 @pytest.mark.parametrize("variant", ["sum", "union"])
@@ -476,25 +560,27 @@ def test_margin_minus_interval_sum_is_linear_in_signs(k, t):
 
 
 # Recorded float.hex of (lhs, rhs, lhs_std_error, rhs_std_error): the
-# verifier's outputs are pinned bit for bit.
+# verifier's outputs are pinned bit for bit.  Both sides come from one sign
+# stream; at k = 2 without boundary points the two sum-variant columns
+# agree on every draw, so the third case has lhs = rhs.
 GOLDEN_THEOREM3 = [
     (
         dict(k=3, epsilon=0.5, t=2, n=200, seed=4, trials=300),
         "sum",
-        ("0x1.39f559b3d07c9p-2", "0x1.3d4daffdd0c27p-2",
-         "0x1.2a0dbfb2966a4p-8", "0x1.1ee812125447cp-7"),
+        ("0x1.3b900aec33e20p-2", "0x1.3d4daffdd0c27p-2",
+         "0x1.39d774278efd1p-8", "0x1.1ee812125447cp-7"),
     ),
     (
         dict(k=3, epsilon=0.5, t=1, n=64, seed=6, trials=256),
         "union",
-        ("0x1.1f40000000000p-1", "0x1.2c90000000000p-1",
-         "0x1.02aaa0118d609p-7", "0x1.18a8398b5bb1bp-6"),
+        ("0x1.27b0000000000p-1", "0x1.2c90000000000p-1",
+         "0x1.15f50ea074938p-7", "0x1.18a8398b5bb1bp-6"),
     ),
     (
         dict(k=2, epsilon=0.5, t=0, n=40, seed=8, trials=256, convention="signed"),
         "sum",
-        ("0x1.40ccccccccccdp-3", "0x1.4733333333333p-3",
-         "0x1.614cd90dbedb7p-7", "0x1.58814eaa75fc0p-7"),
+        ("0x1.4733333333333p-3", "0x1.4733333333333p-3",
+         "0x1.58814eaa75fc0p-7", "0x1.58814eaa75fc0p-7"),
     ),
 ]
 
