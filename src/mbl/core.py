@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "EXACT_ENUMERATION_CAP",
     "MC_SIGN_CELL_CAP",
+    "GRAM_CELL_CAP",
     "CapExceeded",
     "LabeledDataset",
     "TabulatedClass",
@@ -37,6 +38,11 @@ EXACT_ENUMERATION_CAP = 20
 # roughly 6e7 cells/s of a small tabulated oracle this is minutes of work,
 # 300 times the largest run any demo or benchmark makes (3.2e7 cells).
 MC_SIGN_CELL_CAP = 10**10
+
+# Hard cap on the n^2 cells of one Gram matrix (n <= 10,000): its build holds
+# two n x n float64 arrays, 1.6 GB at the cap.  The largest Gram any demo or
+# benchmark builds is n = 4000.
+GRAM_CELL_CAP = 10**8
 
 
 class CapExceeded(Exception):

@@ -26,6 +26,13 @@ of inner products, rbf with finite gamma > 0 is a Gaussian kernel, and poly
 with finite coef >= 0 is a sum of nonnegative multiples of powers of the
 linear kernel (Schur product theorem).  So |K(x, y)|^2 <= K(x, x) K(y, y),
 and a finite diagonal bounds every Gram entry.
+
+Working set: ``gram`` refuses more than GRAM_CELL_CAP cells before it
+allocates, and symmetrizes in place, one pair of _SYM_TILE x _SYM_TILE tiles
+at a time, instead of allocating g + g.T.  ``KernelSupOracle.query_block``
+converts its int8 signs to float64 in row sub-blocks of about _PRODUCT_CELLS
+cells (the sub-block size of ``TabulatedSupOracle``), so its float
+temporaries stay near 2 MiB whatever the batch size.
 """
 from __future__ import annotations
 
@@ -35,8 +42,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import LabeledDataset, RademacherEstimate
-from .rademacher import _check_mc_request, mc_empirical_rademacher
+from .core import GRAM_CELL_CAP, CapExceeded, LabeledDataset, RademacherEstimate
+from .rademacher import _PRODUCT_CELLS, _check_mc_request, mc_empirical_rademacher
 
 __all__ = [
     "KernelSpec",
@@ -52,6 +59,10 @@ __all__ = [
 ]
 
 _PSD_TOL_FACTOR = 1e-8
+
+# Side of the square tiles ``gram`` symmetrizes in place; 128 x 128 float64
+# tiles (128 KiB each) were fastest at n = 4000.
+_SYM_TILE = 128
 
 
 @dataclass(frozen=True)
@@ -135,9 +146,13 @@ def gram(spec: KernelSpec, data) -> np.ndarray:
     """n x n Gram matrix G_ij = K(x_i, x_j), symmetrized exactly.
 
     linear: x_i . x_j; rbf: exp(-gamma ||x_i - x_j||^2);
-    poly: (x_i . x_j + coef)^degree.
+    poly: (x_i . x_j + coef)^degree.  Raises CapExceeded before allocating
+    when n^2 exceeds GRAM_CELL_CAP.
     """
     pts = _points(data)
+    n = pts.shape[0]
+    if n * n > GRAM_CELL_CAP:
+        raise CapExceeded(f"an n={n} Gram matrix has {n * n} cells; cap is {GRAM_CELL_CAP}")
     dots = pts @ pts.T
     if spec.kind == "rbf":
         # ||x_i - x_j||^2 = ||x_i||^2 + ||x_j||^2 - 2 x_i . x_j, clamped at 0
@@ -154,15 +169,35 @@ def gram(spec: KernelSpec, data) -> np.ndarray:
     elif spec.kind == "linear":
         g = dots
     else:
+        g = dots
         with np.errstate(over="ignore"):  # overflow is rejected below
-            g = (dots + spec.coef) ** spec.degree
-    # (g + g.T)/2 is exactly symmetric in IEEE arithmetic.  Entries above
+            g += spec.coef
+            g **= spec.degree
+    # (g_ij + g_ji)/2 is exactly symmetric in IEEE arithmetic.  Entries above
     # DBL_MAX/2 overflow in the sum, so finiteness is checked after it.
     with np.errstate(over="ignore"):
-        g = (g + g.T) / 2.0
+        _symmetrize(g)
     if not np.isfinite(g).all():
         raise ValueError("gram matrix has non-finite entries")
     return g
+
+
+def _symmetrize(g: np.ndarray) -> None:
+    """Set g to (g + g.T) / 2 in place, bit for bit, one tile pair at a time.
+
+    Each entry becomes (g_ij + g_ji)/2 as in the whole-matrix expression,
+    and addition commutes, so the result is the same bits; the only
+    temporary is one tile.
+    """
+    n = g.shape[0]
+    for lo in range(0, n, _SYM_TILE):
+        for lo2 in range(lo, n, _SYM_TILE):
+            upper = g[lo : lo + _SYM_TILE, lo2 : lo2 + _SYM_TILE]
+            lower = g[lo2 : lo2 + _SYM_TILE, lo : lo + _SYM_TILE]
+            mean = upper + lower.T
+            mean /= 2.0
+            upper[...] = mean
+            lower[...] = mean.T
 
 
 def kernel_trace(spec: KernelSpec, data) -> float:
@@ -189,13 +224,17 @@ def check_psd(g: np.ndarray) -> float:
     """Validate G is PSD up to rounding; returns the smallest eigenvalue.
 
     Tolerance: min eigenvalue >= -_PSD_TOL_FACTOR * trace(G).  Raises
-    ValueError on a non-finite G, whose eigenvalues would be NaN and pass.
+    ValueError on a non-finite G, whose eigenvalues would be NaN and pass,
+    and on a G that is not exactly symmetric: eigvalsh reads only the lower
+    triangle, but the quadratic form eps^T G eps sees the symmetric part.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError("gram matrix must be square")
     if not np.isfinite(g).all():
         raise ValueError("gram matrix has non-finite entries")
+    if not np.array_equal(g, g.T):
+        raise ValueError("gram matrix is not exactly symmetric")
     eigs = np.linalg.eigvalsh(g)
     lo = float(eigs[0])
     tr = float(np.trace(g))
@@ -209,7 +248,8 @@ def check_psd(g: np.ndarray) -> float:
 class KernelSupOracle:
     """SupOracle for the 2-norm ball: each row eps gives (lam/n) sqrt(max(eps^T G eps, 0)).
 
-    G is checked to be PSD on construction.
+    G is checked to be symmetric and PSD on construction.  A block is
+    converted to float64 in row sub-blocks of about _PRODUCT_CELLS cells.
     """
 
     def __init__(self, g: np.ndarray, lambda_cap: float):
@@ -222,9 +262,16 @@ class KernelSupOracle:
         self.n = g.shape[0]
 
     def query_block(self, signs_block: np.ndarray) -> np.ndarray:
-        s = signs_block.astype(np.float64)
-        quad = np.einsum("ti,ij,tj->t", s, self.g, s, optimize=True)
-        return self.lambda_cap / self.n * np.sqrt(np.maximum(quad, 0.0))
+        rows = signs_block.shape[0]
+        quad = np.empty(rows)
+        step = max(1, _PRODUCT_CELLS // self.n)
+        for lo in range(0, rows, step):
+            s = signs_block[lo : lo + step].astype(np.float64)
+            quad[lo : lo + step] = np.einsum("ti,ij,tj->t", s, self.g, s, optimize=True)
+        np.maximum(quad, 0.0, out=quad)
+        np.sqrt(quad, out=quad)
+        quad *= self.lambda_cap / self.n
+        return quad
 
 
 class _JensenGapOracle:

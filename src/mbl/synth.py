@@ -138,17 +138,21 @@ def train_ova_ridge(
     are the per-class coefficient norms sqrt(alpha' G alpha), suitable as a
     norm cap covering the fitted scorer.
     """
-    if reg <= 0.0:
-        raise ValueError("reg must be > 0")
+    if not (math.isfinite(reg) and reg > 0.0):
+        raise ValueError(f"reg must be a finite number > 0, got {reg!r}")
     if dataset.n < dataset.k:
         raise ValueError(f"need n >= k, got n={dataset.n} < k={dataset.k}")
     g = gram(kernel, dataset.points)
     targets = np.where(
         dataset.labels[:, None] == np.arange(1, dataset.k + 1)[None, :], 1.0, -1.0
     )
-    system = g + reg * np.eye(dataset.n)
+    system = g.copy()
+    system[np.diag_indices(dataset.n)] += reg
     try:
-        alphas = np.linalg.solve(system, targets)
+        # gram() makes G exactly symmetric, so system.T is the same matrix;
+        # LAPACK wants column-major input, which the transposed view already
+        # is, so solve copies it without a transposing pass.
+        alphas = np.linalg.solve(system.T, targets)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"ridge system is singular (reg too small): {exc}") from exc
     if not np.all(np.isfinite(alphas)):

@@ -131,6 +131,20 @@ def test_rad_runaway_trials_is_exit_3_before_any_batch(in_tmp, capsys):
     assert "cap" in err
 
 
+def test_rad_kernel_gram_over_cap_is_exit_3_before_the_gram(in_tmp, capsys):
+    # 10,001 points need 100,020,001 Gram cells, just over GRAM_CELL_CAP.
+    rows = "".join(f"{i},{i * 1e-3!r},1\n" for i in range(10_001))
+    (in_tmp / "d.csv").write_text("x_id,f1,y\n" + rows, encoding="utf-8")
+    argv = ["rad", "--class", "kernel:linear", "--mode", "mc", "--data", "d.csv",
+            "--lambda", "1.0", "--trials", "100"]
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3, err
+    assert out == ""
+    assert "cap" in err
+
+
 @pytest.mark.parametrize("entry, mode", [("nan", "exact"), ("inf", "mc"), ("-inf", "exact")])
 def test_rad_non_finite_tabulated_class_is_exit_2(in_tmp, capsys, entry, mode):
     (in_tmp / "c.csv").write_text(f"1,{entry}\n-1,-1\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 """Kernel grammar, Gram construction, PSD checks, and the norm-ball oracle."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mbl.core import CapExceeded
+from mbl.core import GRAM_CELL_CAP, CapExceeded
 from mbl.kernel import (
     KernelSpec,
     KernelSupOracle,
     _JensenGapOracle,
+    _symmetrize,
     check_psd,
     gram,
     kernel_mc_rademacher,
@@ -23,11 +25,17 @@ from mbl.kernel import (
     worst_case_complexity,
 )
 from mbl.rademacher import (
+    _PRODUCT_CELLS,
     TabulatedSupOracle,
     exact_empirical_rademacher,
     mc_empirical_rademacher,
 )
 from mbl.core import TabulatedClass
+from mbl.synth import GeneratorSpec, generate
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
 
 
 def test_parse_linear():
@@ -157,6 +165,60 @@ def test_gram_rejects_entries_that_overflow_when_symmetrized():
             gram(KernelSpec(kind="linear"), pts)
 
 
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 300])
+def test_tiled_symmetrization_is_the_whole_matrix_mean_bit_for_bit(n):
+    g = np.random.default_rng(n).normal(size=(n, n)) * 1e3
+    want = (g + g.T) / 2.0
+    _symmetrize(g)
+    assert np.array_equal(_bits(g), _bits(want))
+
+
+def test_tiled_symmetrization_overflows_like_the_whole_matrix_mean():
+    g = np.full((130, 130), 1.0)
+    g[0, 129] = g[129, 0] = 1.2e308  # the pair sum overflows
+    g[5, 7], g[7, 5] = 1.2e308, -1.2e308  # the pair sum cancels exactly
+    with np.errstate(over="ignore"):
+        want = (g + g.T) / 2.0
+        _symmetrize(g)
+    assert np.array_equal(_bits(g), _bits(want))
+    assert g[0, 129] == g[129, 0] == math.inf and g[5, 7] == 0.0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [KernelSpec(kind="linear"), KernelSpec(kind="rbf", gamma=0.5),
+     KernelSpec(kind="poly", degree=2, coef=1.0), KernelSpec(kind="poly", degree=3, coef=0.5)],
+    ids=lambda spec: spec.label(),
+)
+def test_gram_matches_the_whole_matrix_formulas_bit_for_bit(spec):
+    pts = np.random.default_rng(4).normal(size=(300, 3))
+    dots = pts @ pts.T
+    if spec.kind == "rbf":
+        sq = np.einsum("id,id->i", pts, pts)
+        dist = np.maximum(np.add.outer(sq, sq) - 2.0 * dots, 0.0)
+        np.fill_diagonal(dist, 0.0)
+        raw = np.exp(-spec.gamma * dist)
+    elif spec.kind == "poly":
+        raw = (dots + spec.coef) ** spec.degree
+    else:
+        raw = dots
+    assert np.array_equal(_bits(gram(spec, pts)), _bits((raw + raw.T) / 2.0))
+
+
+def test_gram_over_the_cell_cap_raises_before_allocating():
+    n = 10_001
+    assert n * n > GRAM_CELL_CAP >= 4000 * 4000
+    pts = np.linspace(0.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="cap"):
+            gram(KernelSpec(kind="linear"), pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * pts.nbytes
+
+
 _POINTS = st.integers(1, 12).flatmap(
     lambda n: st.integers(1, 4).flatmap(
         lambda d: arrays(np.float64, (n, d), elements=st.floats(-10.0, 10.0))
@@ -209,6 +271,23 @@ def test_check_psd_rejects_indefinite():
         check_psd(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         check_psd(np.ones((2, 3)))
+
+
+def test_non_symmetric_gram_is_rejected():
+    # Lower triangle PSD (all eigvalsh reads), but the symmetric part
+    # [[1, 2], [2, 1]] has eigenvalue -1: eps^T G eps = -2 at eps = (1, -1).
+    g = np.array([[1.0, 3.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        check_psd(g)
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        KernelSupOracle(g, lambda_cap=1.0)
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        kernel_rad_bounds(g, lambda_cap=1.0)
+    # One ulp off symmetry is enough.
+    g = np.eye(3)
+    g[0, 2] = np.nextafter(0.0, 1.0)
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        check_psd(g)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -275,6 +354,50 @@ def test_oracle_block_matches_scalar_queries():
         want = 1.7 / 6 * math.sqrt(max(float(s @ g @ s), 0.0))
         assert got == pytest.approx(want, rel=1e-13)
         assert got == pytest.approx(query_one(oracle, row), rel=1e-13)
+
+
+def _einsum_oracle(g, lam, block):
+    """The norm-ball oracle as one whole-block einsum, without sub-blocks."""
+    s = block.astype(np.float64)
+    quad = np.einsum("ti,ij,tj->t", s, g, s, optimize=True)
+    return lam / g.shape[0] * np.sqrt(np.maximum(quad, 0.0))
+
+
+def test_oracle_sub_blocks_match_the_whole_block_einsum():
+    n, lam = 300, 1.7
+    step = _PRODUCT_CELLS // n
+    rng = np.random.default_rng(12)
+    g = gram(KernelSpec(kind="rbf", gamma=0.5), rng.normal(size=(n, 3)))
+    oracle = KernelSupOracle(g, lam)
+    block = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3 * step + 5, n))
+    out = oracle.query_block(block)
+    # A block of at most one sub-block is the whole-block einsum itself.
+    first = block[:step]
+    assert np.array_equal(_bits(oracle.query_block(first)), _bits(_einsum_oracle(g, lam, first)))
+    # Each sub-block is computed as that block on its own ...
+    parts = [oracle.query_block(block[lo : lo + step]) for lo in range(0, len(block), step)]
+    assert np.array_equal(_bits(out), _bits(np.concatenate(parts)))
+    # ... so against one einsum over all rows only BLAS's summation order
+    # moves (it depends on the product's shape): within the rounding bound
+    # of a 2n-term sum per row, as for a one-row block (test_core).
+    whole = _einsum_oracle(g, lam, block)
+    quad_scale = (lam / n) ** 2 * np.abs(g).sum()
+    bound = 4 * (n + 1) * np.spacing(quad_scale) + 8 * np.spacing(np.maximum(out, whole) ** 2)
+    assert np.all(np.abs(out**2 - whole**2) <= bound)
+
+
+def test_kernel_mc_float_working_set_is_block_sized():
+    ds = generate(GeneratorSpec(kind="gaussian_blobs", k=4, n=300, seed=3, d=3))
+    oracle = KernelSupOracle(gram(KernelSpec(kind="rbf", gamma=0.5), ds.points), 1.0)
+    tracemalloc.start()
+    try:
+        est = kernel_mc_rademacher(oracle, 100_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.trials == 100_000
+    # A 2 MiB int8 sign batch, 2 MiB float64 sub-blocks and their product.
+    assert peak <= 8 * 2**20
 
 
 def test_rad_bounds_unit_diagonal():

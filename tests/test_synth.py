@@ -1,6 +1,7 @@
 """Generators, the one-vs-all ridge scorer, and CSV round trips."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,29 @@ def test_ridge_validation():
     small = LabeledDataset([[1.0], [2.0]], [1, 2], 3)
     with pytest.raises(ValueError, match="n >= k"):
         train_ova_ridge(small, KernelSpec(kind="linear"), reg=0.1)
+
+
+@pytest.mark.parametrize("reg", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_ridge_rejects_reg_that_is_not_finite_and_positive(reg):
+    ds = generate(GeneratorSpec(kind="gaussian_blobs", k=3, n=30, seed=5, d=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"finite number > 0, got {reg!r}"):
+            train_ova_ridge(ds, KernelSpec(kind="rbf", gamma=0.5), reg=reg)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ridge_matches_the_dense_eye_solve_bit_for_bit(seed):
+    ds = generate(GeneratorSpec(kind="gaussian_blobs", k=4, n=500, seed=seed, d=3))
+    kernel, reg = KernelSpec(kind="rbf", gamma=0.5), 1.0
+    scores, norms = train_ova_ridge(ds, kernel, reg)
+    g = gram(kernel, ds.points)
+    targets = np.where(ds.labels[:, None] == np.arange(1, 5)[None, :], 1.0, -1.0)
+    alphas = np.linalg.solve(g + reg * np.eye(ds.n), targets)
+    want = g @ alphas
+    want_norms = np.sqrt(np.maximum(np.einsum("ny,ny->y", alphas, want), 0.0))
+    assert np.array_equal(scores.scores.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(norms.view(np.uint64), want_norms.view(np.uint64))
 
 
 def test_ridge_singular_system_reports_reg():
