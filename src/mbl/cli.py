@@ -17,7 +17,6 @@ outputs regardless of --threads.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -45,6 +44,7 @@ from .synth import (
     read_scores_csv,
     read_tabulated_csv,
     write_dataset_csv,
+    write_table,
 )
 
 _KERNEL_GRAMMAR = (
@@ -80,10 +80,6 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _fmt17(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _parse_list(text: str, flag: str, kind: type) -> list:
@@ -226,20 +222,8 @@ def _cmd_compare(args, ctx: _RunContext) -> tuple[int, dict]:
     ns = _parse_list(args.n_list, "--n-list", int)
     deltas = _parse_list(args.delta_list, "--delta-list", float)
     rows = compare_bounds(ks, ns, deltas)
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["method", "k", "n", "delta", "value", "ratio_to_this_paper"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["method"],
-                    str(row["k"]),
-                    str(row["n"]),
-                    _fmt17(row["delta"]),
-                    _fmt17(row["value"]),
-                    _fmt17(row["ratio_to_this_paper"]),
-                ]
-            )
+    columns = ["method", "k", "n", "delta", "value", "ratio_to_this_paper"]
+    write_table(args.out, columns, ([row[c] for c in columns] for row in rows))
     payload = {
         "out": args.out,
         "row_count": len(rows),
@@ -264,13 +248,8 @@ def _cmd_verify_lemma1(args, ctx: _RunContext) -> tuple[int, dict]:
 
 
 def _write_thm3_csv(path, reports: list[Theorem3Report]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["k", "t", "n", "lhs", "rhs", "ratio"])
-        for r in reports:
-            writer.writerow(
-                [str(r.k), str(r.t), str(r.n), _fmt17(r.lhs), _fmt17(r.rhs), _fmt17(r.ratio)]
-            )
+    rows = ([r.k, r.t, r.n, r.lhs, r.rhs, r.ratio] for r in reports)
+    write_table(path, ["k", "t", "n", "lhs", "rhs", "ratio"], rows)
 
 
 def _cmd_verify_thm3(args, ctx: _RunContext) -> tuple[int, dict]:

@@ -158,7 +158,7 @@ class SupOracle(Protocol):
     def query_block(self, signs_block: np.ndarray) -> np.ndarray: ...
 
 
-def as_sign_vector(signs, n: int | None = None) -> np.ndarray:
+def as_sign_vector(signs) -> np.ndarray:
     """Validate a sign vector (values in {-1, +1}) and return it as int8."""
     arr = np.asarray(signs)
     if arr.ndim != 1:
@@ -168,7 +168,5 @@ def as_sign_vector(signs, n: int | None = None) -> np.ndarray:
         raise ValueError("sign vector entries must be -1 or +1")
     if not np.all(np.abs(out) == 1):
         raise ValueError("sign vector entries must be -1 or +1")
-    if n is not None and out.shape[0] != n:
-        raise ValueError(f"sign vector length {out.shape[0]} != expected {n}")
     return out
 

@@ -327,9 +327,10 @@ def exact_rademacher_columns(
     The exact twin of mc_rademacher_columns: one enumeration in binary
     order serves every column, and column j's value is exactly what
     exact_empirical_rademacher gives for an oracle returning that column
-    alone.  n above EXACT_ENUMERATION_CAP raises CapExceeded before any
-    batch runs.
+    alone.  n other than oracle.n raises ValueError, and n above
+    EXACT_ENUMERATION_CAP CapExceeded, before any batch runs.
     """
+    _check_oracle_n(oracle, n)
     _check_enumerable(n)
     signs = partial(enumerate_sign_vectors, n)
     return _estimate_columns(oracle, n, 1 << n, signs, convention, None)
@@ -347,6 +348,11 @@ def exact_empirical_rademacher(
     EXACT_ENUMERATION_CAP raises CapExceeded before any batch runs.
     """
     return _one_column(exact_rademacher_columns(oracle, n, convention))
+
+
+def _check_oracle_n(oracle: SupOracle, n: int) -> None:
+    if n != oracle.n:  # n sizes the sign stream and the cap checks
+        raise ValueError(f"n={n} does not match the oracle's sample size n={oracle.n}")
 
 
 def _check_mc_request(n: int, trials: int, seed: int) -> None:
@@ -377,9 +383,11 @@ def mc_rademacher_columns(
     (trials, c) matrix of c suprema sharing each draw; the absolute
     convention takes each column's max at eps and -eps.  Column j's value
     and std_error are exactly what mc_empirical_rademacher gives for an
-    oracle returning that column alone.  trials * n above MC_SIGN_CELL_CAP
-    raises CapExceeded before any batch runs.
+    oracle returning that column alone.  n other than oracle.n raises
+    ValueError, and trials * n above MC_SIGN_CELL_CAP CapExceeded, before
+    any batch runs.
     """
+    _check_oracle_n(oracle, n)
     _check_mc_request(n, trials, seed)
     if n <= EXACT_ENUMERATION_CAP and 1 << n <= trials:
         # at most 2^n distinct draws: query each pattern once, weighted by its count

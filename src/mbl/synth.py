@@ -21,6 +21,10 @@ significant digits so doubles round-trip exactly):
     labels   header ``x_id,y``
     class    no header; one function per row, one column per sample point
 
+One writer, ``write_table``, writes these and the CLI's ``compare`` and
+``verify thm3`` tables.  Each header is declared once, as a function of
+the width, and gives both the writer's header and the reader's layout.
+
 All four readers share one streaming loop (``_read_table``): a format only
 states its header, if any, and the kind of each column (x_id, label or
 float).  The file is read once, record by record, and each cell goes
@@ -54,6 +58,7 @@ __all__ = [
     "write_labels_csv",
     "read_labels_csv",
     "read_tabulated_csv",
+    "write_table",
 ]
 
 _KINDS = ("uniform_interval", "gaussian_blobs")
@@ -146,15 +151,18 @@ def train_ova_ridge(
     targets = np.where(
         dataset.labels[:, None] == np.arange(1, dataset.k + 1)[None, :], 1.0, -1.0
     )
-    system = g.copy()
-    system[np.diag_indices(dataset.n)] += reg
+    # G + reg I is formed in G itself (its diagonal is restored after the
+    # solve).  gram() makes G exactly symmetric, so g.T is the same matrix;
+    # LAPACK wants column-major input, which the transposed view already is,
+    # so solve copies it without a transposing pass.
+    diagonal = g.diagonal().copy()
     try:
-        # gram() makes G exactly symmetric, so system.T is the same matrix;
-        # LAPACK wants column-major input, which the transposed view already
-        # is, so solve copies it without a transposing pass.
-        alphas = np.linalg.solve(system.T, targets)
+        g[np.diag_indices(dataset.n)] += reg
+        alphas = np.linalg.solve(g.T, targets)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"ridge system is singular (reg too small): {exc}") from exc
+    finally:
+        np.fill_diagonal(g, diagonal)
     if not np.all(np.isfinite(alphas)):
         raise ValueError("ridge system is numerically singular (reg too small)")
     scores = g @ alphas
@@ -162,21 +170,34 @@ def train_ova_ridge(
     return ScoreMatrix(scores), norms
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _open_write(path):
-    return open(path, "w", encoding="utf-8", newline="")
-
-
-def _writer(handle):
-    return csv.writer(handle, lineterminator="\n")
-
-
 # Column kinds: x_id cells are checked as integers and dropped, labels are
-# integers >= 1, and every other column is a float.
-_ID, _LABEL, _FLOAT = "x_id", "label", "float"
+# integers >= 1, and every other column is a float.  Columns are (name, kind).
+_ID, _LABEL, _FLOAT = "id", "label", "float"
+_X_ID, _Y = ("x_id", _ID), ("y", _LABEL)
+_LABELS_COLUMNS = [_X_ID, _Y]
+
+
+def _dataset_columns(d: int) -> list[tuple[str, str]]:
+    return [_X_ID, *((f"f{i}", _FLOAT) for i in range(1, d + 1)), _Y]
+
+
+def _scores_columns(k: int) -> list[tuple[str, str]]:
+    return [_X_ID, *((f"score_{y}", _FLOAT) for y in range(1, k + 1))]
+
+
+def _names(columns) -> list[str]:
+    return [name for name, _ in columns]
+
+
+def write_table(path, header, rows) -> None:
+    """Write a header and rows of Python scalars (numpy rows via .tolist());
+    a float cell is written as format(v, ".17g"), any other as str(v)."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        out = csv.writer(handle, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(
+            [format(v, ".17g") if isinstance(v, float) else str(v) for v in row] for row in rows
+        )
 
 
 def _parse_cell(kind: str, cell: str, path, line: int, column: str):
@@ -218,7 +239,7 @@ def _read_table(path, layout, header: bool) -> tuple[np.ndarray, np.ndarray]:
         if first is None:
             raise ValueError(f"{path}: empty file")
         columns = layout(first[1])
-        names = [name for name, _ in columns]
+        names = _names(columns)
         if not header:
             records = chain([first], records)
         elif first[1] != names:
@@ -242,24 +263,22 @@ def _read_table(path, layout, header: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_dataset_csv(dataset: LabeledDataset, path) -> None:
-    with _open_write(path) as handle:
-        out = _writer(handle)
-        out.writerow(["x_id"] + [f"f{i}" for i in range(1, dataset.d + 1)] + ["y"])
-        for i in range(dataset.n):
-            row = [str(i + 1)]
-            row += [_fmt(v) for v in dataset.points[i]]
-            row.append(str(int(dataset.labels[i])))
-            out.writerow(row)
+    rows = enumerate(zip(dataset.points.tolist(), dataset.labels.tolist()), start=1)
+    write_table(
+        path, _names(_dataset_columns(dataset.d)), ([i, *point, y] for i, (point, y) in rows)
+    )
 
 
 def read_dataset_csv(path) -> LabeledDataset:
     def layout(header):
-        if len(header) < 3 or header[0] != "x_id" or header[-1] != "y":
+        columns = _dataset_columns(max(len(header) - 2, 1))
+        names = _names(columns)
+        if header[0] != names[0] or header[-1] != names[-1]:
             raise ValueError(
-                f"{path}: line 1: expected header x_id,f1,...,fd,y (missing x_id or label column y)"
+                f"{path}: line 1: expected header {','.join(names)} "
+                f"(missing {names[0]} or label column {names[-1]})"
             )
-        features = [(f"f{i}", _FLOAT) for i in range(1, len(header) - 1)]
-        return [("x_id", _ID), *features, ("y", _LABEL)]
+        return columns
 
     points, labels = _read_table(path, layout, header=True)
     if not np.all(np.isfinite(points)):
@@ -268,33 +287,25 @@ def read_dataset_csv(path) -> LabeledDataset:
 
 
 def write_scores_csv(scores: ScoreMatrix, path) -> None:
-    with _open_write(path) as handle:
-        out = _writer(handle)
-        out.writerow(["x_id"] + [f"score_{y}" for y in range(1, scores.k + 1)])
-        for i in range(scores.n):
-            out.writerow([str(i + 1)] + [_fmt(v) for v in scores.scores[i]])
+    rows = enumerate(scores.scores.tolist(), start=1)
+    write_table(path, _names(_scores_columns(scores.k)), ([i, *row] for i, row in rows))
 
 
 def read_scores_csv(path) -> ScoreMatrix:
     def layout(header):
-        if len(header) < 3 or header[0] != "x_id":
-            raise ValueError(f"{path}: line 1: expected header x_id,score_1,...,score_k")
-        return [("x_id", _ID), *((f"score_{y}", _FLOAT) for y in range(1, len(header)))]
+        # a header too narrow for k >= 2 scores is held against k = 2
+        return _scores_columns(max(len(header) - 1, 2))
 
     return ScoreMatrix(_read_table(path, layout, header=True)[0])
 
 
 def write_labels_csv(labels, path) -> None:
-    arr = np.asarray(labels, dtype=np.int64)
-    with _open_write(path) as handle:
-        out = _writer(handle)
-        out.writerow(["x_id", "y"])
-        for i, y in enumerate(arr):
-            out.writerow([str(i + 1), str(int(y))])
+    rows = enumerate(np.asarray(labels, dtype=np.int64).tolist(), start=1)
+    write_table(path, _names(_LABELS_COLUMNS), rows)
 
 
 def read_labels_csv(path) -> np.ndarray:
-    return _read_table(path, lambda header: [("x_id", _ID), ("y", _LABEL)], header=True)[1]
+    return _read_table(path, lambda header: _LABELS_COLUMNS, header=True)[1]
 
 
 def read_tabulated_csv(path) -> TabulatedClass:

@@ -440,6 +440,23 @@ def test_compare_single_point_grid(in_tmp, capsys):
     assert (in_tmp / "table.csv.manifest.json").exists()
 
 
+def test_compare_csv_bytes(in_tmp, capsys):
+    code, out, _ = run_cli(
+        ["compare", "--k-list", "4", "--n-list", "10000", "--delta-list", "0.1",
+         "--out", "table.csv"],
+        capsys,
+    )
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    body = "".join(
+        f"{r['method']},4,10000,0.10000000000000001,{r['value']:.17g},"
+        f"{r['ratio_to_this_paper']:.17g}\n"
+        for r in rows
+    )
+    want = "method,k,n,delta,value,ratio_to_this_paper\n" + body
+    assert (in_tmp / "table.csv").read_bytes() == want.encode("utf-8")
+
+
 def test_compare_reruns_byte_identical(in_tmp, capsys):
     argv = ["compare", "--k-list", "2,4", "--n-list", "100,400", "--delta-list", "0.5,0.1",
             "--out", "table.csv"]
@@ -587,6 +604,30 @@ def test_verify_thm3_sweep(in_tmp, capsys):
     lines = (in_tmp / "sweep.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "k,t,n,lhs,rhs,ratio"
     assert len(lines) == 3
+
+
+def _thm3_csv_bytes(rows) -> bytes:
+    lines = ["k,t,n,lhs,rhs,ratio\n"] + [
+        f"{r['k']},{r['t']},{r['n']},{r['lhs']:.17g},{r['rhs']:.17g},{r['ratio']:.17g}\n"
+        for r in rows
+    ]
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--k", "1", "--t", "1", "--n", "16"], ["--sweep", "1,2", "--t", "1"]],
+    ids=["single", "sweep"],
+)
+def test_verify_thm3_csv_bytes(in_tmp, capsys, argv):
+    code, out, err = run_cli(
+        ["verify", "thm3", *argv, "--epsilon", "0.5", "--trials", "64", "--out", "r.csv"],
+        capsys,
+    )
+    assert code in (0, 1), err
+    payload = json.loads(out)
+    rows = payload.get("rows", [payload])
+    assert (in_tmp / "r.csv").read_bytes() == _thm3_csv_bytes(rows)
 
 
 def test_verify_thm3_sweep_union(in_tmp, capsys):

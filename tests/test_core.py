@@ -68,8 +68,6 @@ def test_as_sign_vector_rejects_bad_values():
     with pytest.raises(ValueError):
         as_sign_vector([[1, -1]])
     with pytest.raises(ValueError):
-        as_sign_vector([1, -1], n=3)
-    with pytest.raises(ValueError):
         as_sign_vector([0.5, 1.0])
 
 

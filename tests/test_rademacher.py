@@ -8,6 +8,7 @@ import pytest
 
 from mbl import rademacher
 from mbl.core import MC_SIGN_CELL_CAP, CapExceeded, RademacherEstimate, TabulatedClass
+from mbl.kernel import KernelSpec, KernelSupOracle, gram
 from mbl.lowerbound import Theorem3SupOracle, reference_complexity
 from mbl.rademacher import (
     TabulatedSupOracle,
@@ -430,6 +431,33 @@ def test_mc_sign_cell_cap_raises_before_any_batch():
     trials = MC_SIGN_CELL_CAP // 16 + 1
     with pytest.raises(CapExceeded, match="cap"):
         mc_empirical_rademacher(NeverQueried(), 16, trials, seed=0)
+
+
+def _oracle_on_8_points(kind):
+    rng = np.random.default_rng(8)
+    if kind == "tabulated":
+        return TabulatedSupOracle(TabulatedClass(rng.normal(size=(3, 8))))
+    if kind == "kernel":
+        points = rng.normal(size=(8, 2))
+        return KernelSupOracle(gram(KernelSpec(kind="rbf", gamma=0.5), points), 1.0)
+    return Theorem3SupOracle(1.0 + 2.0 * rng.random(8), k=2, t=1)
+
+
+@pytest.mark.parametrize("kind", ["tabulated", "kernel", "theorem3"])
+@pytest.mark.parametrize("n", [4, 16, 1000])
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda oracle, n: exact_rademacher_columns(oracle, n),
+        lambda oracle, n: mc_rademacher_columns(oracle, n, 64, 3),
+    ],
+    ids=["exact", "mc"],
+)
+def test_estimators_reject_an_n_other_than_the_oracles(kind, n, estimate):
+    # n sizes the sign stream and the cap checks, so a wrong n must fail
+    # up front, naming both sizes, not inside the oracle's first batch.
+    with pytest.raises(ValueError, match=f"n={n} does not match .* n=8"):
+        estimate(_oracle_on_8_points(kind), n)
 
 
 def test_mc_requires_two_trials():

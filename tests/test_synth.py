@@ -185,6 +185,19 @@ def test_ridge_matches_the_dense_eye_solve_bit_for_bit(seed):
     assert np.array_equal(norms.view(np.uint64), want_norms.view(np.uint64))
 
 
+def test_ridge_peak_memory_is_one_gram():
+    # G + reg I is formed in G itself: a copy of G for the system would
+    # push the traced peak to twice the Gram's bytes.
+    ds = generate(GeneratorSpec(kind="gaussian_blobs", k=3, n=1000, seed=1, d=2))
+    tracemalloc.start()
+    try:
+        train_ova_ridge(ds, KernelSpec(kind="linear"), reg=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ds.n * ds.n * 8, peak
+
+
 def test_ridge_singular_system_reports_reg():
     pts = np.tile([[1.0, 2.0]], (3, 1))
     ds = LabeledDataset(pts, [1, 2, 3], 3)
@@ -229,6 +242,31 @@ def test_labels_csv_round_trip(tmp_path):
     write_labels_csv([3, 1, 2, 2], path)
     assert np.array_equal(read_labels_csv(path), [3, 1, 2, 2])
     assert path.read_text(encoding="utf-8").splitlines()[0] == "x_id,y"
+
+
+@pytest.mark.parametrize(
+    "write, value, golden",
+    [
+        (
+            write_dataset_csv,
+            LabeledDataset([[0.1, -0.0], [1.5, 2.0]], [2, 1], 2),
+            b"x_id,f1,f2,y\n1,0.10000000000000001,-0,2\n2,1.5,2,1\n",
+        ),
+        (
+            write_scores_csv,
+            ScoreMatrix(np.array([[0.1, -0.0], [1e-300, 1.0 / 3.0]])),
+            b"x_id,score_1,score_2\n1,0.10000000000000001,-0\n2,1e-300,0.33333333333333331\n",
+        ),
+        (write_labels_csv, [3, 1, 2], b"x_id,y\n1,3\n2,1\n3,2\n"),
+    ],
+    ids=["dataset", "scores", "labels"],
+)
+def test_written_csv_bytes(tmp_path, write, value, golden):
+    # The whole file: 17 significant digits, "-0", integer labels, 1-based
+    # x_id and LF line endings.
+    path = tmp_path / "out.csv"
+    write(value, path)
+    assert path.read_bytes() == golden
 
 
 def test_tabulated_csv_round_trip(tmp_path):
