@@ -36,7 +36,6 @@ from .margin import (
     MarginClassSpec,
     ScoreMatrix,
     empirical_margin_cdf,
-    margin_distribution,
     margins,
     materialize_margin_class,
     verify_lemma1,
@@ -78,7 +77,6 @@ __all__ = [
     "MarginClassSpec",
     "ScoreMatrix",
     "empirical_margin_cdf",
-    "margin_distribution",
     "margins",
     "materialize_margin_class",
     "verify_lemma1",

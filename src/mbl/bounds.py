@@ -11,7 +11,9 @@ and minimizes over a threshold grid (the default grid is dyadic,
 probability at most 2 exp(-2 t^2).  The kernel-class bound ("thm2") is the
 fixed-delta form P_n{m <= delta} + (2k/delta) sqrt(R^2 lam^2 / n) + t/sqrt(n)
 with failure probability exp(-2 t^2).  Logarithms are natural except the
-inner log2.
+inner log2.  Callers take P_n{m <= delta} from ``margin.empirical_margin_cdf``;
+thm2's complexity term is ``kernel.worst_case_complexity``, which checks R
+and lam.  Values are not clamped: a bound above 1 is vacuous.
 
 ``table1_term`` evaluates published order terms for comparable multi-class
 margin bounds with all constants and polylog factors set to 1; they are
@@ -58,12 +60,7 @@ class BoundInput:
     margin_cdf: Callable[[float], float]
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if not (math.isfinite(self.confidence_t) and self.confidence_t > 0):
-            raise ValueError(f"confidence_t must be finite and > 0, got {self.confidence_t!r}")
+        _check_k_n_t(self.k, self.n, self.confidence_t)
         if not (math.isfinite(self.rad_value) and self.rad_value >= 0):
             raise ValueError(f"rad_value must be finite and >= 0, got {self.rad_value!r}")
 
@@ -73,8 +70,7 @@ class BoundReport:
     """A bound value with its additive term breakdown.
 
     Evaluators construct value as the exactly rounded sum of the terms, so
-    the breakdown reproduces the value to within 1e-12 (clamped reports add
-    an explicit "clamp" adjustment term to keep the identity).
+    the breakdown reproduces the value to within 1e-12.
     """
 
     method: str
@@ -91,6 +87,16 @@ def default_delta_grid(n: int) -> list[float]:
     grid = [2.0 ** -j for j in range(levels, 0, -1)]
     grid.append(1.0)
     return grid
+
+
+def _check_k_n_t(k: int, n: int, confidence_t: float | None = None) -> None:
+    """ValueError unless k >= 2, n >= 1 and a given confidence_t is finite and > 0."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if confidence_t is not None and not (math.isfinite(confidence_t) and confidence_t > 0):
+        raise ValueError(f"confidence_t must be finite and > 0, got {confidence_t!r}")
 
 
 def _check_delta(delta: float) -> float:
@@ -119,17 +125,11 @@ def _thm1_terms(inp: BoundInput, delta: float) -> dict[str, float]:
     }
 
 
-def theorem1_bound(
-    inp: BoundInput,
-    delta_grid: Sequence[float] | None = None,
-    clamp: bool = False,
-) -> BoundReport:
+def theorem1_bound(inp: BoundInput, delta_grid: Sequence[float] | None = None) -> BoundReport:
     """Minimize the four-term margin bound over a threshold grid.
 
-    Ties prefer the smallest delta.  With clamp=True the reported value is
-    min(value, 1.0) (the bound is vacuous past 1); the term breakdown is
-    always left unclamped, so clamped reports carry a fifth "clamp" term.
-    Raises ValueError if any grid point has a non-finite term or value.
+    Ties prefer the smallest delta.  Raises ValueError if any grid point has
+    a non-finite term or value.
     """
     grid = list(delta_grid) if delta_grid is not None else default_delta_grid(inp.n)
     if not grid:
@@ -137,11 +137,9 @@ def theorem1_bound(
     terms_at = {d: _thm1_terms(inp, d) for d in sorted(_check_delta(d) for d in grid)}
     totals = {d: _finite_total("thm1", d, terms) for d, terms in terms_at.items()}
     best_delta = min(totals, key=totals.__getitem__)  # the first, smallest, delta on ties
-    best_val, best_terms = totals[best_delta], terms_at[best_delta]
-    if clamp and best_val > 1.0:
-        best_terms = dict(best_terms, clamp=1.0 - best_val)
-        best_val = 1.0
-    return BoundReport(method="thm1", value=best_val, delta_star=best_delta, terms=best_terms)
+    return BoundReport(
+        method="thm1", value=totals[best_delta], delta_star=best_delta, terms=terms_at[best_delta]
+    )
 
 
 def theorem2_bound(
@@ -157,21 +155,13 @@ def theorem2_bound(
 
     value = margin_frac + (2k/delta) sqrt(R^2 lam^2 / n) + t/sqrt(n), as an
     exactly rounded sum of the three terms; ValueError unless every term and
-    the value are finite.
+    the value are finite, and (through ``worst_case_complexity``) unless R
+    and lam are finite and >= 0.
     """
     _check_delta(delta)
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_k_n_t(k, n, confidence_t)
     if not 0.0 <= margin_frac <= 1.0:
         raise ValueError("margin_frac must lie in [0, 1]")
-    if not all(math.isfinite(v) and v >= 0 for v in (radius, lambda_cap)):
-        raise ValueError(
-            f"radius and lambda_cap must be finite and >= 0, got {radius!r}, {lambda_cap!r}"
-        )
-    if not (math.isfinite(confidence_t) and confidence_t > 0):
-        raise ValueError(f"confidence_t must be finite and > 0, got {confidence_t!r}")
     terms = {
         "empirical": float(margin_frac),
         "complexity": (2.0 * k / delta) * worst_case_complexity(radius, lambda_cap, n),
@@ -191,10 +181,7 @@ def table1_term(method: str, k: int, n: int, delta: float) -> float:
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_k_n_t(k, n)
     _check_delta(delta)
     try:
         value = _TABLE1[method](k, n, delta)

@@ -30,7 +30,7 @@ from .core import CapExceeded
 from .kernel import KernelSupOracle, gram, kernel_mc_rademacher, kernel_trace, parse_kernel_spec
 from .kernel import trace_complexity, worst_case_complexity
 from .lowerbound import LowerBoundConfig, Theorem3Report, sweep_theorem3, verify_theorem3
-from .margin import empirical_margin_cdf, lemma1_sweep, margin_distribution
+from .margin import empirical_margin_cdf, lemma1_sweep
 from .rademacher import (
     TabulatedSupOracle,
     exact_empirical_rademacher,
@@ -146,8 +146,6 @@ def _thm1_rad_value(args, ctx: _RunContext, n: int) -> float:
         return args.rad_value
     if args.lambda_cap is None:
         raise ValueError("thm1 needs --rad, or --lambda with --R or --data")
-    if not args.lambda_cap >= 0 or (args.radius is not None and not args.radius >= 0):
-        raise ValueError("--lambda and --R must be >= 0")
     if args.data:
         if args.radius is not None:
             raise ValueError("give --R (worst case) or --data (data dependent), not both")
@@ -204,7 +202,7 @@ def _cmd_bound_eval(args, ctx: _RunContext) -> tuple[int, dict]:
             raise ValueError("thm2 needs --delta")
         if args.lambda_cap is None or args.radius is None:
             raise ValueError("thm2 needs --lambda and --R")
-        frac = margin_distribution(scores, labels, args.delta)
+        frac = empirical_margin_cdf(scores, labels)(args.delta)
         report = theorem2_bound(
             frac, args.radius, args.lambda_cap, k, n, args.delta, args.confidence_t
         )
@@ -480,15 +478,18 @@ def main(argv: list[str] | None = None) -> int:
     ctx = _RunContext()
     start = time.monotonic()
     try:
-        if args.threads < 1:
-            raise ValueError("threads must be >= 1")
-        code, payload = args.handler(args, ctx)
-    except (CapExceeded, MemoryError) as exc:
-        print(f"mbl: cap exceeded: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"mbl: error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            if args.threads < 1:
+                raise ValueError("threads must be >= 1")
+            code, payload = args.handler(args, ctx)
+        except (CapExceeded, MemoryError) as exc:
+            print(f"mbl: cap exceeded: {exc}", file=sys.stderr)
+            return 3
+        except (ValueError, OSError) as exc:
+            print(f"mbl: error: {exc}", file=sys.stderr)
+            return 2
+        # NaN and inf are not JSON (RFC 8259): a payload holding one is a bug.
+        line = json.dumps(payload, allow_nan=False)
     except Exception:
         # Not a verification verdict (exit 1): report the bug with its traceback.
         traceback.print_exc()
@@ -503,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         duration_s=time.monotonic() - start,
     )
     _write_manifest(_manifest_path(args), manifest)
-    sys.stdout.write(json.dumps(payload) + "\n")
+    sys.stdout.write(line + "\n")
     return code
 
 

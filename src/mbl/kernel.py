@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GRAM_CELL_CAP, CapExceeded, LabeledDataset, RademacherEstimate
+from .core import GRAM_CELL_CAP, CapExceeded, RademacherEstimate
 from .rademacher import _PRODUCT_CELLS, _check_mc_request, mc_empirical_rademacher
 
 __all__ = [
@@ -132,7 +132,7 @@ def parse_kernel_spec(text: str) -> KernelSpec:
 
 
 def _points(data) -> np.ndarray:
-    pts = data.points if isinstance(data, LabeledDataset) else np.asarray(data, dtype=np.float64)
+    pts = np.asarray(data, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -254,8 +254,7 @@ class KernelSupOracle:
 
     def __init__(self, g: np.ndarray, lambda_cap: float):
         g = np.asarray(g, dtype=np.float64)
-        if not (math.isfinite(lambda_cap) and lambda_cap >= 0):
-            raise ValueError(f"lambda_cap must be finite and >= 0, got {lambda_cap!r}")
+        _check_nonnegative(lambda_cap=lambda_cap)
         check_psd(g)
         self.g = g
         self.lambda_cap = float(lambda_cap)
@@ -309,16 +308,28 @@ def kernel_mc_rademacher(oracle: KernelSupOracle, trials: int, seed: int) -> Rad
     return RademacherEstimate(c - gap.value, "monte-carlo", gap.trials, gap.std_error, seed)
 
 
+def _check_nonnegative(**values: float) -> None:
+    """The one range check of the norm cap lam and the radius R."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def trace_complexity(trace: float, lambda_cap: float, n: int) -> float:
-    """lam sqrt(trace G) / n: Jensen's bound on the norm-ball complexity."""
+    """lam sqrt(trace G) / n: Jensen's bound on the norm-ball complexity; lam finite, >= 0."""
+    _check_nonnegative(lambda_cap=lambda_cap)
     return lambda_cap * math.sqrt(max(trace, 0.0)) / n
 
 
 def worst_case_complexity(radius: float, lambda_cap: float, n: int) -> float:
-    """sqrt(R^2 lam^2 / n), the norm-ball bound when every G_ii <= R^2; ValueError if not finite."""
+    """sqrt(R^2 lam^2 / n), the norm-ball bound when every G_ii <= R^2; ValueError if not finite.
+
+    R and lam must be finite and >= 0; the finiteness of the value is checked first.
+    """
     value = math.sqrt(radius * radius * lambda_cap * lambda_cap / n)
     if not math.isfinite(value):
         raise ValueError(f"sqrt(R^2*lambda^2/n) is not finite: R={radius!r}, lambda={lambda_cap!r}")
+    _check_nonnegative(radius=radius, lambda_cap=lambda_cap)
     return value
 
 

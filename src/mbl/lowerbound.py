@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -316,8 +315,9 @@ class Theorem3SupOracle:
 
 @lru_cache(maxsize=64)
 def _mean_abs_sign_sum(n: int) -> float:
-    # E|sum of n signs| / n = C(n-1, floor((n-1)/2)) / 2^(n-1), exactly rounded.
-    return float(Fraction(math.comb(n - 1, (n - 1) // 2), 2 ** (n - 1)))
+    # E|sum of n signs| / n = C(n-1, floor((n-1)/2)) / 2^(n-1); Python's
+    # int / int true division rounds the exact quotient once.
+    return math.comb(n - 1, (n - 1) // 2) / 2 ** (n - 1)
 
 
 def reference_complexity(n: int, convention: str = "absolute") -> float:
@@ -458,9 +458,9 @@ def sweep_theorem3(
     intervals contributes one m-point DP optimum and the normalization
     n = k m cancels the count), so the quantity that exhibits the linear
     growth is the aggregate n * rhs, the summed expected interval optima.
-    The summary reports its slope fit and doubling ratios.  A repeated k
-    raises ValueError; a k whose request is over the sign-cell cap raises
-    CapExceeded before the first run.
+    The summary reports its slope fit (None for a single k) and doubling
+    ratios.  A repeated k raises ValueError; a k whose request is over the
+    sign-cell cap raises CapExceeded before the first run.
     """
     ks = [int(k) for k in k_list]
     if not ks:
@@ -481,7 +481,7 @@ def sweep_theorem3(
     summary = {
         "t": t,
         "points_per_interval": _lawful_n(1, t),
-        "slope_aggregate_vs_k": float(np.polyfit(karr, aggregate, 1)[0]) if len(ks) > 1 else math.nan,
+        "slope_aggregate_vs_k": float(np.polyfit(karr, aggregate, 1)[0]) if len(ks) > 1 else None,
         "aggregate_doubling_ratios": [
             float(aggregate[i + 1] / aggregate[i])
             for i in range(len(ks) - 1)

@@ -3,8 +3,9 @@
 The margin of a labeled example under a score row s is
 m(s, y) = s_y - max_{y' != y} s_{y'}; an example is misclassified exactly
 when its margin is <= 0.  One private helper computes it for a whole block
-of score rows; ``margins`` (per-example margins and their distribution)
-and ``materialize_margin_class`` both call it.  The induced margin class
+of score rows; ``margins`` and ``materialize_margin_class`` both call it.
+``empirical_margin_cdf`` is the one implementation of the bounds' margin
+term P_n{m <= delta}.  The induced margin class
 M_k over per-class function classes (F_1, ..., F_k) tabulates, for every
 tuple (f_1, ..., f_k) in the Cartesian product, the margins of all
 examples.  ``verify_lemma1`` checks, by exact enumeration, the
@@ -29,7 +30,6 @@ __all__ = [
     "Lemma1Report",
     "margin",
     "margins",
-    "margin_distribution",
     "empirical_margin_cdf",
     "materialize_margin_class",
     "verify_lemma1",
@@ -149,14 +149,6 @@ def _margin_block(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def margins(scores: ScoreMatrix, labels) -> np.ndarray:
     """Vector of margins, one per example."""
     return _margin_block(scores.scores, _check_labels(labels, scores.n, scores.k))
-
-
-def margin_distribution(scores: ScoreMatrix, labels, delta: float) -> float:
-    """Fraction of examples with margin <= delta (inclusive)."""
-    if not np.isfinite(delta):
-        raise ValueError("delta must be finite")
-    m = margins(scores, labels)
-    return float(np.count_nonzero(m <= delta) / scores.n)
 
 
 def empirical_margin_cdf(scores: ScoreMatrix, labels) -> Callable[[float], float]:

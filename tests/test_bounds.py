@@ -102,17 +102,6 @@ def test_thm1_grid_validation():
         theorem1_bound(inp, [0.5, 1.5])
 
 
-def test_thm1_clamp_adds_adjustment_term():
-    inp = BoundInput(k=8, n=16, confidence_t=1.0, rad_value=1.0, margin_cdf=_zero_cdf)
-    raw = theorem1_bound(inp, [0.5])
-    assert raw.value > 1.0
-    assert "clamp" not in raw.terms
-    clamped = theorem1_bound(inp, [0.5], clamp=True)
-    assert clamped.value == 1.0
-    assert clamped.terms["clamp"] < 0.0
-    assert math.fsum(clamped.terms.values()) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_thm1_terms_sum_to_value():
     inp = BoundInput(k=3, n=400, confidence_t=1.0, rad_value=0.01, margin_cdf=_step_cdf)
     report = theorem1_bound(inp)

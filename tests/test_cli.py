@@ -17,7 +17,7 @@ from mbl import lowerbound
 from mbl.cli import _RunContext, _thm1_rad_value, main
 from mbl.kernel import KernelSpec, KernelSupOracle, gram, kernel_mc_rademacher
 from mbl.lowerbound import sweep_theorem3
-from mbl.margin import ScoreMatrix
+from mbl.margin import ScoreMatrix, margins
 from mbl.synth import (
     GeneratorSpec,
     generate,
@@ -422,6 +422,65 @@ def test_bound_eval_non_finite_or_negative_flags_are_exit_2(in_tmp, capsys, flag
 def test_bound_eval_non_finite_lambda_with_data_is_exit_2(in_tmp, capsys):
     code, out, err = run_cli(_thm1_data_argv(in_tmp, 20, "rbf:gamma=0.5", lam="nan"), capsys)
     assert (code, out) == (2, ""), err
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--method", "thm1", "--lambda", "-1"], "lambda_cap"),
+        (["--method", "thm1", "--lambda", "1", "--R", "-1"], "radius"),
+        (["--method", "thm2", "--delta", "0.5", "--lambda", "-1", "--R", "1"], "lambda_cap"),
+        (["--method", "thm2", "--delta", "0.5", "--lambda", "1", "--R", "-1"], "radius"),
+    ],
+)
+def test_bound_eval_negative_cap_or_radius_is_exit_2_naming_it(in_tmp, capsys, flags, named):
+    spath, lpath = _write_margin3_files(in_tmp, n=10)
+    if "--R" not in flags:
+        dpath = in_tmp / "d.csv"
+        write_dataset_csv(generate(GeneratorSpec(kind="uniform_interval", k=2, n=10, seed=0)), dpath)
+        flags = flags + ["--data", str(dpath)]
+    argv = ["bound", "eval", "--scores", spath, "--labels", lpath, "--t", "1"] + flags
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, ""), err
+    assert named in err
+
+
+def test_bound_eval_thm2_empirical_term_is_the_margin_cdf(in_tmp, capsys):
+    rng = np.random.default_rng(5)
+    scores = ScoreMatrix(rng.normal(size=(40, 3)))
+    labels = rng.integers(1, 4, size=40)
+    write_scores_csv(scores, in_tmp / "s.csv")
+    write_labels_csv(labels, in_tmp / "l.csv")
+    m = margins(scores, labels)
+    for delta in (float(m[m > 0].min()), 1e-300, 0.5, 1.0):
+        argv = ["bound", "eval", "--method", "thm2", "--scores", "s.csv", "--labels", "l.csv",
+                "--t", "1", "--delta", repr(delta), "--lambda", "0", "--R", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert json.loads(out)["terms"]["empirical"] == np.count_nonzero(m <= delta) / 40
+
+
+def _reject_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")
+
+
+def test_verify_thm3_single_k_sweep_prints_strict_json(in_tmp, capsys):
+    argv = ["verify", "thm3", "--sweep", "4", "--t", "1", "--epsilon", "0.5", "--trials", "50"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["summary"]["slope_aggregate_vs_k"] is None
+
+
+def test_non_finite_payload_is_exit_4_without_stdout(in_tmp, capsys, monkeypatch):
+    monkeypatch.setattr(
+        "mbl.cli.lemma1_sweep",
+        lambda *a, **kw: {"instances": 1, "failures": [], "worst_slack": math.nan, "pass": True},
+    )
+    code, out, err = run_cli(["verify", "lemma1", "--seeds", "1"], capsys)
+    assert (code, out) == (4, "")
+    assert "mbl: internal error" in err
+    assert not (in_tmp / "mbl_verify.manifest.json").exists()
+
 
 def test_compare_single_point_grid(in_tmp, capsys):
     code, out, _ = run_cli(

@@ -423,6 +423,23 @@ def test_worst_case_complexity_bits_and_overflow():
             worst_case_complexity(radius, lam, 10)
 
 
+def test_negative_or_non_finite_cap_or_radius_is_rejected():
+    g = np.eye(20)
+    with pytest.raises(ValueError, match="lambda_cap"):
+        trace_complexity(20.0, -2.0, 20)
+    with pytest.raises(ValueError, match="radius"):
+        worst_case_complexity(-1.0, 2.0, 20)
+    with pytest.raises(ValueError, match="lambda_cap"):
+        worst_case_complexity(1.0, -2.0, 20)
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lambda_cap"):
+            kernel_rad_bounds(g, lam)
+        with pytest.raises(ValueError, match="lambda_cap"):
+            KernelSupOracle(g, lam)
+    with pytest.raises(ValueError, match="radius"):
+        kernel_rad_bounds(g, 1.0)[1](-1.0)
+
+
 def test_rad_bounds_data_dependent_is_trace_complexity():
     rng = np.random.default_rng(4)
     pts = rng.normal(size=(30, 2))

@@ -1,5 +1,4 @@
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +14,6 @@ from mbl.margin import (
     empirical_margin_cdf,
     lemma1_sweep,
     margin,
-    margin_distribution,
     margins,
     materialize_margin_class,
     random_margin_instance,
@@ -116,19 +114,13 @@ def test_margins_validates_labels():
 
 def test_margin_distribution_examples():
     scores = ScoreMatrix(np.array([[1.0, 0.0]] * 4))  # all margins 1.0
-    labels = np.ones(4, dtype=int)
-    assert margin_distribution(scores, labels, 0.5) == 0.0
-    assert margin_distribution(scores, labels, 1.0) == 1.0
+    cdf = empirical_margin_cdf(scores, np.ones(4, dtype=int))
+    assert cdf(0.5) == 0.0
+    assert cdf(1.0) == 1.0
 
     rows = np.array([[0.0, 0.1], [0.2, 0.0], [0.9, 0.0]])
     labels3 = np.array([1, 1, 1])  # margins -0.1, 0.2, 0.9
-    assert margin_distribution(ScoreMatrix(rows), labels3, 0.2) == pytest.approx(2 / 3)
-
-
-def test_margin_distribution_rejects_nonfinite_delta():
-    scores = ScoreMatrix(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        margin_distribution(scores, [1, 1], math.inf)
+    assert empirical_margin_cdf(ScoreMatrix(rows), labels3)(0.2) == pytest.approx(2 / 3)
 
 
 def test_margin_cdf_monotone_and_right_continuous():
@@ -144,7 +136,9 @@ def test_margin_cdf_monotone_and_right_continuous():
     # right-continuity with inclusive <=: the cdf jumps AT the sample point
     m0 = float(ms[0])
     assert cdf(m0) > cdf(m0 - 1e-9)
-    assert cdf(m0) == margin_distribution(scores, labels, m0)
+    m = margins(scores, labels)
+    for delta in (*m[:5], 0.0, -0.0, 5e-324, 1.0):
+        assert cdf(delta) == np.count_nonzero(m <= delta) / 30
 
 
 def test_translation_invariance_of_margins():
