@@ -22,23 +22,23 @@ rng = np.random.default_rng(1)
 cls = TabulatedClass(rng.normal(size=(6, 8)))
 oracle = TabulatedSupOracle(cls)
 
-exact = exact_empirical_rademacher(oracle, 8)
-mc = mc_empirical_rademacher(oracle, 8, trials=20000, seed=0)
+exact = exact_empirical_rademacher(oracle)
+mc = mc_empirical_rademacher(oracle, trials=20000, seed=0)
 print(f"exact enumeration: {exact.value:.6f}")
 print(f"monte carlo:       {mc.value:.6f} +- {mc.std_error:.6f}  ({mc.trials} trials)")
 print(f"|difference| / std_error = {abs(mc.value - exact.value) / mc.std_error:.2f}")
 
 # Signed vs absolute convention on a class without sign symmetry.
 singleton = TabulatedSupOracle(TabulatedClass(-np.ones((1, 8))))
-signed = exact_empirical_rademacher(singleton, 8, convention="signed")
-absolute = exact_empirical_rademacher(singleton, 8, convention="absolute")
+signed = exact_empirical_rademacher(singleton, convention="signed")
+absolute = exact_empirical_rademacher(singleton, convention="absolute")
 print(f"\nconstant-(-1) singleton: signed {signed.value:.6f}, absolute {absolute.value:.6f}")
 
 # Kernel norm-ball: the sup has a closed form, so no enumeration is needed.
 points = rng.normal(size=(40, 3))
 g = gram(KernelSpec(kind="rbf", gamma=0.5), points)
 ball = KernelSupOracle(g, lambda_cap=2.0)
-plain = mc_empirical_rademacher(ball, 40, trials=20000, seed=1)
+plain = mc_empirical_rademacher(ball, trials=20000, seed=1)
 est = kernel_mc_rademacher(ball, trials=20000, seed=1)
 data_dependent, worst_case = kernel_rad_bounds(g, 2.0)
 radius = float(np.sqrt(np.diag(g).max()))

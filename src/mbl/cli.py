@@ -103,7 +103,6 @@ def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
         path = source[len("tabulated:") :]
         ctx.track_input(path)
         oracle = TabulatedSupOracle(read_tabulated_csv(path))
-        n = oracle.n
     elif source.startswith("kernel:"):
         spec = parse_kernel_spec(source[len("kernel:") :])
         if not args.data:
@@ -113,18 +112,19 @@ def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
         ctx.track_input(args.data)
         dataset = read_dataset_csv(args.data)
         oracle = KernelSupOracle(gram(spec, dataset.points), args.lambda_cap)
-        n = dataset.n
         # The norm-ball supremum is even in eps, so both conventions give the
         # signed estimate, at one oracle query per draw.
         convention = "signed"
     else:
         raise ValueError("--class must be tabulated:<csv> or kernel:<spec>")
     if args.mode == "exact":
-        est = exact_empirical_rademacher(oracle, n, convention=convention)
+        est = exact_empirical_rademacher(oracle, convention=convention)
     elif isinstance(oracle, KernelSupOracle):
         est = kernel_mc_rademacher(oracle, args.trials, args.seed)
     else:
-        est = mc_empirical_rademacher(oracle, n, args.trials, args.seed, convention=convention)
+        est = mc_empirical_rademacher(
+            oracle, trials=args.trials, seed=args.seed, convention=convention
+        )
     payload = {
         "value": est.value,
         "method": est.method,
@@ -132,7 +132,7 @@ def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
         "std_error": est.std_error,
         "seed": est.seed,
         "convention": args.convention,
-        "n": n,
+        "n": oracle.n,
     }
     return 0, payload
 

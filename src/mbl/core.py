@@ -77,7 +77,7 @@ class LabeledDataset:
 
     @property
     def d(self) -> int:
-        return self.points.shape[1] if self.points.ndim == 2 else 1
+        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,14 @@ class RademacherEstimate:
 class SupOracle(Protocol):
     """Oracle contract: the inner supremum of the Rademacher definition.
 
-    ``n`` is the sample size.  ``query_block(signs_block)`` maps a
-    (trials, n) int8 block of sign vectors to the per-row suprema
-    sup_{f in F} (1/n) sum_i signs_i f(x_i): a (trials,) array, or a
-    (trials, c) array for an oracle whose c classes share each draw (one
-    column per class).  It must be deterministic (same block, same values,
-    bitwise); a single sign vector is a one-row block.
+    ``n`` is the sample size every estimator reads: it sets the length of
+    the sign vectors, the batch size and the enumeration and sign-cell
+    caps.  ``query_block(signs_block)`` maps a (trials, n) int8 block of
+    sign vectors to the per-row suprema sup_{f in F} (1/n) sum_i signs_i
+    f(x_i): a (trials,) array, or a (trials, c) array for an oracle whose c
+    classes share each draw (one column per class).  It must be
+    deterministic (same block, same values, bitwise); a single sign vector
+    is a one-row block.
 
     An oracle is row-invariant when a row's values, bit for bit, do not
     depend on the rest of the block: its place, the block's size, the other

@@ -295,7 +295,7 @@ def kernel_mc_rademacher(oracle: KernelSupOracle, trials: int, seed: int) -> Rad
     """Monte Carlo estimate of the norm-ball complexity E r (module docstring).
 
     Returns c - mean((r - c)^2 / (2c)) over the draws of
-    mc_empirical_rademacher(oracle, n, trials, seed), with that mean's
+    mc_empirical_rademacher(oracle, trials, seed), with that mean's
     standard error; c = lam sqrt(trace G)/n.  When c = 0 (lam = 0, or a zero
     trace, which makes the PSD G zero) every r is 0, and the result is 0 with
     standard error 0 once the request passes the Monte Carlo checks.
@@ -304,7 +304,7 @@ def kernel_mc_rademacher(oracle: KernelSupOracle, trials: int, seed: int) -> Rad
     if c == 0.0:
         _check_mc_request(oracle.n, trials, seed)
         return RademacherEstimate(0.0, "monte-carlo", trials, 0.0, seed)
-    gap = mc_empirical_rademacher(_JensenGapOracle(oracle, c), oracle.n, trials, seed)
+    gap = mc_empirical_rademacher(_JensenGapOracle(oracle, c), trials=trials, seed=seed)
     return RademacherEstimate(c - gap.value, "monte-carlo", gap.trials, gap.std_error, seed)
 
 

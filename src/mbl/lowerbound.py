@@ -165,10 +165,8 @@ def _interval_optima(
     holds the plain sign sum of each interval.
     """
     trials, k = block.shape[0], len(inside)
-    m_max = max((idx.size for idx in inside), default=0)
-    if m_max == 0:
-        zeros = np.zeros((trials, k), dtype=np.int64)
-        return zeros, zeros.copy()
+    # at least one row: a zero row adds 0 to every state, so no point inside gives 0s
+    m_max = max([1] + [idx.size for idx in inside])
     fold = np.zeros((m_max, k, trials), dtype=np.int8)
     for j, idx in enumerate(inside):
         fold[: idx.size, j] = block[:, idx].T
@@ -346,7 +344,7 @@ def _theorem3_columns(
     a runaway request raises CapExceeded before the sample is drawn."""
     _check_mc_request(n, trials, sign_seed)
     dataset = generate(GeneratorSpec(kind="uniform_interval", k=k, n=n, seed=sample_seed))
-    return mc_rademacher_columns(Theorem3SupOracle(dataset, k, t), n, trials, sign_seed)
+    return mc_rademacher_columns(Theorem3SupOracle(dataset, k, t), trials=trials, seed=sign_seed)
 
 
 def select_t(

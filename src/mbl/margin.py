@@ -152,11 +152,16 @@ def margins(scores: ScoreMatrix, labels) -> np.ndarray:
 
 
 def empirical_margin_cdf(scores: ScoreMatrix, labels) -> Callable[[float], float]:
-    """delta -> fraction of margins <= delta, precomputed and sorted."""
+    """delta -> fraction of margins <= delta, precomputed and sorted.
+
+    -inf gives 0.0 and +inf 1.0; a NaN delta raises ValueError.
+    """
     m = np.sort(margins(scores, labels))
     n = m.shape[0]
 
     def cdf(delta: float) -> float:
+        if math.isnan(delta):  # searchsorted would place NaN last, giving 1.0
+            raise ValueError("delta must not be NaN")
         return float(np.searchsorted(m, delta, side="right") / n)
 
     return cdf
@@ -191,7 +196,7 @@ def verify_lemma1(spec: MarginClassSpec, labels) -> Lemma1Report:
         raise CapExceeded(f"n={n} exceeds the exact-enumeration cap")
     mclass = materialize_margin_class(spec, labels)
     oracle = TabulatedSupOracle(mclass, *spec.per_class)
-    values = [est.value for est in exact_rademacher_columns(oracle, n)]
+    values = [est.value for est in exact_rademacher_columns(oracle)]
     lhs, per_class = values[0], tuple(values[1:])
     rhs = math.fsum(per_class)
     passed = lhs <= rhs + _LEMMA1_TOLERANCE

@@ -1,15 +1,16 @@
 """Exact and Monte Carlo estimation of empirical Rademacher complexity.
 
-Both estimators accept any object satisfying the ``SupOracle`` contract and
-run through one loop: it draws the sign rows in fixed batches from a sign
-source, calls ``query_block`` on each batch and adds every column the
-oracle returns into exact running sums before the next batch is drawn.  The
-exact source is ``enumerate_sign_vectors`` (all 2^n rows in binary order);
-the Monte Carlo source is ``trial_sign_block``.  ``exact_rademacher_columns``
-and ``mc_rademacher_columns`` return one estimate per column of a
-multi-column oracle; ``exact_empirical_rademacher`` and
-``mc_empirical_rademacher`` are their one-column cases.  The signed
-convention R_hat_n(F) = E_eps sup_f (1/n) sum_i eps_i f(x_i) is the default;
+Both estimators accept any object satisfying the ``SupOracle`` contract,
+take the sample size n from its ``n`` and run through one loop: it draws
+the sign rows in fixed batches from a sign source, calls ``query_block`` on
+each batch and adds every column the oracle returns into exact running sums
+before the next batch is drawn.  The exact source is
+``enumerate_sign_vectors`` (all 2^n rows in binary order); the Monte Carlo
+source is ``trial_sign_block``.  ``exact_rademacher_columns`` and
+``mc_rademacher_columns`` return one estimate per column of a multi-column
+oracle; ``exact_empirical_rademacher`` and ``mc_empirical_rademacher`` are
+their one-column cases.  The signed convention
+R_hat_n(F) = E_eps sup_f (1/n) sum_i eps_i f(x_i) is the default;
 ``convention="absolute"`` computes E_eps sup_f |(1/n) sum_i eps_i f(x_i)|,
 which for any oracle equals the per-draw max of the suprema at eps and -eps.
 
@@ -264,7 +265,6 @@ def _accumulate(
 
 def _estimate_columns(
     oracle: SupOracle,
-    n: int,
     rows: int,
     signs: Callable[[int, int], np.ndarray],
     convention: str,
@@ -281,7 +281,7 @@ def _estimate_columns(
     """
     if convention not in ("signed", "absolute"):
         raise ValueError(f"convention must be 'signed' or 'absolute', got {convention!r}")
-    batch = max(1, _TARGET_BATCH_CELLS // n)
+    batch = max(1, _TARGET_BATCH_CELLS // oracle.n)
     sums: list[int] = []
     squares: list[int] = []
     for lo in range(0, rows, batch):
@@ -319,40 +319,33 @@ def _one_column(estimates: list[RademacherEstimate]) -> RademacherEstimate:
 
 def exact_rademacher_columns(
     oracle: SupOracle,
-    n: int,
     convention: str = "signed",
 ) -> list[RademacherEstimate]:
-    """Exact averages of every oracle column over all 2^n sign vectors.
+    """Exact averages of every oracle column over all 2^n sign vectors, n = oracle.n.
 
     The exact twin of mc_rademacher_columns: one enumeration in binary
     order serves every column, and column j's value is exactly what
     exact_empirical_rademacher gives for an oracle returning that column
-    alone.  n other than oracle.n raises ValueError, and n above
-    EXACT_ENUMERATION_CAP CapExceeded, before any batch runs.
+    alone.  n above EXACT_ENUMERATION_CAP raises CapExceeded before any
+    batch runs.
     """
-    _check_oracle_n(oracle, n)
+    n = oracle.n
     _check_enumerable(n)
     signs = partial(enumerate_sign_vectors, n)
-    return _estimate_columns(oracle, n, 1 << n, signs, convention, None)
+    return _estimate_columns(oracle, 1 << n, signs, convention, None)
 
 
 def exact_empirical_rademacher(
     oracle: SupOracle,
-    n: int,
     convention: str = "signed",
 ) -> RademacherEstimate:
-    """Full enumeration over all 2^n sign vectors (binary order).
+    """Full enumeration over all 2^n sign vectors (binary order), n = oracle.n.
 
     The mean is an exactly rounded sum of the 2^n supremum values, so the
     result does not depend on enumeration batching.  n above
     EXACT_ENUMERATION_CAP raises CapExceeded before any batch runs.
     """
-    return _one_column(exact_rademacher_columns(oracle, n, convention))
-
-
-def _check_oracle_n(oracle: SupOracle, n: int) -> None:
-    if n != oracle.n:  # n sizes the sign stream and the cap checks
-        raise ValueError(f"n={n} does not match the oracle's sample size n={oracle.n}")
+    return _one_column(exact_rademacher_columns(oracle, convention))
 
 
 def _check_mc_request(n: int, trials: int, seed: int) -> None:
@@ -372,7 +365,6 @@ def _check_mc_request(n: int, trials: int, seed: int) -> None:
 
 def mc_rademacher_columns(
     oracle: SupOracle,
-    n: int,
     trials: int,
     seed: int,
     convention: str = "signed",
@@ -383,24 +375,22 @@ def mc_rademacher_columns(
     (trials, c) matrix of c suprema sharing each draw; the absolute
     convention takes each column's max at eps and -eps.  Column j's value
     and std_error are exactly what mc_empirical_rademacher gives for an
-    oracle returning that column alone.  n other than oracle.n raises
-    ValueError, and trials * n above MC_SIGN_CELL_CAP CapExceeded, before
-    any batch runs.
+    oracle returning that column alone.  trials * oracle.n above
+    MC_SIGN_CELL_CAP raises CapExceeded before any batch runs.
     """
-    _check_oracle_n(oracle, n)
+    n = oracle.n
     _check_mc_request(n, trials, seed)
     if n <= EXACT_ENUMERATION_CAP and 1 << n <= trials:
         # at most 2^n distinct draws: query each pattern once, weighted by its count
         counts = _pattern_counts(seed, n, trials)
         signs = partial(enumerate_sign_vectors, n)
-        return _estimate_columns(oracle, n, 1 << n, signs, convention, seed, counts)
+        return _estimate_columns(oracle, 1 << n, signs, convention, seed, counts)
     signs = partial(trial_sign_block, seed, n=n)
-    return _estimate_columns(oracle, n, trials, signs, convention, seed)
+    return _estimate_columns(oracle, trials, signs, convention, seed)
 
 
 def mc_empirical_rademacher(
     oracle: SupOracle,
-    n: int,
     trials: int,
     seed: int,
     convention: str = "signed",
@@ -409,8 +399,8 @@ def mc_empirical_rademacher(
 
     std_error is the sample standard deviation over trials divided by
     sqrt(trials).  For a row-invariant oracle the output is a pure function
-    of (oracle, n, trials, seed, convention): neither batching nor the
+    of (oracle, trials, seed, convention): neither batching nor the
     counted path (2^n <= trials, module docstring) changes a bit.  Batches
     run one after another on the calling thread.
     """
-    return _one_column(mc_rademacher_columns(oracle, n, trials, seed, convention))
+    return _one_column(mc_rademacher_columns(oracle, trials, seed, convention))

@@ -75,8 +75,8 @@ def test_acceptance_3_mc_within_four_std_errors():
         rows = int(rng.integers(1, 7))
         cls = TabulatedClass(rng.normal(size=(rows, n)))
         oracle = TabulatedSupOracle(cls)
-        exact = exact_empirical_rademacher(oracle, n).value
-        est = mc_empirical_rademacher(oracle, n, trials=10**4, seed=case)
+        exact = exact_empirical_rademacher(oracle).value
+        est = mc_empirical_rademacher(oracle, trials=10**4, seed=case)
         if abs(est.value - exact) <= 4.0 * est.std_error:
             hits += 1
     ok = hits >= 99
@@ -128,7 +128,7 @@ def test_acceptance_6_kernel_jensen_chain():
             else KernelSpec(kind="linear")
         g = gram(spec, ds.points)
         lam = float(rng.uniform(0.5, 3.0))
-        est = mc_empirical_rademacher(KernelSupOracle(g, lam), n, trials=3000, seed=case)
+        est = mc_empirical_rademacher(KernelSupOracle(g, lam), trials=3000, seed=case)
         dd, worst = kernel_rad_bounds(g, lam)
         radius = math.sqrt(float(np.diag(g).max()))
         if est.value <= dd + 4.0 * est.std_error and dd <= worst(radius) + 4.0 * est.std_error:

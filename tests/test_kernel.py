@@ -462,7 +462,7 @@ def test_jensen_chain_exact():
         g = gram(spec, pts)
         lam = float(rng.uniform(0.5, 3.0))
         oracle = KernelSupOracle(g, lam)
-        exact = exact_empirical_rademacher(oracle, g.shape[0]).value
+        exact = exact_empirical_rademacher(oracle).value
         dd, worst = kernel_rad_bounds(g, lam)
         radius = math.sqrt(float(np.diag(g).max()))
         assert exact <= dd + 1e-12
@@ -474,7 +474,7 @@ def test_jensen_chain_monte_carlo():
     pts = rng.normal(size=(40, 3))
     g = gram(KernelSpec(kind="rbf", gamma=0.2), pts)
     oracle = KernelSupOracle(g, 1.5)
-    est = mc_empirical_rademacher(oracle, 40, trials=4000, seed=8)
+    est = mc_empirical_rademacher(oracle, trials=4000, seed=8)
     dd, worst = kernel_rad_bounds(g, 1.5)
     assert est.value <= dd + 4.0 * est.std_error
     assert dd <= worst(1.0) + 1e-12
@@ -490,8 +490,8 @@ def test_grid_class_approaches_kernel_oracle():
     ws = lam * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     grid_oracle = TabulatedSupOracle(TabulatedClass(ws @ pts.T))
     kern_oracle = KernelSupOracle(gram(KernelSpec(kind="linear"), pts), lam)
-    grid_val = exact_empirical_rademacher(grid_oracle, 5).value
-    kern_val = exact_empirical_rademacher(kern_oracle, 5).value
+    grid_val = exact_empirical_rademacher(grid_oracle).value
+    kern_val = exact_empirical_rademacher(kern_oracle).value
     assert grid_val <= kern_val + 1e-12
     assert kern_val - grid_val <= 1e-4
 
@@ -513,8 +513,8 @@ def test_kernel_conventions_coincide_bitwise(spec):
     # no bit: the CLI estimates kernel classes once, under the signed one.
     rng = np.random.default_rng(5)
     for n, estimate in (
-        (300, lambda o, conv: mc_empirical_rademacher(o, 300, 2000, 3, convention=conv)),
-        (12, lambda o, conv: exact_empirical_rademacher(o, 12, convention=conv)),
+        (300, lambda o, conv: mc_empirical_rademacher(o, 2000, 3, convention=conv)),
+        (12, lambda o, conv: exact_empirical_rademacher(o, convention=conv)),
     ):
         oracle = KernelSupOracle(gram(spec, rng.normal(size=(n, 2))), 1.3)
         assert estimate(oracle, "signed") == estimate(oracle, "absolute")
@@ -528,8 +528,8 @@ def test_jensen_gap_exact_identity(spec):
     for n in (3, 8, 12):
         oracle = KernelSupOracle(gram(spec, rng.normal(size=(n, 2))), 0.7)
         c = _trace_bound(oracle)
-        gap = exact_empirical_rademacher(_JensenGapOracle(oracle, c), n).value
-        exact = exact_empirical_rademacher(oracle, n).value
+        gap = exact_empirical_rademacher(_JensenGapOracle(oracle, c)).value
+        exact = exact_empirical_rademacher(oracle).value
         assert c - gap == pytest.approx(exact, rel=1e-12)
         est = kernel_mc_rademacher(oracle, 20000, n)
         assert abs(est.value - exact) <= 4.0 * est.std_error
@@ -540,7 +540,7 @@ def test_kernel_mc_variance_below_plain_monte_carlo():
     for g in (gram(KernelSpec(kind="rbf", gamma=0.5), rng.normal(size=(60, 3))), np.ones((60, 60))):
         oracle = KernelSupOracle(g, 1.0)
         for seed in range(3):
-            plain = mc_empirical_rademacher(oracle, 60, 4000, seed)
+            plain = mc_empirical_rademacher(oracle, 4000, seed)
             est = kernel_mc_rademacher(oracle, 4000, seed)
             assert est.std_error <= 0.5 * plain.std_error
             assert abs(est.value - plain.value) <= 4.0 * plain.std_error

@@ -265,8 +265,8 @@ def _exact_column_means(oracle, n):
     return [math.fsum(col.tolist()) / (1 << n) for col in cols.T]
 
 
-def _exact_tabulated(rows, n):
-    return exact_empirical_rademacher(TabulatedSupOracle(TabulatedClass(np.asarray(rows))), n).value
+def _exact_tabulated(rows):
+    return exact_empirical_rademacher(TabulatedSupOracle(TabulatedClass(np.asarray(rows)))).value
 
 
 @pytest.mark.parametrize("t", [0, 1, 2])
@@ -282,9 +282,9 @@ def test_oracles_match_materialized_classes(t):
 
     ds = LabeledDataset(POINTS, [3] * n, 3)
     means = _exact_column_means(Theorem3SupOracle(ds, k, t), n)
-    assert means[COL_MARGIN] == _exact_tabulated(margin_rows, n)
-    assert means[COL_UNION] == _exact_tabulated(union_rows, n)
-    assert means[COL_UNION_MARGIN] == _exact_tabulated(pair_rows, n)
+    assert means[COL_MARGIN] == _exact_tabulated(margin_rows)
+    assert means[COL_UNION] == _exact_tabulated(union_rows)
+    assert means[COL_UNION_MARGIN] == _exact_tabulated(pair_rows)
 
 
 def test_restricted_rademacher_exact_values():
@@ -358,8 +358,8 @@ def test_select_t_requires_every_interval(monkeypatch):
     # interval alone reads 0, so the search must move on to t = 2.
     real = lowerbound.mc_rademacher_columns
 
-    def pinned(oracle, n, trials, seed, convention="signed"):
-        ests = real(oracle, n, trials, seed, convention)
+    def pinned(oracle, trials, seed, convention="signed"):
+        ests = real(oracle, trials, seed, convention)
         k = len(ests) - COL_RESTRICTED
         low = [oracle.t == 1 and j == k - 1 for j in range(k)]
         return ests[:COL_RESTRICTED] + [
@@ -426,7 +426,7 @@ def test_verify_theorem3_reads_both_sides_off_one_stream(variant, lhs_col, rhs_c
         GeneratorSpec(kind="uniform_interval", k=k, n=n, seed=lowerbound._derived_seed(seed, 0, 0))
     )
     ests = rademacher.mc_rademacher_columns(
-        Theorem3SupOracle(ds, k, t), n, trials, lowerbound._derived_seed(seed, 0, 2)
+        Theorem3SupOracle(ds, k, t), trials, lowerbound._derived_seed(seed, 0, 2)
     )
     assert (report.lhs, report.lhs_std_error) == (ests[lhs_col].value, ests[lhs_col].std_error)
     assert (report.rhs, report.rhs_std_error) == (

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -139,6 +140,15 @@ def test_margin_cdf_monotone_and_right_continuous():
     m = margins(scores, labels)
     for delta in (*m[:5], 0.0, -0.0, 5e-324, 1.0):
         assert cdf(delta) == np.count_nonzero(m <= delta) / 30
+
+
+def test_margin_cdf_rejects_nan_and_keeps_infinite_limits():
+    cdf = empirical_margin_cdf(ScoreMatrix(np.array([[0.0, 0.1], [0.2, 0.0]])), [1, 1])
+    with pytest.raises(ValueError, match="NaN"):
+        cdf(math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        cdf(np.float64("nan"))
+    assert (cdf(-math.inf), cdf(math.inf)) == (0.0, 1.0)
 
 
 def test_translation_invariance_of_margins():

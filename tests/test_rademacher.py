@@ -47,7 +47,7 @@ def test_tabulated_sup_dimension_mismatch():
 
 
 def test_exact_two_point_class_is_half():
-    est = exact_empirical_rademacher(TabulatedSupOracle(TWO_POINT), 2)
+    est = exact_empirical_rademacher(TabulatedSupOracle(TWO_POINT))
     assert est.value == 0.5
     assert est.method == "exact-enumeration"
     assert est.trials == 0
@@ -57,19 +57,19 @@ def test_exact_two_point_class_is_half():
 def test_exact_singleton_constant_is_zero():
     for n in (1, 3, 7):
         cls = TabulatedClass(-np.ones((1, n)))
-        est = exact_empirical_rademacher(TabulatedSupOracle(cls), n)
+        est = exact_empirical_rademacher(TabulatedSupOracle(cls))
         assert est.value == 0.0
 
 
 def test_exact_sign_symmetric_pair_n1_is_one():
     cls = TabulatedClass([[1.0], [-1.0]])
-    assert exact_empirical_rademacher(TabulatedSupOracle(cls), 1).value == 1.0
+    assert exact_empirical_rademacher(TabulatedSupOracle(cls)).value == 1.0
 
 
 def test_exact_enumeration_cap():
     cls = TabulatedClass(np.ones((1, 21)))
     with pytest.raises(CapExceeded):
-        exact_empirical_rademacher(TabulatedSupOracle(cls), 21)
+        exact_empirical_rademacher(TabulatedSupOracle(cls))
 
 
 def test_enumerate_sign_vectors_binary_order():
@@ -147,10 +147,10 @@ def test_trial_sign_block_seed_validation():
 
 def test_mc_determinism():
     oracle = TabulatedSupOracle(random_class(0))
-    a = mc_empirical_rademacher(oracle, 8, 3000, seed=11)
-    b = mc_empirical_rademacher(oracle, 8, 3000, seed=11)
+    a = mc_empirical_rademacher(oracle, 3000, seed=11)
+    b = mc_empirical_rademacher(oracle, 3000, seed=11)
     assert (a.value, a.std_error) == (b.value, b.std_error)
-    d = mc_empirical_rademacher(oracle, 8, 3000, seed=12)
+    d = mc_empirical_rademacher(oracle, 3000, seed=12)
     assert d.value != a.value
 
 
@@ -159,24 +159,24 @@ def test_mc_columns_match_one_column_estimates(convention, monkeypatch):
     # batches of 1000 trials: the columns of three blocks are reduced in turn
     monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", 8 * 1000)
     first, second = random_class(5), random_class(6)
-    got = mc_rademacher_columns(TabulatedSupOracle(first, second), 8, 3000, 13, convention)
+    got = mc_rademacher_columns(TabulatedSupOracle(first, second), 3000, 13, convention)
     want = [
-        mc_empirical_rademacher(TabulatedSupOracle(c), 8, 3000, 13, convention)
+        mc_empirical_rademacher(TabulatedSupOracle(c), 3000, 13, convention)
         for c in (first, second)
     ]
     assert got == want
     with pytest.raises(ValueError, match="columns"):
-        mc_empirical_rademacher(TabulatedSupOracle(first, second), 8, 64, 13)
+        mc_empirical_rademacher(TabulatedSupOracle(first, second), 64, 13)
 
 
 @pytest.mark.parametrize("convention", ["signed", "absolute"])
 def test_exact_columns_match_one_column_estimates(convention):
     classes = [random_class(seed, m=seed - 20, n=9) for seed in (21, 23, 27)]
-    got = exact_rademacher_columns(TabulatedSupOracle(*classes), 9, convention)
-    want = [exact_empirical_rademacher(TabulatedSupOracle(c), 9, convention) for c in classes]
+    got = exact_rademacher_columns(TabulatedSupOracle(*classes), convention)
+    want = [exact_empirical_rademacher(TabulatedSupOracle(c), convention) for c in classes]
     assert got == want
     with pytest.raises(ValueError, match="columns"):
-        exact_empirical_rademacher(TabulatedSupOracle(*classes), 9)
+        exact_empirical_rademacher(TabulatedSupOracle(*classes))
 
 
 def test_tabulated_oracle_classes_share_one_sample():
@@ -187,10 +187,10 @@ def test_tabulated_oracle_classes_share_one_sample():
 @pytest.mark.parametrize("convention", ["signed", "absolute"])
 def test_exact_is_bitwise_stable_under_small_batches(convention, monkeypatch):
     classes = [random_class(seed, m=6, n=9) for seed in (20, 21)]
-    whole = [exact_empirical_rademacher(TabulatedSupOracle(c), 9, convention) for c in classes]
+    whole = [exact_empirical_rademacher(TabulatedSupOracle(c), convention) for c in classes]
     # 512 rows in batches of 100: five full batches and one of 12
     monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", 9 * 100)
-    batched = [exact_empirical_rademacher(TabulatedSupOracle(c), 9, convention) for c in classes]
+    batched = [exact_empirical_rademacher(TabulatedSupOracle(c), convention) for c in classes]
     assert batched == whole
 
 
@@ -201,7 +201,7 @@ def test_exact_peak_memory():
     oracle = TabulatedSupOracle(random_class(8, m=4, n=18))
     tracemalloc.start()
     try:
-        exact_empirical_rademacher(oracle, 18)
+        exact_empirical_rademacher(oracle)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -214,7 +214,7 @@ def test_mc_reduction_peak_memory():
     oracle = TabulatedSupOracle(random_class(9, m=8, n=16))
     tracemalloc.start()
     try:
-        mc_empirical_rademacher(oracle, 16, 2_000_000, seed=3)
+        mc_empirical_rademacher(oracle, 2_000_000, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -225,10 +225,10 @@ def test_mc_reduction_peak_memory():
 def test_mc_is_bitwise_stable_under_batch_sizes(cells, monkeypatch):
     # 5000 trials in batches of 7, 1000 and 4096 rows against one batch
     oracle = TabulatedSupOracle(random_class(10, m=6, n=16))
-    whole = [mc_empirical_rademacher(oracle, 16, 5000, seed=4, convention=c)
+    whole = [mc_empirical_rademacher(oracle, 5000, seed=4, convention=c)
              for c in ("signed", "absolute")]
     monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", cells)
-    assert [mc_empirical_rademacher(oracle, 16, 5000, seed=4, convention=c)
+    assert [mc_empirical_rademacher(oracle, 5000, seed=4, convention=c)
             for c in ("signed", "absolute")] == whole
 
 
@@ -238,7 +238,7 @@ def test_mc_peak_memory_does_not_grow_with_trials():
     for trials in (200_000, 800_000):
         tracemalloc.start()
         try:
-            mc_empirical_rademacher(oracle, 16, trials, seed=3)
+            mc_empirical_rademacher(oracle, trials, seed=3)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -294,20 +294,20 @@ def _adversarial_column(seed, size):
 def test_streaming_mean_is_bitwise_fsum_on_adversarial_columns(seed, monkeypatch):
     monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", 8 * 100)  # 100-row batches
     col = _adversarial_column(seed, 1 << 10)
-    est = exact_empirical_rademacher(_ColumnOracle(col, 10), 10)
+    est = exact_empirical_rademacher(_ColumnOracle(col, 10))
     assert est.value.hex() == (math.fsum(col.tolist()) / col.size).hex()
     assert [
-        e.value for e in exact_rademacher_columns(_ColumnOracle(np.column_stack([col, -col]), 10), 10)
+        e.value for e in exact_rademacher_columns(_ColumnOracle(np.column_stack([col, -col]), 10))
     ] == [est.value, -est.value]
     with pytest.raises(ValueError, match="too large"):
-        mc_empirical_rademacher(_ColumnOracle(col, 11), 11, col.size, seed=1)
+        mc_empirical_rademacher(_ColumnOracle(col, 11), col.size, seed=1)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_streaming_std_error_is_the_exact_deviation_rounded_once(seed, monkeypatch):
     monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", 8 * 100)
     col = _adversarial_column(seed, 1000) * 1e-152  # squares stay finite
-    est = mc_empirical_rademacher(_ColumnOracle(col, 10), 10, col.size, seed=1)
+    est = mc_empirical_rademacher(_ColumnOracle(col, 10), col.size, seed=1)
     exact = [Fraction(v) for v in col.tolist()]
     dev = sum(v * v for v in exact) - sum(exact) ** 2 / col.size
     assert est.value.hex() == (math.fsum(col.tolist()) / col.size).hex()
@@ -324,7 +324,7 @@ def test_weighted_reduction_is_exact_with_large_counts(seed):
     col = _adversarial_column(seed, 1 << 10) * 1e-154  # squares stay finite
     signs = partial(enumerate_sign_vectors, 10)
     (est,) = rademacher._estimate_columns(
-        _ColumnOracle(col, 10), 10, col.size, signs, "signed", 1, counts
+        _ColumnOracle(col, 10), col.size, signs, "signed", 1, counts
     )
     draws = int(counts.sum())
     exact = [Fraction(v) for v in col.tolist()]
@@ -336,7 +336,7 @@ def test_weighted_reduction_is_exact_with_large_counts(seed):
     assert est.std_error == math.sqrt(float(dev) / (draws - 1)) / math.sqrt(draws)
     with pytest.raises(ValueError, match="too large"):
         rademacher._estimate_columns(
-            _ColumnOracle(col * 1e154, 10), 10, col.size, signs, "signed", 1, counts
+            _ColumnOracle(col * 1e154, 10), col.size, signs, "signed", 1, counts
         )
 
 
@@ -373,7 +373,7 @@ def test_counted_mc_is_bitwise_the_per_draw_estimate(trials, convention, cells, 
     )
     x = 1.0 + 3.0 * np.random.default_rng(trials).random(8)
     oracle = Theorem3SupOracle(x, k=3, t=1)
-    got = mc_rademacher_columns(oracle, 8, trials, 21, convention)
+    got = mc_rademacher_columns(oracle, trials, 21, convention)
     assert len(counted) == (trials >= 256)
     assert len(got) == 4 + 3
     assert got == _per_draw_estimates(oracle, 8, trials, 21, convention)
@@ -387,7 +387,7 @@ def test_counted_mc_weights_each_pattern_by_its_draw_count():
     sups = [Fraction(v) for v in oracle.query_block(enumerate_sign_vectors(n)).tolist()]
     s1 = sum(c * v for c, v in zip(counts.tolist(), sups))
     s2 = sum(c * v * v for c, v in zip(counts.tolist(), sups))
-    est = mc_empirical_rademacher(oracle, n, trials, seed)
+    est = mc_empirical_rademacher(oracle, trials, seed)
     assert est.value.hex() == (float(s1) / trials).hex()
     dev = s2 - s1 * s1 / trials
     assert est.std_error == math.sqrt(float(dev) / (trials - 1)) / math.sqrt(trials)
@@ -398,9 +398,9 @@ def test_non_finite_suprema_raise(bad):
     col = np.ones(1 << 8)
     col[200] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        exact_empirical_rademacher(_ColumnOracle(col, 8), 8)
+        exact_empirical_rademacher(_ColumnOracle(col, 8))
     with pytest.raises(ValueError, match="non-finite"):
-        mc_empirical_rademacher(_ColumnOracle(col, 8), 8, col.size, seed=0)
+        mc_empirical_rademacher(_ColumnOracle(col, 8), col.size, seed=0)
 
 
 def _full_unpack(words, rows, n):
@@ -430,45 +430,86 @@ def test_mc_sign_cell_cap_raises_before_any_batch():
 
     trials = MC_SIGN_CELL_CAP // 16 + 1
     with pytest.raises(CapExceeded, match="cap"):
-        mc_empirical_rademacher(NeverQueried(), 16, trials, seed=0)
+        mc_empirical_rademacher(NeverQueried(), trials, seed=0)
 
 
-def _oracle_on_8_points(kind):
-    rng = np.random.default_rng(8)
+def _oracle_on_points(kind, n):
+    rng = np.random.default_rng(n)
     if kind == "tabulated":
-        return TabulatedSupOracle(TabulatedClass(rng.normal(size=(3, 8))))
+        return TabulatedSupOracle(TabulatedClass(rng.normal(size=(3, n))))
     if kind == "kernel":
-        points = rng.normal(size=(8, 2))
+        points = rng.normal(size=(n, 2))
         return KernelSupOracle(gram(KernelSpec(kind="rbf", gamma=0.5), points), 1.0)
-    return Theorem3SupOracle(1.0 + 2.0 * rng.random(8), k=2, t=1)
+    return Theorem3SupOracle(1.0 + 2.0 * rng.random(n), k=2, t=1)
+
+
+def _never_queried(block):
+    raise AssertionError("no batch may run")
 
 
 @pytest.mark.parametrize("kind", ["tabulated", "kernel", "theorem3"])
-@pytest.mark.parametrize("n", [4, 16, 1000])
-@pytest.mark.parametrize(
-    "estimate",
-    [
-        lambda oracle, n: exact_rademacher_columns(oracle, n),
-        lambda oracle, n: mc_rademacher_columns(oracle, n, 64, 3),
-    ],
-    ids=["exact", "mc"],
-)
-def test_estimators_reject_an_n_other_than_the_oracles(kind, n, estimate):
-    # n sizes the sign stream and the cap checks, so a wrong n must fail
-    # up front, naming both sizes, not inside the oracle's first batch.
-    with pytest.raises(ValueError, match=f"n={n} does not match .* n=8"):
-        estimate(_oracle_on_8_points(kind), n)
+@pytest.mark.parametrize("estimator", ["exact", "mc"])
+def test_estimators_take_n_from_the_oracle(estimator, kind):
+    # 8 points: all 2^8 sign vectors, or all 64 draws, in one batch, so the
+    # estimates are the fsum of each column over that block
+    oracle = _oracle_on_points(kind, 8)
+    if estimator == "exact":
+        cols = oracle.query_block(enumerate_sign_vectors(8)).reshape(256, -1)
+        want = [math.fsum(c.tolist()) / 256 for c in cols.T]
+        assert [e.value for e in exact_rademacher_columns(oracle)] == want
+    else:
+        want = _per_draw_estimates(oracle, 8, 64, 3, "signed")
+        assert mc_rademacher_columns(oracle, trials=64, seed=3) == want
+
+
+@pytest.mark.parametrize("kind", ["tabulated", "kernel", "theorem3"])
+@pytest.mark.parametrize("n", [21, 64, 1000])
+@pytest.mark.parametrize("estimator", ["exact", "mc"])
+def test_estimator_caps_read_oracle_n(estimator, n, kind):
+    # 2^n vectors past the enumeration cap, or trials * n one draw past the
+    # sign-cell cap: both raise before any batch, naming oracle.n
+    oracle = _oracle_on_points(kind, n)
+    oracle.query_block = _never_queried
+    if estimator == "exact":
+        with pytest.raises(CapExceeded, match=f"2\\^{n} "):
+            exact_rademacher_columns(oracle)
+    else:
+        with pytest.raises(CapExceeded, match=f"n={n} "):
+            mc_rademacher_columns(oracle, trials=MC_SIGN_CELL_CAP // n + 1, seed=0)
+
+
+def test_a_duck_typed_oracle_runs_through_every_estimator():
+    class PairOracle:
+        """sup over {f, -f} with f = 1 on 3 points: |sum_i eps_i| / 3."""
+
+        n = 3
+
+        def __init__(self):
+            self.widths = set()
+
+        def query_block(self, block):
+            self.widths.add(block.shape[1])
+            return np.abs(block.sum(axis=1)) / self.n
+
+    oracle = PairOracle()
+    # E|eps_1 + eps_2 + eps_3| = 3/2
+    assert exact_empirical_rademacher(oracle).value == 0.5
+    assert exact_rademacher_columns(oracle) == [exact_empirical_rademacher(oracle)]
+    est = mc_empirical_rademacher(oracle, trials=64, seed=1)
+    assert est.trials == 64 and 1 / 3 <= est.value <= 1.0
+    assert mc_rademacher_columns(oracle, trials=64, seed=1) == [est]
+    assert oracle.widths == {3}
 
 
 def test_mc_requires_two_trials():
     oracle = TabulatedSupOracle(TWO_POINT)
     with pytest.raises(ValueError):
-        mc_empirical_rademacher(oracle, 2, 1, seed=0)
+        mc_empirical_rademacher(oracle, 1, seed=0)
 
 
 def test_mc_metadata():
     oracle = TabulatedSupOracle(TWO_POINT)
-    est = mc_empirical_rademacher(oracle, 2, 64, seed=5)
+    est = mc_empirical_rademacher(oracle, 64, seed=5)
     assert est.method == "monte-carlo"
     assert est.trials == 64
     assert est.seed == 5
@@ -480,26 +521,26 @@ def test_negation_closed_class_is_nonnegative():
     vals = rng.normal(size=(4, 6))
     cls = TabulatedClass(np.vstack([vals, -vals]))
     oracle = TabulatedSupOracle(cls)
-    assert exact_empirical_rademacher(oracle, 6).value >= 0.0
-    assert mc_empirical_rademacher(oracle, 6, 500, seed=0).value >= 0.0
+    assert exact_empirical_rademacher(oracle).value >= 0.0
+    assert mc_empirical_rademacher(oracle, 500, seed=0).value >= 0.0
 
 
 def test_row_subset_monotonicity():
     rng = np.random.default_rng(3)
     vals = rng.normal(size=(6, 7))
-    small = exact_empirical_rademacher(TabulatedSupOracle(TabulatedClass(vals[:3])), 7).value
-    large = exact_empirical_rademacher(TabulatedSupOracle(TabulatedClass(vals)), 7).value
+    small = exact_empirical_rademacher(TabulatedSupOracle(TabulatedClass(vals[:3]))).value
+    large = exact_empirical_rademacher(TabulatedSupOracle(TabulatedClass(vals))).value
     assert small <= large
 
 
 def test_scaling_by_two_is_exact():
     cls = random_class(4)
     doubled = TabulatedClass(2.0 * cls.values)
-    e1 = exact_empirical_rademacher(TabulatedSupOracle(cls), 8).value
-    e2 = exact_empirical_rademacher(TabulatedSupOracle(doubled), 8).value
+    e1 = exact_empirical_rademacher(TabulatedSupOracle(cls)).value
+    e2 = exact_empirical_rademacher(TabulatedSupOracle(doubled)).value
     assert e2 == 2.0 * e1
-    m1 = mc_empirical_rademacher(TabulatedSupOracle(cls), 8, 200, seed=9).value
-    m2 = mc_empirical_rademacher(TabulatedSupOracle(doubled), 8, 200, seed=9).value
+    m1 = mc_empirical_rademacher(TabulatedSupOracle(cls), 200, seed=9).value
+    m2 = mc_empirical_rademacher(TabulatedSupOracle(doubled), 200, seed=9).value
     assert m2 == 2.0 * m1
 
 
@@ -507,8 +548,8 @@ def test_absolute_convention_dominates_signed():
     for seed in range(5):
         cls = random_class(seed, m=4, n=6)
         oracle = TabulatedSupOracle(cls)
-        signed = exact_empirical_rademacher(oracle, 6).value
-        absolute = exact_empirical_rademacher(oracle, 6, convention="absolute").value
+        signed = exact_empirical_rademacher(oracle).value
+        absolute = exact_empirical_rademacher(oracle, convention="absolute").value
         assert absolute >= signed
 
 
@@ -516,19 +557,19 @@ def test_absolute_singleton_matches_closed_form():
     # exact absolute complexity of {constant -1} is E|sum eps|/n
     for n in (1, 2, 3, 5, 8):
         cls = TabulatedClass(-np.ones((1, n)))
-        est = exact_empirical_rademacher(TabulatedSupOracle(cls), n, convention="absolute")
+        est = exact_empirical_rademacher(TabulatedSupOracle(cls), convention="absolute")
         assert est.value == pytest.approx(reference_complexity(n), abs=1e-15)
 
 
 def test_bad_convention_rejected():
     oracle = TabulatedSupOracle(TWO_POINT)
     with pytest.raises(ValueError):
-        exact_empirical_rademacher(oracle, 2, convention="median")
+        exact_empirical_rademacher(oracle, convention="median")
 
 
 def test_mc_tracks_exact_value():
     cls = random_class(7, m=6, n=9)
     oracle = TabulatedSupOracle(cls)
-    exact = exact_empirical_rademacher(oracle, 9).value
-    mc = mc_empirical_rademacher(oracle, 9, 10000, seed=1)
+    exact = exact_empirical_rademacher(oracle).value
+    mc = mc_empirical_rademacher(oracle, 10000, seed=1)
     assert abs(mc.value - exact) <= 4.0 * mc.std_error
