@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .bounds import METHODS, BoundInput, compare_bounds, theorem1_bound, theorem2_bound
-from .core import CapExceeded
+from .core import _EXACT_PRODUCT_CAP, CapExceeded
 from .kernel import KernelSupOracle, gram, kernel_mc_rademacher, kernel_trace, parse_kernel_spec
 from .kernel import trace_complexity, worst_case_complexity
 from .lowerbound import LowerBoundConfig, Theorem3Report, sweep_theorem3, verify_theorem3
@@ -102,7 +102,14 @@ def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
                 raise ValueError(f"{flag} does not apply to tabulated classes")
         path = source[len("tabulated:") :]
         ctx.track_input(path)
-        oracle = TabulatedSupOracle(read_tabulated_csv(path))
+        cls = read_tabulated_csv(path)
+        products = cls.m << cls.n
+        if args.mode == "exact" and products > _EXACT_PRODUCT_CAP:
+            raise CapExceeded(
+                f"{cls.m} rows x 2^{cls.n} sign vectors = {products} products "
+                f"exceed the exact-enumeration product cap {_EXACT_PRODUCT_CAP}"
+            )
+        oracle = TabulatedSupOracle(cls)
     elif source.startswith("kernel:"):
         spec = parse_kernel_spec(source[len("kernel:") :])
         if not args.data:

@@ -34,6 +34,13 @@ __all__ = [
 # Hard cap for exact 2^n sign enumeration (about 10^6 vectors).
 EXACT_ENUMERATION_CAP = 20
 
+# Hard cap on rows x 2^n products of one exact enumeration of a tabulated
+# class (m rows) or a Lemma 1 instance (its largest margin-class product):
+# 10 to 20 s of work at the cap on a 2-vCPU box (a 4096 x 20 tabulated class
+# takes 9 s wall, 18 s CPU), 64 times the largest request any demo, test or
+# benchmark makes (2^26: 64 rows at n = 20).
+_EXACT_PRODUCT_CAP = 1 << 32
+
 # Hard cap on trials * n sign cells of one Monte Carlo estimate: at the
 # roughly 6e7 cells/s of a small tabulated oracle this is minutes of work,
 # 300 times the largest run any demo or benchmark makes (3.2e7 cells).

@@ -30,9 +30,10 @@ and a finite diagonal bounds every Gram entry.
 Working set: ``gram`` refuses more than GRAM_CELL_CAP cells before it
 allocates, and symmetrizes in place, one pair of _SYM_TILE x _SYM_TILE tiles
 at a time, instead of allocating g + g.T.  ``KernelSupOracle.query_block``
-converts its int8 signs to float64 in row sub-blocks of about _PRODUCT_CELLS
-cells (the sub-block size of ``TabulatedSupOracle``), so its float
-temporaries stay near 2 MiB whatever the batch size.
+converts its int8 signs to float64 in row sub-blocks of _PRODUCT_CELLS // n
+rows (``TabulatedSupOracle`` holds its float copies and products to the
+same _PRODUCT_CELLS cells), so its float temporaries stay near 2 MiB
+whatever the batch size.
 """
 from __future__ import annotations
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EXACT_ENUMERATION_CAP, CapExceeded, TabulatedClass
+from .core import _EXACT_PRODUCT_CAP, EXACT_ENUMERATION_CAP, CapExceeded, TabulatedClass
 from .rademacher import TabulatedSupOracle, exact_rademacher_columns
 
 __all__ = [
@@ -203,6 +203,11 @@ def verify_lemma1(spec: MarginClassSpec, labels) -> Lemma1Report:
     return Lemma1Report(lhs=lhs, rhs=rhs, per_class=per_class, passed=passed)
 
 
+def _check_instance_limits(max_k: int, max_n: int, max_class_size: int) -> None:
+    if max_k < 2 or max_n < 1 or max_class_size < 1:
+        raise ValueError("need max_k >= 2, max_n >= 1, max_class_size >= 1")
+
+
 def random_margin_instance(
     seed: int,
     max_k: int = 3,
@@ -213,8 +218,7 @@ def random_margin_instance(
 
     Every per-class function takes values in {-1, 0, 1}.
     """
-    if max_k < 2 or max_n < 1 or max_class_size < 1:
-        raise ValueError("need max_k >= 2, max_n >= 1, max_class_size >= 1")
+    _check_instance_limits(max_k, max_n, max_class_size)
     rng = np.random.Generator(np.random.Philox(key=seed))
     k = int(rng.integers(2, max_k + 1))
     n = int(rng.integers(1, max_n + 1))
@@ -237,12 +241,14 @@ def lemma1_sweep(
     """Run verify_lemma1 on `seeds` random instances; report any failures.
 
     Instances draw n up to max_n and up to max_k classes of up to
-    max_class_size rows each, so max_n above the exact-enumeration cap, or a
-    largest product max_class_size**max_k above MARGIN_CLASS_CAP, raises
-    CapExceeded before any instance runs.
+    max_class_size rows each, so max_n above the exact-enumeration cap, a
+    largest product max_class_size**max_k above MARGIN_CLASS_CAP, or that
+    product times 2**max_n sign vectors above the core's exact-enumeration
+    product cap (2^32), raises CapExceeded before any instance runs.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
+    _check_instance_limits(max_k, max_n, max_class_size)
     if max_n > EXACT_ENUMERATION_CAP:
         raise CapExceeded(
             f"max_n={max_n} exceeds the exact-enumeration cap {EXACT_ENUMERATION_CAP}"
@@ -251,6 +257,12 @@ def lemma1_sweep(
     if max_class_size ** min(max_k, 64) > MARGIN_CLASS_CAP:
         raise CapExceeded(
             f"{max_class_size}**{max_k} rows exceed the margin-class product cap {MARGIN_CLASS_CAP}"
+        )
+    products = max_class_size**max_k * 2**max_n
+    if products > _EXACT_PRODUCT_CAP:
+        raise CapExceeded(
+            f"{max_class_size}**{max_k} rows x 2^{max_n} sign vectors = {products} products "
+            f"exceed the exact-enumeration product cap {_EXACT_PRODUCT_CAP}"
         )
     failures = []
     worst_slack = -math.inf

@@ -20,9 +20,28 @@ mantissa sums are added into one Python integer per column.  The sum of a
 column, and for Monte Carlo the sum of its squares, are therefore exact;
 the mean is the exact sum rounded once (bitwise what math.fsum gives), and
 the standard error comes from the exact sum of squared deviations
-S2 - S1^2/N, rounded once.  No draw is kept after its batch, so the working
-set is bounded by the batch (and the counted path's 2^n counts below), not
-by the number of rows.
+S2 - S1^2/N, rounded once.
+
+Working set: no draw outlives its batch, and each per-batch array is sized
+by its own bytes per row, so none grows with the number of rows and none
+passes about 2 MiB.  A batch has min(_TARGET_BATCH_CELLS // n,
+_MAX_BATCH_ROWS) rows: 2^21 int8 sign cells, and at most 8192 rows, the
+cap that binds below n = 256.  Per batch, for an oracle with c columns:
+
+* the int8 sign block, n bytes per row: at most 2 MiB;
+* the Monte Carlo philox words, 32 ceil(n/256) bytes per row: at most
+  about 512 KiB (n = 257);
+* the suprema (twice under the absolute convention), the counted path's
+  weight products and the reduction's temporaries (mantissas, exponents,
+  bin keys, pieces; about ten arrays live at once), 8 c bytes per row
+  each: at most 64 c KiB each;
+* the oracle's own temporaries: ``TabulatedSupOracle`` holds one float64
+  copy of a sign sub-block and one product per class, each at most
+  _PRODUCT_CELLS cells (2 MiB).
+
+The counted path below adds the 2^n int64 counts (8 MiB at n = 20) and,
+while it counts, batches of _PATTERN_BATCH trials whose philox words fill
+1 MiB, with one 2^n-entry bincount per batch.
 
 Reproducibility contract for the Monte Carlo estimator: the sign vector of
 trial j is a pure function of (seed, j), produced by a counter-based Philox
@@ -71,12 +90,18 @@ __all__ = [
 _WORDS_PER_BLOCK = 4
 _BITS_PER_BLOCK = 64 * _WORDS_PER_BLOCK
 
-# Fixed trial-batch sizing (batch boundaries are part of no contract, but
-# keeping them fixed keeps per-batch arrays and BLAS call shapes identical
-# across runs).
+# Fixed batch sizing (batch boundaries are part of no contract, but keeping
+# them fixed keeps per-batch arrays and BLAS call shapes identical across
+# runs).  The row cap binds below n = 256, where the per-row arrays that do
+# not scale with n outweigh the signs (module docstring, "Working set").
 _TARGET_BATCH_CELLS = 1 << 21
+_MAX_BATCH_ROWS = 1 << 13
 
-# Cells of one float64 product block in TabulatedSupOracle (2 MiB).
+# Trials per _pattern_counts batch: their philox words fill 1 MiB (one
+# counter block, 32 B, per trial at n <= 256).
+_PATTERN_BATCH = (1 << 20) // (8 * _WORDS_PER_BLOCK)
+
+# Cells of one float64 sub-block in TabulatedSupOracle (2 MiB).
 _PRODUCT_CELLS = 1 << 18
 
 # np.frexp writes every finite double as f * 2^x with x >= -1073, so it is
@@ -156,9 +181,8 @@ def _pattern_counts(seed: int, n: int, trials: int) -> np.ndarray:
     """
     counts = np.zeros(1 << n, dtype=np.int64)
     mask = np.uint64((1 << n) - 1)
-    batch = max(1, _TARGET_BATCH_CELLS // n)
-    for lo in range(0, trials, batch):
-        patterns = _trial_words(seed, lo, min(lo + batch, trials), n)[:, 0] & mask
+    for lo in range(0, trials, _PATTERN_BATCH):
+        patterns = _trial_words(seed, lo, min(lo + _PATTERN_BATCH, trials), n)[:, 0] & mask
         counts += np.bincount(patterns.view(np.int64), minlength=1 << n)
     return counts
 
@@ -168,8 +192,10 @@ class TabulatedSupOracle:
 
     One class gives a (rows,) block of suprema; several give a (rows, c)
     block, one column per class, from one matrix product per class.  The
-    products run over row sub-blocks of about _PRODUCT_CELLS cells, so their
-    float64 blocks never outgrow the int8 sign block by much.
+    products run over row sub-blocks of _PRODUCT_CELLS // max(n, largest m)
+    rows, so the float64 copy of a sub-block's signs (n cells per row), kept
+    in one buffer reused by every sub-block, and each class's product (m
+    cells per row) stay within _PRODUCT_CELLS cells, 2 MiB.
     """
 
     def __init__(self, *classes: TabulatedClass):
@@ -181,13 +207,17 @@ class TabulatedSupOracle:
         self.values = [c.values for c in classes]
 
     def query_block(self, signs_block: np.ndarray) -> np.ndarray:
+        if signs_block.ndim != 2 or signs_block.shape[1] != self.n:
+            raise ValueError(f"sign block must have shape (rows, {self.n})")
         rows = signs_block.shape[0]
         sups = np.empty((rows, len(self.values)))
-        step = max(1, _PRODUCT_CELLS // max(v.shape[0] for v in self.values))
+        step = max(1, _PRODUCT_CELLS // max(self.n, *(v.shape[0] for v in self.values)))
+        floats = np.empty((min(step, rows), self.n))  # reused by every sub-block
         for lo in range(0, rows, step):
-            signs = signs_block[lo : lo + step].T.astype(np.float64)
+            signs = floats[: min(step, rows - lo)]
+            signs[...] = signs_block[lo : lo + step]
             for j, values in enumerate(self.values):
-                sups[lo : lo + step, j] = (values @ signs).max(axis=0)
+                sups[lo : lo + step, j] = (values @ signs.T).max(axis=0)
         sups /= self.n
         return sups[:, 0] if len(self.values) == 1 else sups
 
@@ -281,7 +311,7 @@ def _estimate_columns(
     """
     if convention not in ("signed", "absolute"):
         raise ValueError(f"convention must be 'signed' or 'absolute', got {convention!r}")
-    batch = max(1, _TARGET_BATCH_CELLS // oracle.n)
+    batch = max(1, min(_TARGET_BATCH_CELLS // oracle.n, _MAX_BATCH_ROWS))
     sums: list[int] = []
     squares: list[int] = []
     for lo in range(0, rows, batch):

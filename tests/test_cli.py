@@ -120,6 +120,22 @@ def test_rad_exact_cap_is_exit_3(in_tmp, capsys):
     assert "cap" in err
 
 
+def test_rad_exact_product_cap_is_exit_3_before_any_batch(in_tmp, capsys, monkeypatch):
+    # 5000 rows x 2^20 sign vectors: n is within the enumeration cap, the
+    # 5.2e9 row-by-vector products are not
+    np.savetxt(in_tmp / "tall.csv", np.ones((5000, 20)), fmt="%g", delimiter=",")
+
+    def never(*args, **kwargs):
+        raise AssertionError("no batch may run")
+
+    monkeypatch.setattr("mbl.cli.exact_empirical_rademacher", never)
+    code, out, err = run_cli(["rad", "--class", "tabulated:tall.csv", "--mode", "exact"], capsys)
+    assert code == 3, err
+    assert out == ""
+    assert "5000 rows x 2^20 sign vectors" in err
+    assert "product cap 4294967296" in err
+
+
 def test_rad_runaway_trials_is_exit_3_before_any_batch(in_tmp, capsys):
     (in_tmp / "c.csv").write_text("1,-1,1,0.5\n-1,1,0.25,-1\n", encoding="utf-8")
     argv = ["rad", "--class", "tabulated:c.csv", "--mode", "mc", "--trials", "100000000000"]
@@ -577,8 +593,24 @@ def test_verify_lemma1_max_n_above_cap_is_exit_3_up_front(in_tmp, capsys, monkey
     assert code == 0, err
 
 
-@pytest.mark.parametrize("seeds", ["10", "30"])
-def test_verify_lemma1_product_above_cap_is_exit_3_up_front(in_tmp, capsys, monkeypatch, seeds):
+_MARGIN_ROWS_OVER_CAP = ["--max-k", "12", "--max-class-size", "8", "--max-n", "8"]
+# 3**12 = 531,441 rows pass the margin-class cap, but times 2^20 sign
+# vectors they are 2^39 products: seed 752 alone (15,552 rows) runs 77 s.
+_PRODUCTS_OVER_CAP = ["--max-k", "12", "--max-class-size", "3", "--max-n", "20",
+                      "--base-seed", "752"]
+
+
+@pytest.mark.parametrize(
+    "seeds, flags, named",
+    [
+        pytest.param("10", _MARGIN_ROWS_OVER_CAP, "8**12 rows", id="10"),
+        pytest.param("30", _MARGIN_ROWS_OVER_CAP, "8**12 rows", id="30"),
+        pytest.param("1", _PRODUCTS_OVER_CAP, "3**12 rows x 2^20", id="rows-x-2^n"),
+    ],
+)
+def test_verify_lemma1_product_above_cap_is_exit_3_up_front(
+    in_tmp, capsys, monkeypatch, seeds, flags, named
+):
     # 8**12 rows exceed the margin-class cap; with 30 seeds an instance
     # would reach it mid-run, with 10 none would, and both stop up front.
     margin_module = mbl.margin
@@ -587,12 +619,19 @@ def test_verify_lemma1_product_above_cap_is_exit_3_up_front(in_tmp, capsys, monk
         raise AssertionError("an instance ran before the cap check")
 
     monkeypatch.setattr(margin_module, "random_margin_instance", no_instance)
-    argv = ["verify", "lemma1", "--seeds", seeds, "--max-k", "12", "--max-class-size", "8",
-            "--max-n", "8"]
-    code, out, err = run_cli(argv, capsys)
+    code, out, err = run_cli(["verify", "lemma1", "--seeds", seeds] + flags, capsys)
     assert code == 3, err
     assert out == ""
     assert "product cap" in err
+    assert named in err
+
+
+@pytest.mark.parametrize("flags", [["--max-k", "1"], ["--max-k", "-1", "--max-class-size", "0"]])
+def test_verify_lemma1_bad_limits_are_exit_2_up_front(in_tmp, capsys, flags):
+    code, out, err = run_cli(["verify", "lemma1", "--seeds", "1"] + flags, capsys)
+    assert code == 2, err
+    assert out == ""
+    assert "max_k >= 2" in err
 
 
 def _lemma1_raising(monkeypatch, exc):

@@ -184,12 +184,21 @@ def test_tabulated_oracle_classes_share_one_sample():
         TabulatedSupOracle(random_class(1, n=8), random_class(2, n=7))
 
 
-@pytest.mark.parametrize("convention", ["signed", "absolute"])
-def test_exact_is_bitwise_stable_under_small_batches(convention, monkeypatch):
+@pytest.mark.parametrize(
+    "convention, attr, value",
+    [
+        pytest.param("signed", "_TARGET_BATCH_CELLS", 9 * 100, id="signed"),
+        pytest.param("absolute", "_TARGET_BATCH_CELLS", 9 * 100, id="absolute"),
+        pytest.param("signed", "_MAX_BATCH_ROWS", 7, id="signed-row-cap-7"),
+        pytest.param("absolute", "_MAX_BATCH_ROWS", 7, id="absolute-row-cap-7"),
+    ],
+)
+def test_exact_is_bitwise_stable_under_small_batches(convention, attr, value, monkeypatch):
+    # 512 rows in batches of 100 (five full batches and one of 12), or of the
+    # 7-row cap (73 full batches and one of 1)
     classes = [random_class(seed, m=6, n=9) for seed in (20, 21)]
     whole = [exact_empirical_rademacher(TabulatedSupOracle(c), convention) for c in classes]
-    # 512 rows in batches of 100: five full batches and one of 12
-    monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", 9 * 100)
+    monkeypatch.setattr(rademacher, attr, value)
     batched = [exact_empirical_rademacher(TabulatedSupOracle(c), convention) for c in classes]
     assert batched == whole
 
@@ -221,15 +230,24 @@ def test_mc_reduction_peak_memory():
     assert peak < 60 * 2**20
 
 
-@pytest.mark.parametrize("cells", [16 * 7, 16 * 1000, 16 * 4096])
-def test_mc_is_bitwise_stable_under_batch_sizes(cells, monkeypatch):
-    # 5000 trials in batches of 7, 1000 and 4096 rows against one batch
-    oracle = TabulatedSupOracle(random_class(10, m=6, n=16))
-    whole = [mc_empirical_rademacher(oracle, 5000, seed=4, convention=c)
-             for c in ("signed", "absolute")]
-    monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", cells)
-    assert [mc_empirical_rademacher(oracle, 5000, seed=4, convention=c)
-            for c in ("signed", "absolute")] == whole
+@pytest.mark.parametrize(
+    "attr, value",
+    [
+        pytest.param("_TARGET_BATCH_CELLS", 16 * 7, id="112"),
+        pytest.param("_TARGET_BATCH_CELLS", 16 * 1000, id="16000"),
+        pytest.param("_TARGET_BATCH_CELLS", 16 * 4096, id="65536"),
+        pytest.param("_MAX_BATCH_ROWS", 7, id="row-cap-7"),
+    ],
+)
+def test_mc_is_bitwise_stable_under_batch_sizes(attr, value, monkeypatch):
+    # 5000 trials against one batch: at n = 16 per draw, in batches of 7,
+    # 1000, 4096 or 7 rows; at n = 10 counted, its 2^10 patterns in batches
+    # of 11 rows, in one batch, or in batches of 7 rows
+    oracles = [TabulatedSupOracle(random_class(10, m=6, n=n)) for n in (16, 10)]
+    runs = [(o, c) for o in oracles for c in ("signed", "absolute")]
+    whole = [mc_empirical_rademacher(o, 5000, seed=4, convention=c) for o, c in runs]
+    monkeypatch.setattr(rademacher, attr, value)
+    assert [mc_empirical_rademacher(o, 5000, seed=4, convention=c) for o, c in runs] == whole
 
 
 def test_mc_peak_memory_does_not_grow_with_trials():
@@ -257,6 +275,45 @@ def test_tabulated_query_block_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 3 * block.nbytes
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        # counted Monte Carlo: 2^16 patterns for 2e6 draws
+        lambda: mc_empirical_rademacher(
+            TabulatedSupOracle(random_class(9, m=8, n=16)), 2_000_000, seed=3
+        ),
+        lambda: exact_empirical_rademacher(TabulatedSupOracle(random_class(12, m=64, n=20))),
+    ],
+    ids=["counted-mc-8x16", "exact-64x20"],
+)
+def test_benchmark_shapes_peak_memory(estimate):
+    # The benchmark's two tabulated runs: every per-batch array (philox
+    # words, signs, float64 sub-blocks, suprema, weights, the reduction's
+    # temporaries) is held near 2 MiB, whatever n costs per row.
+    tracemalloc.start()
+    try:
+        estimate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_tabulated_query_block_float_copy_is_bounded_when_n_exceeds_m():
+    # n = 256 points, m = 2 functions: the float64 copy of the signs, not the
+    # product, is the largest array, 8 * 256 bytes per row; a sub-block sized
+    # by m alone would copy the whole 4 MiB int8 block as 32 MiB of float64
+    oracle = TabulatedSupOracle(random_class(13, m=2, n=256))
+    block = trial_sign_block(5, 0, 16_384, 256)
+    tracemalloc.start()
+    try:
+        oracle.query_block(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * rademacher._PRODUCT_CELLS
 
 
 class _ColumnOracle:
