@@ -29,9 +29,9 @@ print(f"monte carlo:       {mc.value:.6f} +- {mc.std_error:.6f}  ({mc.trials} tr
 print(f"|difference| / std_error = {abs(mc.value - exact.value) / mc.std_error:.2f}")
 
 # Signed vs absolute convention on a class without sign symmetry.
-singleton = TabulatedSupOracle(TabulatedClass(-np.ones((1, 8))))
-signed = exact_empirical_rademacher(singleton, convention="signed")
-absolute = exact_empirical_rademacher(singleton, convention="absolute")
+singleton = TabulatedClass(-np.ones((1, 8)))
+signed = exact_empirical_rademacher(TabulatedSupOracle(singleton))
+absolute = exact_empirical_rademacher(TabulatedSupOracle(singleton, convention="absolute"))
 print(f"\nconstant-(-1) singleton: signed {signed.value:.6f}, absolute {absolute.value:.6f}")
 
 # Kernel norm-ball: the sup has a closed form, so no enumeration is needed.

@@ -33,6 +33,8 @@ from .lowerbound import LowerBoundConfig, Theorem3Report, sweep_theorem3, verify
 from .margin import empirical_margin_cdf, lemma1_sweep
 from .rademacher import (
     TabulatedSupOracle,
+    _check_enumerable,
+    _check_mc_request,
     exact_empirical_rademacher,
     mc_empirical_rademacher,
 )
@@ -93,9 +95,15 @@ def _parse_list(text: str, flag: str, kind: type) -> list:
     return items
 
 
+def _seed(text: str) -> int:
+    """argparse type of every seed flag: an integer in [0, 2^64)."""
+    if not text.isdecimal() or int(text) >= 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r}")
+    return int(text)
+
+
 def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
     source = args.cls
-    convention = args.convention
     if source.startswith("tabulated:"):
         for flag, given in (("--data", args.data), ("--lambda", args.lambda_cap is not None)):
             if given:
@@ -109,7 +117,7 @@ def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
                 f"{cls.m} rows x 2^{cls.n} sign vectors = {products} products "
                 f"exceed the exact-enumeration product cap {_EXACT_PRODUCT_CAP}"
             )
-        oracle = TabulatedSupOracle(cls)
+        oracle = TabulatedSupOracle(cls, convention=args.convention)
     elif source.startswith("kernel:"):
         spec = parse_kernel_spec(source[len("kernel:") :])
         if not args.data:
@@ -118,20 +126,20 @@ def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
             raise ValueError("kernel classes need --lambda <norm cap>")
         ctx.track_input(args.data)
         dataset = read_dataset_csv(args.data)
+        # Refuse a runaway request before the Gram is built.
+        if args.mode == "exact":
+            _check_enumerable(dataset.n)
+        else:
+            _check_mc_request(dataset.n, args.trials, args.seed)
         oracle = KernelSupOracle(gram(spec, dataset.points), args.lambda_cap)
-        # The norm-ball supremum is even in eps, so both conventions give the
-        # signed estimate, at one oracle query per draw.
-        convention = "signed"
     else:
         raise ValueError("--class must be tabulated:<csv> or kernel:<spec>")
     if args.mode == "exact":
-        est = exact_empirical_rademacher(oracle, convention=convention)
+        est = exact_empirical_rademacher(oracle)
     elif isinstance(oracle, KernelSupOracle):
         est = kernel_mc_rademacher(oracle, args.trials, args.seed)
     else:
-        est = mc_empirical_rademacher(
-            oracle, trials=args.trials, seed=args.seed, convention=convention
-        )
+        est = mc_empirical_rademacher(oracle, trials=args.trials, seed=args.seed)
     payload = {
         "value": est.value,
         "method": est.method,
@@ -349,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rad.add_argument("--mode", choices=["exact", "mc"], required=True)
     rad.add_argument("--trials", type=int, default=10000, help="MC trials (mode mc)")
-    rad.add_argument("--seed", type=int, default=0)
+    rad.add_argument("--seed", type=_seed, default=0)
     rad.add_argument("--data", help="dataset CSV; required for kernel classes")
     rad.add_argument(
         "--lambda", dest="lambda_cap", type=float, help="norm cap; required for kernel classes"
@@ -406,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vlem.add_argument("--max-n", dest="max_n", type=int, default=8)
     vlem.add_argument("--max-k", dest="max_k", type=int, default=3)
     vlem.add_argument("--max-class-size", dest="max_class_size", type=int, default=4)
-    vlem.add_argument("--base-seed", dest="base_seed", type=int, default=0)
+    vlem.add_argument("--base-seed", dest="base_seed", type=_seed, default=0)
     _add_common(vlem)
     vlem.set_defaults(handler=_cmd_verify_lemma1)
 
@@ -420,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n", type=int, help="sample size (>= 16kt^2); with auto t this is the n budget"
     )
     vthm.add_argument("--trials", type=int, default=1000)
-    vthm.add_argument("--seed", type=int, default=0)
+    vthm.add_argument("--seed", type=_seed, default=0)
     vthm.add_argument(
         "--convention",
         choices=["signed", "absolute"],
@@ -442,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--kind", choices=["uniform", "blobs"], required=True)
     synth.add_argument("--k", type=int, required=True)
     synth.add_argument("--n", type=int, required=True)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_seed, default=0)
     synth.add_argument("--d", type=int, default=1, help="dimension (blobs)")
     synth.add_argument("--spread", type=float, default=1.0, help="noise scale (blobs)")
     synth.add_argument(

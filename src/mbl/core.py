@@ -5,8 +5,9 @@ Conventions used across the package:
 * labels are 1-based integers in [1, k],
 * the Rademacher complexity is the signed one,
   R_hat_n(F) = E_eps sup_{f in F} (1/n) sum_i eps_i f(x_i),
-  with no absolute value; estimators expose an optional absolute-value
-  convention where a module needs it,
+  with no absolute value; an oracle that offers the absolute-value
+  convention takes it as an option (``TabulatedSupOracle(...,
+  convention="absolute")``), and the estimators average what it returns,
 * function classes evaluated on a fixed sample are tabulated as one row
   per function and one column per sample point,
 * an oracle answers the inner supremum for a whole block of sign vectors

@@ -18,8 +18,8 @@ a Monte Carlo average of the nonnegative Jensen gap, never above c.  On the
 same draws its variance is about 6 to 3500 times smaller than that of plain
 averaging of r (n = 300 blob points: rbf with gamma 0.05 to 5, linear,
 poly, and the rank-one all-ones Gram; 117 times for rbf with gamma 0.5).
-r is even in eps, so the signed and absolute conventions give the same
-estimate, and the ball is estimated once, under the signed one.
+r is even in eps, so the absolute convention gives the signed estimate, bit
+for bit, and the oracle takes no convention.
 
 Every KernelSpec is positive semi-definite by construction: linear is a Gram
 of inner products, rbf with finite gamma > 0 is a Gaussian kernel, and poly

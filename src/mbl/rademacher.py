@@ -9,10 +9,11 @@ before the next batch is drawn.  The exact source is
 source is ``trial_sign_block``.  ``exact_rademacher_columns`` and
 ``mc_rademacher_columns`` return one estimate per column of a multi-column
 oracle; ``exact_empirical_rademacher`` and ``mc_empirical_rademacher`` are
-their one-column cases.  The signed convention
-R_hat_n(F) = E_eps sup_f (1/n) sum_i eps_i f(x_i) is the default;
-``convention="absolute"`` computes E_eps sup_f |(1/n) sum_i eps_i f(x_i)|,
-which for any oracle equals the per-draw max of the suprema at eps and -eps.
+their one-column cases.  They average whatever the oracle returns, so the
+sign convention belongs to the oracle: ``TabulatedSupOracle`` returns the
+suprema of the signed R_hat_n(F) = E_eps sup_f (1/n) sum_i eps_i f(x_i) by
+default, and with ``convention="absolute"`` those of E_eps sup_f |(1/n)
+sum_i eps_i f(x_i)|, from the same products.
 
 Reduction: every finite double is m * 2^e with an integer |m| < 2^53, so
 each batch's values are binned by (exponent, column) and the bins' integer
@@ -31,13 +32,12 @@ cap that binds below n = 256.  Per batch, for an oracle with c columns:
 * the int8 sign block, n bytes per row: at most 2 MiB;
 * the Monte Carlo philox words, 32 ceil(n/256) bytes per row: at most
   about 512 KiB (n = 257);
-* the suprema (twice under the absolute convention), the counted path's
-  weight products and the reduction's temporaries (mantissas, exponents,
-  bin keys, pieces; about ten arrays live at once), 8 c bytes per row
-  each: at most 64 c KiB each;
+* the suprema, the counted path's weight products and the reduction's
+  temporaries (mantissas, exponents, bin keys, pieces; about ten arrays
+  live at once), 8 c bytes per row each: at most 64 c KiB each;
 * the oracle's own temporaries: ``TabulatedSupOracle`` holds one float64
-  copy of a sign sub-block and one product per class, each at most
-  _PRODUCT_CELLS cells (2 MiB).
+  copy of a sign sub-block and one class's product at a time, each at
+  most _PRODUCT_CELLS cells (2 MiB).
 
 The counted path below adds the 2^n int64 counts (8 MiB at n = 20) and,
 while it counts, batches of _PATTERN_BATCH trials whose philox words fill
@@ -187,49 +187,56 @@ def _pattern_counts(seed: int, n: int, trials: int) -> np.ndarray:
     return counts
 
 
+def _column_sups(product: np.ndarray, absolute: bool) -> np.ndarray:
+    """Column maxima of a class's product, or of its absolute values."""
+    top = product.max(axis=0)
+    return np.maximum(top, -product.min(axis=0)) if absolute else top
+
+
 class TabulatedSupOracle:
     """SupOracle over explicit finite classes tabulated on one sample.
 
     One class gives a (rows,) block of suprema; several give a (rows, c)
     block, one column per class, from one matrix product per class.  The
-    products run over row sub-blocks of _PRODUCT_CELLS // max(n, largest m)
-    rows, so the float64 copy of a sub-block's signs (n cells per row), kept
-    in one buffer reused by every sub-block, and each class's product (m
-    cells per row) stay within _PRODUCT_CELLS cells, 2 MiB.
+    oracle owns the sign convention: ``"signed"`` (the default) takes
+    sup_f (1/n) sum_i eps_i f(x_i), the product's column max, and
+    ``"absolute"`` takes sup_f |(1/n) sum_i eps_i f(x_i)|, the larger of
+    that max and minus the column min of the same product.  Negation is
+    exact, so that is bit for bit the larger of the signed suprema at eps
+    and -eps, at one product.  The products run over row sub-blocks of
+    _PRODUCT_CELLS // max(n, largest m) rows, so the float64 copy of a
+    sub-block's signs (n cells per row), kept in one buffer reused by every
+    sub-block, and each class's product (m cells per row) stay within
+    _PRODUCT_CELLS cells, 2 MiB.
     """
 
-    def __init__(self, *classes: TabulatedClass):
+    def __init__(self, *classes: TabulatedClass, convention: str = "signed"):
         if not classes:
             raise ValueError("TabulatedSupOracle needs at least one class")
+        if convention not in ("signed", "absolute"):
+            raise ValueError(f"convention must be 'signed' or 'absolute', got {convention!r}")
         self.n = classes[0].n
         if any(c.n != self.n for c in classes):
             raise ValueError("all classes must be tabulated on the same sample")
         self.values = [c.values for c in classes]
+        self.convention = convention
 
     def query_block(self, signs_block: np.ndarray) -> np.ndarray:
         if signs_block.ndim != 2 or signs_block.shape[1] != self.n:
             raise ValueError(f"sign block must have shape (rows, {self.n})")
         rows = signs_block.shape[0]
         sups = np.empty((rows, len(self.values)))
+        absolute = self.convention == "absolute"
         step = max(1, _PRODUCT_CELLS // max(self.n, *(v.shape[0] for v in self.values)))
         floats = np.empty((min(step, rows), self.n))  # reused by every sub-block
         for lo in range(0, rows, step):
             signs = floats[: min(step, rows - lo)]
             signs[...] = signs_block[lo : lo + step]
             for j, values in enumerate(self.values):
-                sups[lo : lo + step, j] = (values @ signs.T).max(axis=0)
+                # a temporary, freed before the next product; holding it tripled the CPU time
+                sups[lo : lo + step, j] = _column_sups(values @ signs.T, absolute)
         sups /= self.n
         return sups[:, 0] if len(self.values) == 1 else sups
-
-
-def _block_sups(oracle: SupOracle, block: np.ndarray, convention: str) -> np.ndarray:
-    """The oracle's (rows, c) suprema on one block; non-finite values raise."""
-    sups = np.asarray(oracle.query_block(block), dtype=np.float64)
-    if convention == "absolute":
-        sups = np.maximum(sups, np.asarray(oracle.query_block(-block), dtype=np.float64))
-    if not np.isfinite(sups).all():
-        raise ValueError("the oracle returned a non-finite supremum")
-    return sups.reshape(block.shape[0], -1)
 
 
 def _pieces(part: np.ndarray, p: int, pieces: int):
@@ -297,7 +304,6 @@ def _estimate_columns(
     oracle: SupOracle,
     rows: int,
     signs: Callable[[int, int], np.ndarray],
-    convention: str,
     seed: int | None,
     counts: np.ndarray | None = None,
 ) -> list[RademacherEstimate]:
@@ -309,14 +315,14 @@ def _estimate_columns(
     Monte Carlo, seed not None) and are then dropped.  The mean is exact
     for seed None, else Monte Carlo with a standard error.
     """
-    if convention not in ("signed", "absolute"):
-        raise ValueError(f"convention must be 'signed' or 'absolute', got {convention!r}")
     batch = max(1, min(_TARGET_BATCH_CELLS // oracle.n, _MAX_BATCH_ROWS))
     sums: list[int] = []
     squares: list[int] = []
     for lo in range(0, rows, batch):
         hi = min(lo + batch, rows)
-        vals = _block_sups(oracle, signs(lo, hi), convention)
+        vals = np.asarray(oracle.query_block(signs(lo, hi)), dtype=np.float64).reshape(hi - lo, -1)
+        if not np.isfinite(vals).all():
+            raise ValueError("the oracle returned a non-finite supremum")
         if not sums:
             sums, squares = [0] * vals.shape[1], [0] * vals.shape[1]
         elif vals.shape[1] != len(sums):
@@ -347,10 +353,7 @@ def _one_column(estimates: list[RademacherEstimate]) -> RademacherEstimate:
     return estimates[0]
 
 
-def exact_rademacher_columns(
-    oracle: SupOracle,
-    convention: str = "signed",
-) -> list[RademacherEstimate]:
+def exact_rademacher_columns(oracle: SupOracle) -> list[RademacherEstimate]:
     """Exact averages of every oracle column over all 2^n sign vectors, n = oracle.n.
 
     The exact twin of mc_rademacher_columns: one enumeration in binary
@@ -362,20 +365,17 @@ def exact_rademacher_columns(
     n = oracle.n
     _check_enumerable(n)
     signs = partial(enumerate_sign_vectors, n)
-    return _estimate_columns(oracle, 1 << n, signs, convention, None)
+    return _estimate_columns(oracle, 1 << n, signs, None)
 
 
-def exact_empirical_rademacher(
-    oracle: SupOracle,
-    convention: str = "signed",
-) -> RademacherEstimate:
+def exact_empirical_rademacher(oracle: SupOracle) -> RademacherEstimate:
     """Full enumeration over all 2^n sign vectors (binary order), n = oracle.n.
 
     The mean is an exactly rounded sum of the 2^n supremum values, so the
     result does not depend on enumeration batching.  n above
     EXACT_ENUMERATION_CAP raises CapExceeded before any batch runs.
     """
-    return _one_column(exact_rademacher_columns(oracle, convention))
+    return _one_column(exact_rademacher_columns(oracle))
 
 
 def _check_mc_request(n: int, trials: int, seed: int) -> None:
@@ -394,16 +394,12 @@ def _check_mc_request(n: int, trials: int, seed: int) -> None:
 
 
 def mc_rademacher_columns(
-    oracle: SupOracle,
-    trials: int,
-    seed: int,
-    convention: str = "signed",
+    oracle: SupOracle, trials: int, seed: int
 ) -> list[RademacherEstimate]:
     """Monte Carlo averages of every column the oracle returns per sign draw.
 
     ``query_block`` may return a (trials,) vector (one column) or a
-    (trials, c) matrix of c suprema sharing each draw; the absolute
-    convention takes each column's max at eps and -eps.  Column j's value
+    (trials, c) matrix of c suprema sharing each draw.  Column j's value
     and std_error are exactly what mc_empirical_rademacher gives for an
     oracle returning that column alone.  trials * oracle.n above
     MC_SIGN_CELL_CAP raises CapExceeded before any batch runs.
@@ -414,23 +410,18 @@ def mc_rademacher_columns(
         # at most 2^n distinct draws: query each pattern once, weighted by its count
         counts = _pattern_counts(seed, n, trials)
         signs = partial(enumerate_sign_vectors, n)
-        return _estimate_columns(oracle, 1 << n, signs, convention, seed, counts)
+        return _estimate_columns(oracle, 1 << n, signs, seed, counts)
     signs = partial(trial_sign_block, seed, n=n)
-    return _estimate_columns(oracle, trials, signs, convention, seed)
+    return _estimate_columns(oracle, trials, signs, seed)
 
 
-def mc_empirical_rademacher(
-    oracle: SupOracle,
-    trials: int,
-    seed: int,
-    convention: str = "signed",
-) -> RademacherEstimate:
+def mc_empirical_rademacher(oracle: SupOracle, trials: int, seed: int) -> RademacherEstimate:
     """Monte Carlo average of the oracle over `trials` sign draws.
 
     std_error is the sample standard deviation over trials divided by
     sqrt(trials).  For a row-invariant oracle the output is a pure function
-    of (oracle, trials, seed, convention): neither batching nor the
+    of (oracle, trials, seed): neither batching nor the
     counted path (2^n <= trials, module docstring) changes a bit.  Batches
     run one after another on the calling thread.
     """
-    return _one_column(mc_rademacher_columns(oracle, trials, seed, convention))
+    return _one_column(mc_rademacher_columns(oracle, trials, seed))

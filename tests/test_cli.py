@@ -161,6 +161,39 @@ def test_rad_kernel_gram_over_cap_is_exit_3_before_the_gram(in_tmp, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("mode, trials", [("exact", "2"), ("mc", "5000000")])
+def test_rad_kernel_runaway_request_is_exit_3_before_the_gram(in_tmp, capsys, monkeypatch,
+                                                              mode, trials):
+    # 3000 points: 2^3000 sign vectors, or 5e6 trials x 3000 = 1.5e10 sign cells
+    _write_blobs(in_tmp / "d.csv", 3000)
+    built = []
+    monkeypatch.setattr("mbl.cli.gram", lambda *args: built.append(args))
+    argv = ["rad", "--class", "kernel:rbf:gamma=0.5", "--mode", mode, "--data", "d.csv",
+            "--lambda", "1.0", "--trials", trials]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3, err
+    assert out == ""
+    assert "cap" in err
+    assert built == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["rad", "--class", "tabulated:c.csv", "--mode", "mc"], "--seed"),
+    (["verify", "thm3", "--k", "2", "--epsilon", "0.5"], "--seed"),
+    (["synth", "--kind", "uniform", "--k", "2", "--n", "4", "--out", "d.csv"], "--seed"),
+    (["verify", "lemma1", "--seeds", "2"], "--base-seed"),
+], ids=["rad", "thm3", "synth", "lemma1"])
+@pytest.mark.parametrize("value", ["-1", "18446744073709551616", "1.5", "seven"])
+def test_seed_flags_take_integers_in_the_stream_key_range(in_tmp, capsys, argv, flag, value):
+    (in_tmp / "c.csv").write_text(TWO_ROW, encoding="utf-8")
+    code, out, err = run_cli(argv + [flag, value], capsys)
+    assert code == 2, err
+    assert out == ""
+    assert f"argument {flag}: must be an integer in [0, 2^64)" in err
+    code, _, err = run_cli(argv + [flag, "18446744073709551615"], capsys)
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("entry, mode", [("nan", "exact"), ("inf", "mc"), ("-inf", "exact")])
 def test_rad_non_finite_tabulated_class_is_exit_2(in_tmp, capsys, entry, mode):
     (in_tmp / "c.csv").write_text(f"1,{entry}\n-1,-1\n", encoding="utf-8")

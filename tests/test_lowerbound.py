@@ -358,8 +358,8 @@ def test_select_t_requires_every_interval(monkeypatch):
     # interval alone reads 0, so the search must move on to t = 2.
     real = lowerbound.mc_rademacher_columns
 
-    def pinned(oracle, trials, seed, convention="signed"):
-        ests = real(oracle, trials, seed, convention)
+    def pinned(oracle, trials, seed):
+        ests = real(oracle, trials, seed)
         k = len(ests) - COL_RESTRICTED
         low = [oracle.t == 1 and j == k - 1 for j in range(k)]
         return ests[:COL_RESTRICTED] + [

@@ -159,9 +159,9 @@ def test_mc_columns_match_one_column_estimates(convention, monkeypatch):
     # batches of 1000 trials: the columns of three blocks are reduced in turn
     monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", 8 * 1000)
     first, second = random_class(5), random_class(6)
-    got = mc_rademacher_columns(TabulatedSupOracle(first, second), 3000, 13, convention)
+    got = mc_rademacher_columns(TabulatedSupOracle(first, second, convention=convention), 3000, 13)
     want = [
-        mc_empirical_rademacher(TabulatedSupOracle(c), 3000, 13, convention)
+        mc_empirical_rademacher(TabulatedSupOracle(c, convention=convention), 3000, 13)
         for c in (first, second)
     ]
     assert got == want
@@ -172,8 +172,10 @@ def test_mc_columns_match_one_column_estimates(convention, monkeypatch):
 @pytest.mark.parametrize("convention", ["signed", "absolute"])
 def test_exact_columns_match_one_column_estimates(convention):
     classes = [random_class(seed, m=seed - 20, n=9) for seed in (21, 23, 27)]
-    got = exact_rademacher_columns(TabulatedSupOracle(*classes), convention)
-    want = [exact_empirical_rademacher(TabulatedSupOracle(c), convention) for c in classes]
+    got = exact_rademacher_columns(TabulatedSupOracle(*classes, convention=convention))
+    want = [
+        exact_empirical_rademacher(TabulatedSupOracle(c, convention=convention)) for c in classes
+    ]
     assert got == want
     with pytest.raises(ValueError, match="columns"):
         exact_empirical_rademacher(TabulatedSupOracle(*classes))
@@ -196,10 +198,12 @@ def test_tabulated_oracle_classes_share_one_sample():
 def test_exact_is_bitwise_stable_under_small_batches(convention, attr, value, monkeypatch):
     # 512 rows in batches of 100 (five full batches and one of 12), or of the
     # 7-row cap (73 full batches and one of 1)
-    classes = [random_class(seed, m=6, n=9) for seed in (20, 21)]
-    whole = [exact_empirical_rademacher(TabulatedSupOracle(c), convention) for c in classes]
+    oracles = [
+        TabulatedSupOracle(random_class(seed, m=6, n=9), convention=convention) for seed in (20, 21)
+    ]
+    whole = [exact_empirical_rademacher(o) for o in oracles]
     monkeypatch.setattr(rademacher, attr, value)
-    batched = [exact_empirical_rademacher(TabulatedSupOracle(c), convention) for c in classes]
+    batched = [exact_empirical_rademacher(o) for o in oracles]
     assert batched == whole
 
 
@@ -243,11 +247,14 @@ def test_mc_is_bitwise_stable_under_batch_sizes(attr, value, monkeypatch):
     # 5000 trials against one batch: at n = 16 per draw, in batches of 7,
     # 1000, 4096 or 7 rows; at n = 10 counted, its 2^10 patterns in batches
     # of 11 rows, in one batch, or in batches of 7 rows
-    oracles = [TabulatedSupOracle(random_class(10, m=6, n=n)) for n in (16, 10)]
-    runs = [(o, c) for o in oracles for c in ("signed", "absolute")]
-    whole = [mc_empirical_rademacher(o, 5000, seed=4, convention=c) for o, c in runs]
+    oracles = [
+        TabulatedSupOracle(random_class(10, m=6, n=n), convention=c)
+        for n in (16, 10)
+        for c in ("signed", "absolute")
+    ]
+    whole = [mc_empirical_rademacher(o, 5000, seed=4) for o in oracles]
     monkeypatch.setattr(rademacher, attr, value)
-    assert [mc_empirical_rademacher(o, 5000, seed=4, convention=c) for o, c in runs] == whole
+    assert [mc_empirical_rademacher(o, 5000, seed=4) for o in oracles] == whole
 
 
 def test_mc_peak_memory_does_not_grow_with_trials():
@@ -381,7 +388,7 @@ def test_weighted_reduction_is_exact_with_large_counts(seed):
     col = _adversarial_column(seed, 1 << 10) * 1e-154  # squares stay finite
     signs = partial(enumerate_sign_vectors, 10)
     (est,) = rademacher._estimate_columns(
-        _ColumnOracle(col, 10), col.size, signs, "signed", 1, counts
+        _ColumnOracle(col, 10), col.size, signs, 1, counts
     )
     draws = int(counts.sum())
     exact = [Fraction(v) for v in col.tolist()]
@@ -393,16 +400,24 @@ def test_weighted_reduction_is_exact_with_large_counts(seed):
     assert est.std_error == math.sqrt(float(dev) / (draws - 1)) / math.sqrt(draws)
     with pytest.raises(ValueError, match="too large"):
         rademacher._estimate_columns(
-            _ColumnOracle(col * 1e154, 10), col.size, signs, "signed", 1, counts
+            _ColumnOracle(col * 1e154, 10), col.size, signs, 1, counts
         )
 
 
-def _per_draw_estimates(oracle, n, trials, seed, convention):
+class _AbsoluteOracle:
+    """The absolute convention for any oracle: per row, the larger of the
+    suprema at eps and -eps."""
+
+    def __init__(self, oracle):
+        self.oracle, self.n = oracle, oracle.n
+
+    def query_block(self, block):
+        return np.maximum(self.oracle.query_block(block), self.oracle.query_block(-block))
+
+
+def _per_draw_estimates(oracle, n, trials, seed):
     """Every column from one block of all draws: fsum means, exact deviations."""
-    block = trial_sign_block(seed, 0, trials, n)
-    vals = oracle.query_block(block)
-    if convention == "absolute":
-        vals = np.maximum(vals, oracle.query_block(-block))
+    vals = oracle.query_block(trial_sign_block(seed, 0, trials, n))
     estimates = []
     for col in vals.reshape(trials, -1).T.tolist():
         exact = [Fraction(v) for v in col]
@@ -419,8 +434,9 @@ def _per_draw_estimates(oracle, n, trials, seed, convention):
 @pytest.mark.parametrize("trials", [255, 256, 257])
 def test_counted_mc_is_bitwise_the_per_draw_estimate(trials, convention, cells, monkeypatch):
     # 2^8 = 256 patterns: 255 trials take the per-draw path, 256 and 257 the
-    # counted one.  Theorem3SupOracle's columns are integers over n, row by
-    # row, so both paths must agree bitwise on every one of the 4 + k columns.
+    # counted one.  Theorem3SupOracle's columns, and their larger values at
+    # eps and -eps, are integers over n, row by row, so both paths must
+    # agree bitwise on every one of the 4 + k columns.
     if cells is not None:
         monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", cells)  # 100-row batches
     counted = []
@@ -430,10 +446,12 @@ def test_counted_mc_is_bitwise_the_per_draw_estimate(trials, convention, cells, 
     )
     x = 1.0 + 3.0 * np.random.default_rng(trials).random(8)
     oracle = Theorem3SupOracle(x, k=3, t=1)
-    got = mc_rademacher_columns(oracle, trials, 21, convention)
+    if convention == "absolute":
+        oracle = _AbsoluteOracle(oracle)
+    got = mc_rademacher_columns(oracle, trials, 21)
     assert len(counted) == (trials >= 256)
     assert len(got) == 4 + 3
-    assert got == _per_draw_estimates(oracle, 8, trials, 21, convention)
+    assert got == _per_draw_estimates(oracle, 8, trials, 21)
 
 
 def test_counted_mc_weights_each_pattern_by_its_draw_count():
@@ -515,7 +533,7 @@ def test_estimators_take_n_from_the_oracle(estimator, kind):
         want = [math.fsum(c.tolist()) / 256 for c in cols.T]
         assert [e.value for e in exact_rademacher_columns(oracle)] == want
     else:
-        want = _per_draw_estimates(oracle, 8, 64, 3, "signed")
+        want = _per_draw_estimates(oracle, 8, 64, 3)
         assert mc_rademacher_columns(oracle, trials=64, seed=3) == want
 
 
@@ -604,9 +622,8 @@ def test_scaling_by_two_is_exact():
 def test_absolute_convention_dominates_signed():
     for seed in range(5):
         cls = random_class(seed, m=4, n=6)
-        oracle = TabulatedSupOracle(cls)
-        signed = exact_empirical_rademacher(oracle).value
-        absolute = exact_empirical_rademacher(oracle, convention="absolute").value
+        signed = exact_empirical_rademacher(TabulatedSupOracle(cls)).value
+        absolute = exact_empirical_rademacher(TabulatedSupOracle(cls, convention="absolute")).value
         assert absolute >= signed
 
 
@@ -614,14 +631,42 @@ def test_absolute_singleton_matches_closed_form():
     # exact absolute complexity of {constant -1} is E|sum eps|/n
     for n in (1, 2, 3, 5, 8):
         cls = TabulatedClass(-np.ones((1, n)))
-        est = exact_empirical_rademacher(TabulatedSupOracle(cls), convention="absolute")
+        est = exact_empirical_rademacher(TabulatedSupOracle(cls, convention="absolute"))
         assert est.value == pytest.approx(reference_complexity(n), abs=1e-15)
 
 
 def test_bad_convention_rejected():
-    oracle = TabulatedSupOracle(TWO_POINT)
-    with pytest.raises(ValueError):
-        exact_empirical_rademacher(oracle, convention="median")
+    with pytest.raises(ValueError, match="'median'"):
+        TabulatedSupOracle(TWO_POINT, convention="median")
+
+
+@pytest.mark.parametrize("cells", [None, 50], ids=["one-sub-block", "ragged-sub-blocks"])
+def test_absolute_is_bitwise_the_max_at_eps_and_minus_eps(cells, monkeypatch):
+    # 50 cells: sub-blocks of 50 // 9 = 5 rows, the last of 2 rows
+    if cells is not None:
+        monkeypatch.setattr(rademacher, "_PRODUCT_CELLS", cells)
+    classes = [random_class(seed, m=seed - 30, n=9) for seed in (31, 33, 39)]
+    block = trial_sign_block(7, 0, 37, 9)
+    for oracle_classes in ([classes[1]], classes):
+        signed = TabulatedSupOracle(*oracle_classes)
+        absolute = TabulatedSupOracle(*oracle_classes, convention="absolute")
+        want = np.maximum(signed.query_block(block), signed.query_block(-block))
+        assert absolute.query_block(block).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("estimate, rows", [
+    pytest.param(exact_rademacher_columns, 512, id="exact"),
+    pytest.param(partial(mc_rademacher_columns, trials=300, seed=2), 300, id="mc"),
+])
+def test_absolute_queries_the_oracle_once_per_batch(estimate, rows, monkeypatch):
+    # 2^9 = 512 exact rows, or 300 draws, in batches of 100 rows
+    monkeypatch.setattr(rademacher, "_TARGET_BATCH_CELLS", 9 * 100)
+    oracle = TabulatedSupOracle(random_class(40, n=9), convention="absolute")
+    calls = []
+    query = oracle.query_block
+    monkeypatch.setattr(oracle, "query_block", lambda b: calls.append(len(b)) or query(b))
+    estimate(oracle)
+    assert calls == [min(100, rows - lo) for lo in range(0, rows, 100)]
 
 
 def test_mc_tracks_exact_value():
