@@ -26,15 +26,15 @@ from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .bounds import METHODS, BoundInput, compare_bounds, theorem1_bound, theorem2_bound
-from .core import _EXACT_PRODUCT_CAP, CapExceeded
+from .core import CapExceeded
 from .kernel import KernelSupOracle, gram, kernel_mc_rademacher, kernel_trace, parse_kernel_spec
 from .kernel import trace_complexity, worst_case_complexity
 from .lowerbound import LowerBoundConfig, Theorem3Report, sweep_theorem3, verify_theorem3
 from .margin import empirical_margin_cdf, lemma1_sweep
 from .rademacher import (
     TabulatedSupOracle,
-    _check_enumerable,
-    _check_mc_request,
+    check_exact_request,
+    check_mc_request,
     exact_empirical_rademacher,
     mc_empirical_rademacher,
 )
@@ -111,12 +111,8 @@ def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
         path = source[len("tabulated:") :]
         ctx.track_input(path)
         cls = read_tabulated_csv(path)
-        products = cls.m << cls.n
-        if args.mode == "exact" and products > _EXACT_PRODUCT_CAP:
-            raise CapExceeded(
-                f"{cls.m} rows x 2^{cls.n} sign vectors = {products} products "
-                f"exceed the exact-enumeration product cap {_EXACT_PRODUCT_CAP}"
-            )
+        if args.mode == "exact":
+            check_exact_request(cls.n, rows=cls.m)
         oracle = TabulatedSupOracle(cls, convention=args.convention)
     elif source.startswith("kernel:"):
         spec = parse_kernel_spec(source[len("kernel:") :])
@@ -128,9 +124,9 @@ def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
         dataset = read_dataset_csv(args.data)
         # Refuse a runaway request before the Gram is built.
         if args.mode == "exact":
-            _check_enumerable(dataset.n)
+            check_exact_request(dataset.n)
         else:
-            _check_mc_request(dataset.n, args.trials, args.seed)
+            check_mc_request(dataset.n, args.trials, args.seed)
         oracle = KernelSupOracle(gram(spec, dataset.points), args.lambda_cap)
     else:
         raise ValueError("--class must be tabulated:<csv> or kernel:<spec>")
@@ -304,7 +300,6 @@ def _cmd_synth(args, ctx: _RunContext) -> tuple[int, dict]:
         seed=args.seed,
         d=args.d,
         spread=args.spread,
-        labels_mode=args.labels_mode,
     )
     dataset = generate(spec)
     write_dataset_csv(dataset, args.out)
@@ -453,13 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=_seed, default=0)
     synth.add_argument("--d", type=int, default=1, help="dimension (blobs)")
     synth.add_argument("--spread", type=float, default=1.0, help="noise scale (blobs)")
-    synth.add_argument(
-        "--labels-mode",
-        dest="labels_mode",
-        choices=["single", "uniform"],
-        default="single",
-        help="uniform kind: all labels k+1 (single) or uniform over [1, k]",
-    )
     synth.add_argument("--out", required=True, help="dataset CSV path")
     _add_common(synth)
     synth.set_defaults(handler=_cmd_synth)

@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "EXACT_ENUMERATION_CAP",
+    "EXACT_PRODUCT_CAP",
     "MC_SIGN_CELL_CAP",
     "GRAM_CELL_CAP",
     "CapExceeded",
@@ -36,11 +37,12 @@ __all__ = [
 EXACT_ENUMERATION_CAP = 20
 
 # Hard cap on rows x 2^n products of one exact enumeration of a tabulated
-# class (m rows) or a Lemma 1 instance (its largest margin-class product):
+# class (m rows) or a Lemma 1 margin class (its product of class sizes):
 # 10 to 20 s of work at the cap on a 2-vCPU box (a 4096 x 20 tabulated class
-# takes 9 s wall, 18 s CPU), 64 times the largest request any demo, test or
-# benchmark makes (2^26: 64 rows at n = 20).
-_EXACT_PRODUCT_CAP = 1 << 32
+# takes 9 s wall, 18 s CPU), 64 times the largest enumeration any demo, test
+# or benchmark runs (2^26: 64 rows at n = 20).  This cap, the one above and
+# MC_SIGN_CELL_CAP are applied only by mbl.rademacher's pre-flight checks.
+EXACT_PRODUCT_CAP = 1 << 32
 
 # Hard cap on trials * n sign cells of one Monte Carlo estimate: at the
 # roughly 6e7 cells/s of a small tabulated oracle this is minutes of work,

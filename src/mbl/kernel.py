@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .core import GRAM_CELL_CAP, CapExceeded, RademacherEstimate
-from .rademacher import _PRODUCT_CELLS, _check_mc_request, mc_empirical_rademacher
+from .rademacher import _PRODUCT_CELLS, check_mc_request, mc_empirical_rademacher
 
 __all__ = [
     "KernelSpec",
@@ -303,7 +303,7 @@ def kernel_mc_rademacher(oracle: KernelSupOracle, trials: int, seed: int) -> Rad
     """
     c = trace_complexity(float(np.trace(oracle.g)), oracle.lambda_cap, oracle.n)
     if c == 0.0:
-        _check_mc_request(oracle.n, trials, seed)
+        check_mc_request(oracle.n, trials, seed)
         return RademacherEstimate(0.0, "monte-carlo", trials, 0.0, seed)
     gap = mc_empirical_rademacher(_JensenGapOracle(oracle, c), trials=trials, seed=seed)
     return RademacherEstimate(c - gap.value, "monte-carlo", gap.trials, gap.std_error, seed)

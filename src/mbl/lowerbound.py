@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import CapExceeded, LabeledDataset, RademacherEstimate, as_sign_vector
-from .rademacher import _check_mc_request, enumerate_sign_vectors, mc_rademacher_columns
+from .rademacher import check_mc_request, enumerate_sign_vectors, mc_rademacher_columns
 from .synth import GeneratorSpec, generate
 
 __all__ = [
@@ -342,7 +342,7 @@ def _theorem3_columns(
 ) -> list[RademacherEstimate]:
     """Every Theorem3SupOracle column on one uniform sample and one sign stream;
     a runaway request raises CapExceeded before the sample is drawn."""
-    _check_mc_request(n, trials, sign_seed)
+    check_mc_request(n, trials, sign_seed)
     dataset = generate(GeneratorSpec(kind="uniform_interval", k=k, n=n, seed=sample_seed))
     return mc_rademacher_columns(Theorem3SupOracle(dataset, k, t), trials=trials, seed=sign_seed)
 
@@ -472,7 +472,7 @@ def sweep_theorem3(
         for k in ks
     ]
     for cfg in configs:  # refuse a runaway k before the first run
-        _check_mc_request(_lawful_n(cfg.k, t), trials, _derived_seed(cfg.seed, 0, 2))
+        check_mc_request(_lawful_n(cfg.k, t), trials, _derived_seed(cfg.seed, 0, 2))
     reports = [verify_theorem3(cfg, variant) for cfg in configs]
     karr = np.asarray(ks, dtype=np.float64)
     aggregate = np.asarray([r.n * r.rhs for r in reports])

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _EXACT_PRODUCT_CAP, EXACT_ENUMERATION_CAP, CapExceeded, TabulatedClass
-from .rademacher import TabulatedSupOracle, exact_rademacher_columns
+from .core import CapExceeded, TabulatedClass
+from .rademacher import TabulatedSupOracle, check_exact_request, exact_rademacher_columns
 
 __all__ = [
     "MARGIN_CLASS_CAP",
@@ -178,7 +178,12 @@ def materialize_margin_class(spec: MarginClassSpec, labels) -> TabulatedClass:
     total = spec.product_size
     if total > MARGIN_CLASS_CAP:
         raise CapExceeded(f"margin-class product has {total} rows; cap is {MARGIN_CLASS_CAP}")
-    digits = np.unravel_index(np.arange(total), [c.m for c in spec.per_class])
+    # mixed-radix digits by divmod, last class fastest (np.unravel_index
+    # would stop at its 64-dimension limit)
+    rest, digits = np.arange(total), []
+    for c in reversed(spec.per_class):
+        rest, d = np.divmod(rest, c.m)
+        digits.insert(0, d)
     # scores[r, i, j]: the j-th class's function in tuple r, at point i
     scores = np.stack([c.values[d] for c, d in zip(spec.per_class, digits)], axis=-1)
     return TabulatedClass(_margin_block(scores, labs))
@@ -189,11 +194,10 @@ def verify_lemma1(spec: MarginClassSpec, labels) -> Lemma1Report:
 
     Both sides are computed by one full sign enumeration, one oracle column
     per class; the inequality holds for every sample, so a failure indicates
-    an implementation bug.
+    an implementation bug.  check_exact_request(n, rows=product size) runs
+    before the margin class is built.
     """
-    n = spec.n
-    if n > EXACT_ENUMERATION_CAP:
-        raise CapExceeded(f"n={n} exceeds the exact-enumeration cap")
+    check_exact_request(spec.n, rows=spec.product_size)
     mclass = materialize_margin_class(spec, labels)
     oracle = TabulatedSupOracle(mclass, *spec.per_class)
     values = [est.value for est in exact_rademacher_columns(oracle)]
@@ -241,29 +245,19 @@ def lemma1_sweep(
     """Run verify_lemma1 on `seeds` random instances; report any failures.
 
     Instances draw n up to max_n and up to max_k classes of up to
-    max_class_size rows each, so max_n above the exact-enumeration cap, a
-    largest product max_class_size**max_k above MARGIN_CLASS_CAP, or that
-    product times 2**max_n sign vectors above the core's exact-enumeration
-    product cap (2^32), raises CapExceeded before any instance runs.
+    max_class_size rows each, so a largest product max_class_size**max_k
+    above MARGIN_CLASS_CAP, or a request (max_n, that product) that
+    check_exact_request refuses, raises CapExceeded before any instance runs.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     _check_instance_limits(max_k, max_n, max_class_size)
-    if max_n > EXACT_ENUMERATION_CAP:
-        raise CapExceeded(
-            f"max_n={max_n} exceeds the exact-enumeration cap {EXACT_ENUMERATION_CAP}"
-        )
     # Past 64 the exponent cannot change the comparison (2**64 > cap).
     if max_class_size ** min(max_k, 64) > MARGIN_CLASS_CAP:
         raise CapExceeded(
             f"{max_class_size}**{max_k} rows exceed the margin-class product cap {MARGIN_CLASS_CAP}"
         )
-    products = max_class_size**max_k * 2**max_n
-    if products > _EXACT_PRODUCT_CAP:
-        raise CapExceeded(
-            f"{max_class_size}**{max_k} rows x 2^{max_n} sign vectors = {products} products "
-            f"exceed the exact-enumeration product cap {_EXACT_PRODUCT_CAP}"
-        )
+    check_exact_request(max_n, rows=max_class_size**max_k)
     failures = []
     worst_slack = -math.inf
     for s in range(seeds):

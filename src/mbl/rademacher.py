@@ -58,6 +58,12 @@ exact-enumeration loop with each row weighted by its count.  S1 and S2 are
 the same exact integers as the per-draw loop's on the same draws, so it is
 the same estimator: for a row-invariant oracle the value and std_error are
 bitwise those of the per-draw loop.
+
+Caps: ``check_exact_request`` and ``check_mc_request`` are the only code
+that applies the estimation caps (EXACT_ENUMERATION_CAP, EXACT_PRODUCT_CAP,
+MC_SIGN_CELL_CAP, from ``mbl.core``).  The estimators call them first, and
+every module that must refuse a request before costlier set-up (a Gram, a
+margin class, a Theorem 3 instance) calls them too.
 """
 from __future__ import annotations
 
@@ -69,6 +75,7 @@ import numpy as np
 
 from .core import (
     EXACT_ENUMERATION_CAP,
+    EXACT_PRODUCT_CAP,
     MC_SIGN_CELL_CAP,
     CapExceeded,
     RademacherEstimate,
@@ -77,6 +84,8 @@ from .core import (
 )
 
 __all__ = [
+    "check_exact_request",
+    "check_mc_request",
     "enumerate_sign_vectors",
     "trial_sign_block",
     "TabulatedSupOracle",
@@ -109,13 +118,36 @@ _PRODUCT_CELLS = 1 << 18
 _UNIT = 1073 + 53
 
 
-def _check_enumerable(n: int) -> None:
+def check_exact_request(n: int, rows: int = 1) -> None:
+    """Reject an exact enumeration before any work: ValueError for n < 1,
+    CapExceeded for n above EXACT_ENUMERATION_CAP or for more than
+    EXACT_PRODUCT_CAP row-by-vector products (``rows`` x 2^n)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > EXACT_ENUMERATION_CAP:
         raise CapExceeded(
             f"exact enumeration needs 2^{n} sign vectors; cap is n <= {EXACT_ENUMERATION_CAP}"
         )
+    if rows << n > EXACT_PRODUCT_CAP:
+        raise CapExceeded(
+            f"{rows} rows x 2^{n} sign vectors = {rows << n} products "
+            f"exceed the exact-enumeration product cap {EXACT_PRODUCT_CAP}"
+        )
+
+
+def check_mc_request(n: int, trials: int, seed: int) -> None:
+    """Reject a Monte Carlo request before any work: too few trials, n < 1,
+    more than MC_SIGN_CELL_CAP sign cells, or a seed outside the stream's keys."""
+    if trials < 2:
+        raise ValueError("trials must be >= 2 for a standard error")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if trials * n > MC_SIGN_CELL_CAP:
+        raise CapExceeded(
+            f"{trials} trials x n={n} need {trials * n} sign cells; cap is {MC_SIGN_CELL_CAP}"
+        )
+    if not 0 <= seed < (1 << 64):
+        raise ValueError("seed must be an integer in [0, 2^64)")
 
 
 def _signs_from_words(words: np.ndarray, n: int) -> np.ndarray:
@@ -139,7 +171,7 @@ def enumerate_sign_vectors(n: int, start: int = 0, stop: int | None = None) -> n
     Row b holds signs with position i mapped from bit i of b
     (bit 0 -> -1, bit 1 -> +1); stop defaults to 2^n.
     """
-    _check_enumerable(n)
+    check_exact_request(n)
     total = 1 << n
     stop = total if stop is None else stop
     if not 0 <= start <= stop <= total:
@@ -359,11 +391,12 @@ def exact_rademacher_columns(oracle: SupOracle) -> list[RademacherEstimate]:
     The exact twin of mc_rademacher_columns: one enumeration in binary
     order serves every column, and column j's value is exactly what
     exact_empirical_rademacher gives for an oracle returning that column
-    alone.  n above EXACT_ENUMERATION_CAP raises CapExceeded before any
-    batch runs.
+    alone.  check_exact_request(n) runs before any batch.  An oracle does
+    not report its rows, so a caller that knows them applies the product
+    cap with check_exact_request(n, rows) first.
     """
     n = oracle.n
-    _check_enumerable(n)
+    check_exact_request(n)
     signs = partial(enumerate_sign_vectors, n)
     return _estimate_columns(oracle, 1 << n, signs, None)
 
@@ -372,25 +405,10 @@ def exact_empirical_rademacher(oracle: SupOracle) -> RademacherEstimate:
     """Full enumeration over all 2^n sign vectors (binary order), n = oracle.n.
 
     The mean is an exactly rounded sum of the 2^n supremum values, so the
-    result does not depend on enumeration batching.  n above
-    EXACT_ENUMERATION_CAP raises CapExceeded before any batch runs.
+    result does not depend on enumeration batching.  The caps are those of
+    exact_rademacher_columns.
     """
     return _one_column(exact_rademacher_columns(oracle))
-
-
-def _check_mc_request(n: int, trials: int, seed: int) -> None:
-    """Reject a Monte Carlo request before any batch: too few trials, n < 1,
-    more than MC_SIGN_CELL_CAP sign cells, or a seed outside the stream's keys."""
-    if trials < 2:
-        raise ValueError("trials must be >= 2 for a standard error")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if trials * n > MC_SIGN_CELL_CAP:
-        raise CapExceeded(
-            f"{trials} trials x n={n} need {trials * n} sign cells; cap is {MC_SIGN_CELL_CAP}"
-        )
-    if not 0 <= seed < (1 << 64):
-        raise ValueError("seed must be an integer in [0, 2^64)")
 
 
 def mc_rademacher_columns(
@@ -401,11 +419,11 @@ def mc_rademacher_columns(
     ``query_block`` may return a (trials,) vector (one column) or a
     (trials, c) matrix of c suprema sharing each draw.  Column j's value
     and std_error are exactly what mc_empirical_rademacher gives for an
-    oracle returning that column alone.  trials * oracle.n above
-    MC_SIGN_CELL_CAP raises CapExceeded before any batch runs.
+    oracle returning that column alone.  check_mc_request(oracle.n,
+    trials, seed) runs before any batch.
     """
     n = oracle.n
-    _check_mc_request(n, trials, seed)
+    check_mc_request(n, trials, seed)
     if n <= EXACT_ENUMERATION_CAP and 1 << n <= trials:
         # at most 2^n distinct draws: query each pattern once, weighted by its count
         counts = _pattern_counts(seed, n, trials)

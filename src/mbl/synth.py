@@ -1,11 +1,10 @@
 """Synthetic data generators, a small one-vs-all ridge scorer, and CSV IO.
 
 Two generators: ``uniform_interval`` draws scalar points uniformly on
-[1, k+1] with labels either all equal to k+1 (the single-class law the
-lower-bound experiment needs, the default) or uniform over [1, k];
-``gaussian_blobs`` places k fixed centers (spacing 2 on a line for d=1, on
-a radius-2 circle in the first two coordinates otherwise) and adds
-spread-scaled Gaussian noise.  Generation is a pure function of (spec,
+[1, k+1] with every label k+1 (the single-class law the lower-bound
+experiment needs); ``gaussian_blobs`` places k fixed centers (spacing 2 on
+a line for d=1, on a radius-2 circle in the first two coordinates
+otherwise) and adds spread-scaled Gaussian noise.  Generation is a pure function of (spec,
 seed) via a counter-based generator.
 
 The ridge scorer exists so the bound evaluators have realistic score
@@ -62,16 +61,14 @@ __all__ = [
 ]
 
 _KINDS = ("uniform_interval", "gaussian_blobs")
-_LABEL_MODES = ("single", "uniform")
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Distribution parameters for `generate`.
 
-    ``labels_mode`` applies to uniform_interval only: "single" concentrates
-    every label on class k+1 (so the dataset has k+1 classes), "uniform"
-    draws labels uniformly from [1, k].  Blob labels are always uniform.
+    uniform_interval puts every label on class k+1 (so the dataset has k+1
+    classes); gaussian_blobs draws labels uniformly from [1, k].
     """
 
     kind: str
@@ -80,7 +77,6 @@ class GeneratorSpec:
     seed: int
     d: int = 1
     spread: float = 1.0
-    labels_mode: str = "single"
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -99,8 +95,6 @@ class GeneratorSpec:
             raise ValueError("uniform_interval points are scalar; d must be 1")
         if not (math.isfinite(self.spread) and self.spread >= 0.0):
             raise ValueError(f"spread must be finite and >= 0, got {self.spread!r}")
-        if self.labels_mode not in _LABEL_MODES:
-            raise ValueError(f"labels_mode must be one of {_LABEL_MODES}")
 
 
 def _blob_centers(k: int, d: int) -> np.ndarray:
@@ -119,11 +113,8 @@ def generate(spec: GeneratorSpec) -> LabeledDataset:
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     if spec.kind == "uniform_interval":
         points = 1.0 + spec.k * rng.random(spec.n)
-        if spec.labels_mode == "single":
-            labels = np.full(spec.n, spec.k + 1, dtype=np.int64)
-            return LabeledDataset(points[:, None], labels, spec.k + 1)
-        labels = rng.integers(1, spec.k + 1, size=spec.n)
-        return LabeledDataset(points[:, None], labels, spec.k)
+        labels = np.full(spec.n, spec.k + 1, dtype=np.int64)
+        return LabeledDataset(points[:, None], labels, spec.k + 1)
     labels = rng.integers(1, spec.k + 1, size=spec.n)
     noise = rng.standard_normal((spec.n, spec.d))
     with np.errstate(over="ignore"):  # overflow is rejected just below

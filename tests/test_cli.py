@@ -457,6 +457,8 @@ def test_kernel_outside_psd_or_finite_range_is_exit_2(in_tmp, capsys, spec):
         ["--method", "thm1", "--rad", "0", "--delta", "1e-310"],
         ["--method", "thm2", "--lambda", "1e200", "--R", "1e200", "--delta", "0.5"],
         ["--method", "thm1", "--lambda", "1e200", "--R", "1e200"],
+        # k/delta overflows, so even a zero complexity term is refused
+        ["--method", "thm2", "--lambda", "0", "--R", "1", "--delta", "5e-324"],
     ],
 )
 def test_bound_eval_non_finite_or_negative_flags_are_exit_2(in_tmp, capsys, flags):
@@ -619,7 +621,8 @@ def test_verify_lemma1_max_n_above_cap_is_exit_3_up_front(in_tmp, capsys, monkey
     code, out, err = run_cli(["verify", "lemma1", "--seeds", seeds, "--max-n", "30"], capsys)
     assert code == 3, err
     assert out == ""
-    assert "cap 20" in err
+    assert "2^30 sign vectors" in err
+    assert "n <= 20" in err
     # the cap itself is allowed
     monkeypatch.setattr(margin_module, "random_margin_instance", real)
     code, _, err = run_cli(["verify", "lemma1", "--seeds", "1", "--max-n", "20"], capsys)
@@ -638,7 +641,7 @@ _PRODUCTS_OVER_CAP = ["--max-k", "12", "--max-class-size", "3", "--max-n", "20",
     [
         pytest.param("10", _MARGIN_ROWS_OVER_CAP, "8**12 rows", id="10"),
         pytest.param("30", _MARGIN_ROWS_OVER_CAP, "8**12 rows", id="30"),
-        pytest.param("1", _PRODUCTS_OVER_CAP, "3**12 rows x 2^20", id="rows-x-2^n"),
+        pytest.param("1", _PRODUCTS_OVER_CAP, "531441 rows x 2^20", id="rows-x-2^n"),
     ],
 )
 def test_verify_lemma1_product_above_cap_is_exit_3_up_front(

@@ -1,10 +1,13 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mbl
 from mbl.core import (
     CapExceeded,
     LabeledDataset,
@@ -128,6 +131,38 @@ def test_blas_oracles_vary_with_the_block_only_within_the_summation_error():
 
 def test_cap_exceeded_is_an_exception():
     assert issubclass(CapExceeded, Exception)
+
+
+_SRC = Path(mbl.__file__).resolve().parent
+
+
+def _module_trees():
+    for path in sorted(_SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_only_the_float_working_set_is_imported_privately():
+    # private names one mbl module takes from another: the cap checks are
+    # public, so only the tabulated oracle's sub-block size is shared
+    private = {}
+    for module, tree in _module_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("mbl")):
+                for alias in node.names:
+                    if alias.name.startswith("_") and not alias.name.startswith("__"):
+                        private.setdefault(module, set()).add(alias.name)
+    assert private == {"kernel": {"_PRODUCT_CELLS"}}
+
+
+def test_estimation_caps_are_named_in_core_and_rademacher_only():
+    caps = {"EXACT_ENUMERATION_CAP", "EXACT_PRODUCT_CAP", "MC_SIGN_CELL_CAP"}
+    naming = set()
+    for module, tree in _module_trees():
+        for node in ast.walk(tree):
+            name = node.name if isinstance(node, ast.alias) else getattr(node, "id", None)
+            if name in caps:
+                naming.add(module)
+    assert naming == {"core", "rademacher"}
 
 
 # Records OPENBLAS_THREAD_TIMEOUT at the moment numpy is first imported, which

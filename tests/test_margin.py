@@ -105,6 +105,33 @@ def test_materialize_matches_scalar_margin_per_tuple():
     assert negative_zeros > 0
 
 
+def test_materialize_rows_match_unravel_index_at_64_classes():
+    # the row order and bits np.unravel_index gives up to its 64-dimension limit
+    rng = np.random.default_rng(9)
+    sizes, n = (2,) + (1,) * 61 + (3, 2), 3
+    classes = tuple(TabulatedClass(rng.normal(size=(m, n))) for m in sizes)
+    labels = rng.integers(1, len(sizes) + 1, size=n)
+    got = materialize_margin_class(MarginClassSpec(classes), labels).values
+    digits = np.unravel_index(np.arange(math.prod(sizes)), sizes)
+    scores = np.stack([c.values[d] for c, d in zip(classes, digits)], axis=-1)
+    want = np.stack([margins(ScoreMatrix(block), labels) for block in scores])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_materialize_more_than_64_classes():
+    # 65 one-row classes: a product of 1 row, past np.unravel_index's 64 dimensions
+    rng = np.random.default_rng(5)
+    k, n = 65, 4
+    classes = tuple(TabulatedClass(rng.normal(size=(1, n))) for _ in range(k))
+    labels = rng.integers(1, k + 1, size=n)
+    spec = MarginClassSpec(classes)
+    got = materialize_margin_class(spec, labels).values
+    scores = np.concatenate([c.values for c in classes]).T  # (n, k)
+    want = np.array([[margin(row, int(y)) for row, y in zip(scores, labels)]])
+    assert _same_bits(got, want)
+    assert verify_lemma1(spec, labels).passed
+
+
 def test_margins_validates_labels():
     scores = ScoreMatrix(np.zeros((3, 2)))
     with pytest.raises(ValueError):
@@ -222,6 +249,19 @@ def test_verify_lemma1_singletons():
     assert report.rhs == 0.0
     assert report.passed
     assert isinstance(report, Lemma1Report)
+
+
+def test_verify_lemma1_product_cap_before_materializing(monkeypatch):
+    # 100^3 = 10^6 rows pass MARGIN_CLASS_CAP, but times 2^20 sign vectors
+    # they are about 1.05e12 products, 244 times the exact product cap
+    f = TabulatedClass(np.zeros((100, 20)))
+
+    def never(*args, **kwargs):
+        raise AssertionError("the margin class was built before the cap check")
+
+    monkeypatch.setattr("mbl.margin.materialize_margin_class", never)
+    with pytest.raises(CapExceeded, match=r"1000000 rows x 2\^20 sign vectors"):
+        verify_lemma1(MarginClassSpec((f, f, f)), np.ones(20, dtype=np.int64))
 
 
 def test_random_margin_instance_is_deterministic_and_capped():

@@ -7,11 +7,18 @@ import numpy as np
 import pytest
 
 from mbl import rademacher
-from mbl.core import MC_SIGN_CELL_CAP, CapExceeded, RademacherEstimate, TabulatedClass
+from mbl.core import (
+    EXACT_PRODUCT_CAP,
+    MC_SIGN_CELL_CAP,
+    CapExceeded,
+    RademacherEstimate,
+    TabulatedClass,
+)
 from mbl.kernel import KernelSpec, KernelSupOracle, gram
 from mbl.lowerbound import Theorem3SupOracle, reference_complexity
 from mbl.rademacher import (
     TabulatedSupOracle,
+    check_exact_request,
     enumerate_sign_vectors,
     exact_empirical_rademacher,
     exact_rademacher_columns,
@@ -84,6 +91,20 @@ def test_enumerate_sign_vectors_binary_order():
 def test_enumerate_sign_vectors_cap():
     with pytest.raises(CapExceeded):
         enumerate_sign_vectors(21)
+
+
+def test_check_exact_request_boundaries():
+    with pytest.raises(ValueError):
+        check_exact_request(0)
+    with pytest.raises(CapExceeded, match=r"2\^21 "):
+        check_exact_request(21)
+    check_exact_request(20)
+    check_exact_request(20, rows=4096)  # 4096 x 2^20 products: exactly the cap
+    with pytest.raises(CapExceeded) as info:
+        check_exact_request(20, rows=4097)
+    message = str(info.value)
+    assert f"4097 rows x 2^20 sign vectors = {4097 << 20} products" in message
+    assert str(EXACT_PRODUCT_CAP) in message
 
 
 def _reference_enumeration(n):

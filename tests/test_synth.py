@@ -52,12 +52,6 @@ def test_uniform_single_mode_concentrates_labels():
     assert np.array_equal(ds.labels, np.full(50, 3))
 
 
-def test_uniform_label_mode():
-    ds = _uniform(k=4, n=2000, seed=1, labels_mode="uniform")
-    assert ds.k == 4
-    assert set(np.unique(ds.labels)) == {1, 2, 3, 4}
-
-
 def test_blobs_shapes_and_centers():
     spec = GeneratorSpec(kind="gaussian_blobs", k=3, n=30, seed=2, d=4, spread=1.0)
     ds = generate(spec)
@@ -84,7 +78,6 @@ def test_generator_spec_validation():
         dict(spread=math.nan),
         dict(k=2**63 - 1),  # its k + 1 label overflows int64
         dict(k=10**400),
-        dict(labels_mode="alternating"),
     ):
         with pytest.raises(ValueError):
             GeneratorSpec(**{**good, **bad})
