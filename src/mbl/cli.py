@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .bounds import METHODS, BoundInput, compare_bounds, theorem1_bound, theorem2_bound
 from .core import CapExceeded
-from .kernel import KernelSupOracle, gram, kernel_mc_rademacher, kernel_trace, parse_kernel_spec
+from .kernel import KernelSupOracle, kernel_mc_rademacher, kernel_trace, parse_kernel_spec
 from .kernel import trace_complexity, worst_case_complexity
 from .lowerbound import LowerBoundConfig, Theorem3Report, sweep_theorem3, verify_theorem3
 from .margin import empirical_margin_cdf, lemma1_sweep
@@ -127,7 +127,7 @@ def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
             check_exact_request(dataset.n)
         else:
             check_mc_request(dataset.n, args.trials, args.seed)
-        oracle = KernelSupOracle(gram(spec, dataset.points), args.lambda_cap)
+        oracle = KernelSupOracle.from_spec(spec, dataset.points, args.lambda_cap)
     else:
         raise ValueError("--class must be tabulated:<csv> or kernel:<spec>")
     if args.mode == "exact":

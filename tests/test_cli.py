@@ -167,7 +167,7 @@ def test_rad_kernel_runaway_request_is_exit_3_before_the_gram(in_tmp, capsys, mo
     # 3000 points: 2^3000 sign vectors, or 5e6 trials x 3000 = 1.5e10 sign cells
     _write_blobs(in_tmp / "d.csv", 3000)
     built = []
-    monkeypatch.setattr("mbl.cli.gram", lambda *args: built.append(args))
+    monkeypatch.setattr("mbl.kernel.gram", lambda *args: built.append(args))
     argv = ["rad", "--class", "kernel:rbf:gamma=0.5", "--mode", mode, "--data", "d.csv",
             "--lambda", "1.0", "--trials", trials]
     code, out, err = run_cli(argv, capsys)

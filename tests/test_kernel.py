@@ -13,7 +13,6 @@ from mbl.core import GRAM_CELL_CAP, CapExceeded
 from mbl.kernel import (
     KernelSpec,
     KernelSupOracle,
-    _JensenGapOracle,
     _symmetrize,
     check_psd,
     gram,
@@ -365,17 +364,24 @@ def _einsum_oracle(g, lam, block):
     return lam / g.shape[0] * np.sqrt(np.maximum(quad, 0.0))
 
 
+def _row_dot_oracle(g, lam, block):
+    """The norm-ball oracle as one whole-block s @ g and row dot, without sub-blocks."""
+    s = block.astype(np.float64)
+    quad = np.einsum("tj,tj->t", s @ g, s)
+    return lam / g.shape[0] * np.sqrt(np.maximum(quad, 0.0))
+
+
 def test_oracle_sub_blocks_match_the_whole_block_einsum():
     n, lam = 300, 1.7
-    step = _PRODUCT_CELLS // n
+    step = _PRODUCT_CELLS // (2 * n)  # the oracle's sub-block rows
     rng = np.random.default_rng(12)
     g = gram(KernelSpec(kind="rbf", gamma=0.5), rng.normal(size=(n, 3)))
     oracle = KernelSupOracle(g, lam)
     block = rng.choice(np.array([-1, 1], dtype=np.int8), size=(3 * step + 5, n))
     out = oracle.query_block(block)
-    # A block of at most one sub-block is the whole-block einsum itself.
+    # A block of at most one sub-block is the whole-block row-dot form itself.
     first = block[:step]
-    assert np.array_equal(_bits(oracle.query_block(first)), _bits(_einsum_oracle(g, lam, first)))
+    assert np.array_equal(_bits(oracle.query_block(first)), _bits(_row_dot_oracle(g, lam, first)))
     # Each sub-block is computed as that block on its own ...
     parts = [oracle.query_block(block[lo : lo + step]) for lo in range(0, len(block), step)]
     assert np.array_equal(_bits(out), _bits(np.concatenate(parts)))
@@ -509,6 +515,19 @@ def _trace_bound(oracle):
     return trace_complexity(float(np.trace(oracle.g)), oracle.lambda_cap, oracle.n)
 
 
+class _JensenGap:
+    """Each draw's Jensen gap (r - c)^2 / (2c): c minus its mean is the
+    fixed-coefficient estimate (b1, b2) = (1/2, 0)."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.n = oracle.n
+        self.c = _trace_bound(oracle)
+
+    def query_block(self, signs_block):
+        return (self.oracle.query_block(signs_block) - self.c) ** 2 / (2.0 * self.c)
+
+
 @pytest.mark.parametrize("spec", _SPECS, ids=KernelSpec.label)
 def test_kernel_conventions_coincide_bitwise(spec):
     # eps^T G eps is even in eps, so the suprema at eps and -eps agree bit
@@ -528,7 +547,7 @@ def test_jensen_gap_exact_identity(spec):
     for n in (3, 8, 12):
         oracle = KernelSupOracle(gram(spec, rng.normal(size=(n, 2))), 0.7)
         c = _trace_bound(oracle)
-        gap = exact_empirical_rademacher(_JensenGapOracle(oracle, c)).value
+        gap = exact_empirical_rademacher(_JensenGap(oracle)).value
         exact = exact_empirical_rademacher(oracle).value
         assert c - gap == pytest.approx(exact, rel=1e-12)
         est = kernel_mc_rademacher(oracle, 20000, n)
@@ -555,6 +574,17 @@ def test_kernel_mc_never_above_trace_bound():
         assert kernel_mc_rademacher(oracle, 500, seed).value <= _trace_bound(oracle)
 
 
+def test_kernel_mc_is_clipped_at_the_trace_bound():
+    # A rank-one Gram and five draws: at these seeds mean h lands above c,
+    # where E r cannot be (Jensen), and the estimate is c itself.
+    pts = np.random.default_rng(0).normal(size=(40, 1))
+    oracle = KernelSupOracle(gram(KernelSpec(kind="linear"), pts), 1.0)
+    for seed in (32, 70):
+        est = kernel_mc_rademacher(oracle, 5, seed)
+        assert est.value == _trace_bound(oracle)
+        assert est.std_error > 0.0
+
+
 @pytest.mark.parametrize("g, lam", [(np.eye(7), 0.0), (np.zeros((7, 7)), 1.5)])
 def test_kernel_mc_zero_trace_bound(g, lam):
     oracle = KernelSupOracle(g, lam)
@@ -568,3 +598,115 @@ def test_kernel_mc_zero_trace_bound(g, lam):
         kernel_mc_rademacher(oracle, 10**10, 4)
     with pytest.raises(ValueError, match="seed"):
         kernel_mc_rademacher(oracle, 100, -1)
+
+
+def _six_grams(n, rng):
+    """rbf at three widths, linear, poly(2) and all-ones Grams on n points."""
+    pts = rng.normal(size=(n, 3))
+    specs = [KernelSpec(kind="rbf", gamma=gamma) for gamma in (0.05, 0.5, 5.0)]
+    specs += [KernelSpec(kind="linear"), KernelSpec(kind="poly", degree=2, coef=1.0)]
+    return [gram(spec, pts) for spec in specs] + [np.ones((n, n))]
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_kernel_mc_agrees_with_exact_enumeration(n):
+    rng = np.random.default_rng(n)
+    for g in _six_grams(n, rng):
+        oracle = KernelSupOracle(g, 1.3)
+        exact = exact_empirical_rademacher(oracle).value
+        for seed in range(4):
+            est = kernel_mc_rademacher(oracle, 3000, seed)
+            assert 0.0 < est.std_error
+            assert abs(est.value - exact) <= 4.0 * est.std_error
+            assert est.value <= _trace_bound(oracle)
+
+
+@pytest.mark.parametrize("n", [60, 300])
+def test_kernel_mc_std_error_at_most_fixed_coefficient(n):
+    rng = np.random.default_rng(n)
+    for g in _six_grams(n, rng):
+        oracle = KernelSupOracle(g, 1.0)
+        for seed in range(2):
+            fixed = mc_empirical_rademacher(_JensenGap(oracle), 4000, seed)
+            est = kernel_mc_rademacher(oracle, 4000, seed)
+            assert est.std_error <= fixed.std_error
+            combined = math.hypot(est.std_error, fixed.std_error)
+            assert abs(est.value - (_trace_bound(oracle) - fixed.value)) <= 4.0 * combined
+
+
+def test_kernel_mc_variance_at_the_benchmark_shape():
+    # blobs k = 4, d = 3, n = 300, rbf gamma = 0.5: the kernel-bound workload's rad sample.
+    ds = generate(GeneratorSpec(kind="gaussian_blobs", k=4, n=300, seed=5, d=3))
+    oracle = KernelSupOracle.from_spec(KernelSpec(kind="rbf", gamma=0.5), ds.points, 1.0)
+    for seed in (1, 2):
+        fixed = mc_empirical_rademacher(_JensenGap(oracle), 20000, seed)
+        est = kernel_mc_rademacher(oracle, 20000, seed)
+        assert est.std_error**2 * 10.0 <= fixed.std_error**2
+
+
+def test_kernel_mc_rerun_is_bitwise_identical():
+    rng = np.random.default_rng(3)
+    oracle = KernelSupOracle(gram(KernelSpec(kind="rbf", gamma=0.5), rng.normal(size=(40, 3))), 2.0)
+    first = kernel_mc_rademacher(oracle, 5000, 9)
+    again = kernel_mc_rademacher(oracle, 5000, 9)
+    assert _bits([first.value, first.std_error]).tolist() == _bits(
+        [again.value, again.std_error]
+    ).tolist()
+    assert (again.method, again.trials, again.seed) == ("monte-carlo", 5000, 9)
+
+
+@pytest.mark.parametrize("g", [np.diag([1.0, 2.5, 0.0, 4.0]), np.eye(5) + 1e-20 * (1 - np.eye(5))])
+def test_kernel_mc_diagonal_gram_is_the_trace_bound(g):
+    # eps^T G eps = trace G on every draw, exactly (V = 0) or after rounding
+    # (V = 1.6e-40 > 0, but Q / trace G rounds to 1), so r = c.
+    oracle = KernelSupOracle(g, 1.5)
+    est = kernel_mc_rademacher(oracle, 100, 4)
+    assert (est.value, est.std_error, est.trials) == (_trace_bound(oracle), 0.0, 100)
+
+
+@pytest.mark.parametrize(
+    "g", [np.ones((2, 2)), np.ones((3, 3)), np.array([[1.0, 0.3], [0.3, 2.0]])]
+)
+def test_kernel_mc_exact_when_r_is_a_function_of_the_first_control(g):
+    # |u1| takes one value (n = 2) or u1 two (all-ones, n = 3): u2 is affine
+    # in u1 up to rounding, the fit drops it, and h is constant.
+    oracle = KernelSupOracle(g, 1.0)
+    exact = exact_empirical_rademacher(oracle).value
+    for seed in range(3):
+        est = kernel_mc_rademacher(oracle, 1000, seed)
+        assert abs(est.value - exact) <= 4 * np.spacing(exact)
+        assert est.std_error <= 1e-15 * exact
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=KernelSpec.label)
+def test_from_spec_skips_eigvalsh_and_matches_the_matrix_constructor(spec, monkeypatch):
+    pts = np.random.default_rng(8).normal(size=(50, 3))
+    want = kernel_mc_rademacher(KernelSupOracle(gram(spec, pts), 1.2), 2000, 3)
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    with pytest.raises(AssertionError, match="eigvalsh"):
+        KernelSupOracle(gram(spec, pts), 1.2)
+    oracle = KernelSupOracle.from_spec(spec, pts, 1.2)
+    assert np.array_equal(_bits(oracle.g), _bits(gram(spec, pts)))
+    got = kernel_mc_rademacher(oracle, 2000, 3)
+    assert _bits([got.value, got.std_error]).tolist() == _bits(
+        [want.value, want.std_error]
+    ).tolist()
+
+
+def test_from_spec_validates_its_inputs():
+    with pytest.raises(ValueError, match="lambda_cap"):
+        KernelSupOracle.from_spec(KernelSpec(kind="linear"), [[1.0], [2.0]], -1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        KernelSupOracle.from_spec(KernelSpec(kind="linear"), [[1.0], [math.nan]], 1.0)
+
+
+def test_kernel_mc_rejects_a_non_finite_trace_bound():
+    # Finite Gram entries (8.1e307) whose trace overflows: without the check
+    # c = inf would come back as the estimate.
+    oracle = KernelSupOracle.from_spec(KernelSpec(kind="linear"), [[9e153]] * 3, 1.0)
+    with pytest.raises(ValueError, match="not finite"):
+        kernel_mc_rademacher(oracle, 100, 1)
