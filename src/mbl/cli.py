@@ -22,7 +22,6 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .bounds import METHODS, BoundInput, compare_bounds, theorem1_bound, theorem2_bound
@@ -56,32 +55,21 @@ _KERNEL_GRAMMAR = (
 )
 
 
-@dataclass
-class RunManifest:
-    """Reproducibility record written alongside every completed run."""
-
-    subcommand: str
-    parameters: dict
-    seed: int | None
-    version: str
-    inputs: dict
-    duration_s: float
-
-
-@dataclass
-class _RunContext:
-    inputs: dict = field(default_factory=dict)
-
-    def track_input(self, path) -> None:
-        self.inputs[str(path)] = _sha256(path)
-
-
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _input_paths(args) -> list[str]:
+    """The files the parsed arguments name: the path of ``--class tabulated:``,
+    ``--data``, ``--scores`` and ``--labels``.  Every handler exits 2 on a file
+    flag its mode does not read, so a successful run has read each of them."""
+    source = getattr(args, "cls", "")
+    paths = [source[len("tabulated:") :]] if source.startswith("tabulated:") else []
+    return paths + [p for p in (getattr(args, f, None) for f in ("data", "scores", "labels")) if p]
 
 
 def _parse_list(text: str, flag: str, kind: type) -> list:
@@ -102,14 +90,13 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
+def _cmd_rad(args) -> tuple[int, dict]:
     source = args.cls
     if source.startswith("tabulated:"):
         for flag, given in (("--data", args.data), ("--lambda", args.lambda_cap is not None)):
             if given:
                 raise ValueError(f"{flag} does not apply to tabulated classes")
         path = source[len("tabulated:") :]
-        ctx.track_input(path)
         cls = read_tabulated_csv(path)
         if args.mode == "exact":
             check_exact_request(cls.n, rows=cls.m)
@@ -120,7 +107,6 @@ def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
             raise ValueError("kernel classes need --data <dataset csv>")
         if args.lambda_cap is None:
             raise ValueError("kernel classes need --lambda <norm cap>")
-        ctx.track_input(args.data)
         dataset = read_dataset_csv(args.data)
         # Refuse a runaway request before the Gram is built.
         if args.mode == "exact":
@@ -148,7 +134,7 @@ def _cmd_rad(args, ctx: _RunContext) -> tuple[int, dict]:
     return 0, payload
 
 
-def _thm1_rad_value(args, ctx: _RunContext, n: int) -> float:
+def _thm1_rad_value(args, n: int) -> float:
     if args.rad_value is not None:
         if args.lambda_cap is not None or args.radius is not None or args.kernel or args.data:
             raise ValueError("give --rad or a kernel description (--lambda ...), not both")
@@ -161,7 +147,6 @@ def _thm1_rad_value(args, ctx: _RunContext, n: int) -> float:
         if args.radius is not None:
             raise ValueError("give --R (worst case) or --data (data dependent), not both")
         spec = parse_kernel_spec(args.kernel) if args.kernel else parse_kernel_spec("linear")
-        ctx.track_input(args.data)
         dataset = read_dataset_csv(args.data)
         if dataset.n != n:
             raise ValueError(f"--data has {dataset.n} rows but the scores file has {n}")
@@ -173,9 +158,7 @@ def _thm1_rad_value(args, ctx: _RunContext, n: int) -> float:
     return worst_case_complexity(args.radius, args.lambda_cap, n)
 
 
-def _cmd_bound_eval(args, ctx: _RunContext) -> tuple[int, dict]:
-    ctx.track_input(args.scores)
-    ctx.track_input(args.labels)
+def _cmd_bound_eval(args) -> tuple[int, dict]:
     scores = read_scores_csv(args.scores)
     labels = read_labels_csv(args.labels)
     if labels.shape[0] != scores.n:
@@ -190,7 +173,7 @@ def _cmd_bound_eval(args, ctx: _RunContext) -> tuple[int, dict]:
             grid = [args.delta]
         elif args.delta_grid:
             grid = _parse_list(args.delta_grid, "--delta-grid", float)
-        rad_value = _thm1_rad_value(args, ctx, n)
+        rad_value = _thm1_rad_value(args, n)
         inp = BoundInput(
             k=k,
             n=n,
@@ -226,7 +209,7 @@ def _cmd_bound_eval(args, ctx: _RunContext) -> tuple[int, dict]:
     return 0, payload
 
 
-def _cmd_compare(args, ctx: _RunContext) -> tuple[int, dict]:
+def _cmd_compare(args) -> tuple[int, dict]:
     ks = _parse_list(args.k_list, "--k-list", int)
     ns = _parse_list(args.n_list, "--n-list", int)
     deltas = _parse_list(args.delta_list, "--delta-list", float)
@@ -245,7 +228,7 @@ def _cmd_compare(args, ctx: _RunContext) -> tuple[int, dict]:
     return 0, payload
 
 
-def _cmd_verify_lemma1(args, ctx: _RunContext) -> tuple[int, dict]:
+def _cmd_verify_lemma1(args) -> tuple[int, dict]:
     report = lemma1_sweep(
         args.seeds,
         max_k=args.max_k,
@@ -261,7 +244,7 @@ def _write_thm3_csv(path, reports: list[Theorem3Report]) -> None:
     write_table(path, ["k", "t", "n", "lhs", "rhs", "ratio"], rows)
 
 
-def _cmd_verify_thm3(args, ctx: _RunContext) -> tuple[int, dict]:
+def _cmd_verify_thm3(args) -> tuple[int, dict]:
     if args.sweep:
         # Each k runs at its default n = 16kt^2, so the sweep takes neither flag.
         for flag, value in (("--k", args.k), ("--n", args.n)):
@@ -291,7 +274,7 @@ def _cmd_verify_thm3(args, ctx: _RunContext) -> tuple[int, dict]:
     return (0 if report.passed else 1), report.to_json_dict()
 
 
-def _cmd_synth(args, ctx: _RunContext) -> tuple[int, dict]:
+def _cmd_synth(args) -> tuple[int, dict]:
     kind = {"uniform": "uniform_interval", "blobs": "gaussian_blobs"}[args.kind]
     spec = GeneratorSpec(
         kind=kind,
@@ -469,22 +452,16 @@ def _manifest_parameters(args) -> dict:
     return {key: value for key, value in sorted(vars(args).items()) if key not in skip}
 
 
-def _write_manifest(path, manifest: RunManifest) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        json.dump(asdict(manifest), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    ctx = _RunContext()
     start = time.monotonic()
     try:
         try:
             if args.threads < 1:
                 raise ValueError("threads must be >= 1")
-            code, payload = args.handler(args, ctx)
+            code, payload = args.handler(args)
+            inputs = {path: _sha256(path) for path in _input_paths(args)}
         except (CapExceeded, MemoryError) as exc:
             print(f"mbl: cap exceeded: {exc}", file=sys.stderr)
             return 3
@@ -498,15 +475,17 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         print("mbl: internal error", file=sys.stderr)
         return 4
-    manifest = RunManifest(
-        subcommand=args.command,
-        parameters=_manifest_parameters(args),
-        seed=getattr(args, "seed", None),
-        version=__version__,
-        inputs=ctx.inputs,
-        duration_s=time.monotonic() - start,
-    )
-    _write_manifest(_manifest_path(args), manifest)
+    manifest = {
+        "subcommand": args.command,
+        "parameters": _manifest_parameters(args),
+        "seed": getattr(args, "seed", None),
+        "version": __version__,
+        "inputs": inputs,
+        "duration_s": time.monotonic() - start,
+    }
+    with open(_manifest_path(args), "w", encoding="utf-8", newline="") as handle:
+        json.dump(manifest, handle, indent=2, sort_keys=True)
+        handle.write("\n")
     sys.stdout.write(line + "\n")
     return code
 

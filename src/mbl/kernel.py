@@ -17,7 +17,7 @@ both u1 and u2 = u1^2 - V/trace G^2 have mean exactly 0, and each draw's
 h = r - c (b1 u1 + b2 u2) is unbiased for E r whatever (b1, b2) are, as
 long as they do not depend on the draws averaged.  The coefficients are the
 least-squares fit of rho on (u1, u2) over a pilot of 1024 draws from an
-independent stream (key SeedSequence([seed, 1])), whose moment columns go
+independent stream (key derive_seed(seed, 1)), whose moment columns go
 through ``mc_rademacher_columns``, so the pilot's sums are exact and its
 working set is the estimator's.  The estimate is min(c, mean h), since
 Jensen gives E r <= c.  (b1, b2) = (1/2, 0) is the Jensen-gap estimate
@@ -59,6 +59,7 @@ from .core import GRAM_CELL_CAP, CapExceeded, RademacherEstimate
 from .rademacher import (
     _PRODUCT_CELLS,
     check_mc_request,
+    derive_seed,
     mc_empirical_rademacher,
     mc_rademacher_columns,
 )
@@ -241,6 +242,12 @@ def kernel_trace(spec: KernelSpec, data) -> float:
     return total
 
 
+def _trace(g: np.ndarray) -> float:
+    """trace G; a sum that overflows is inf, which ``trace_complexity`` rejects."""
+    with np.errstate(over="ignore"):
+        return float(np.trace(g))
+
+
 def check_psd(g: np.ndarray) -> float:
     """Validate G is PSD up to rounding; returns the smallest eigenvalue.
 
@@ -258,7 +265,7 @@ def check_psd(g: np.ndarray) -> float:
         raise ValueError("gram matrix is not exactly symmetric")
     eigs = np.linalg.eigvalsh(g)
     lo = float(eigs[0])
-    tr = float(np.trace(g))
+    tr = _trace(g)
     if lo < -_PSD_TOL_FACTOR * max(tr, 0.0):
         raise ValueError(
             f"gram matrix is not PSD within tolerance: min eig {lo:.3e}, trace {tr:.3e}"
@@ -381,7 +388,7 @@ def kernel_mc_rademacher(oracle: KernelSupOracle, trials: int, seed: int) -> Rad
     """Monte Carlo estimate of the norm-ball complexity E r (module docstring).
 
     Fits (b1, b2) on _PILOT_TRIALS draws of an independent stream keyed by
-    SeedSequence([seed, 1]), then returns min(c, mean h) over the draws of
+    derive_seed(seed, 1), then returns min(c, mean h) over the draws of
     mc_empirical_rademacher(oracle, trials, seed), with that mean's standard
     error; c = lam sqrt(trace G)/n.  When every draw has r = c (c = 0, from
     lam = 0 or a zero PSD G, or a diagonal G) the result is c with standard
@@ -389,16 +396,13 @@ def kernel_mc_rademacher(oracle: KernelSupOracle, trials: int, seed: int) -> Rad
     """
     n = oracle.n
     check_mc_request(n, trials, seed)
-    with np.errstate(over="ignore"):  # an overflowing trace is rejected below
-        trace = float(np.trace(oracle.g))
+    trace = _trace(oracle.g)
     c = trace_complexity(trace, oracle.lambda_cap, n)
-    if not math.isfinite(c):
-        raise ValueError("the trace bound lam sqrt(trace G)/n is not finite")
     v = _control_variance(oracle.g, trace) if c > 0.0 else 0.0
     if v == 0.0:
         return RademacherEstimate(c, "monte-carlo", trials, 0.0, seed)
-    pilot_seed = int(np.random.SeedSequence([seed, 1]).generate_state(1, np.uint64)[0])
-    moments = mc_rademacher_columns(_ControlVariateOracle(oracle, c, v), _PILOT_TRIALS, pilot_seed)
+    pilot = _ControlVariateOracle(oracle, c, v)
+    moments = mc_rademacher_columns(pilot, _PILOT_TRIALS, derive_seed(seed, 1))
     beta = _fit_coefficients(moments)
     fitted = _ControlVariateOracle(oracle, c, v, beta)
     est = mc_empirical_rademacher(fitted, trials=trials, seed=seed)
@@ -413,9 +417,17 @@ def _check_nonnegative(**values: float) -> None:
 
 
 def trace_complexity(trace: float, lambda_cap: float, n: int) -> float:
-    """lam sqrt(trace G) / n: Jensen's bound on the norm-ball complexity; lam finite, >= 0."""
+    """lam sqrt(trace G) / n: Jensen's bound on the norm-ball complexity; ValueError if not finite.
+
+    lam must be finite and >= 0; an overflowing trace or product gives no value.
+    """
     _check_nonnegative(lambda_cap=lambda_cap)
-    return lambda_cap * math.sqrt(max(trace, 0.0)) / n
+    value = lambda_cap * math.sqrt(max(trace, 0.0)) / n
+    if not math.isfinite(value):
+        raise ValueError(
+            f"lambda*sqrt(trace G)/n is not finite: trace={trace!r}, lambda={lambda_cap!r}"
+        )
+    return value
 
 
 def worst_case_complexity(radius: float, lambda_cap: float, n: int) -> float:
@@ -443,5 +455,5 @@ def kernel_rad_bounds(
     g = np.asarray(g, dtype=np.float64)
     check_psd(g)
     n = g.shape[0]
-    data_dependent = trace_complexity(float(np.trace(g)), lambda_cap, n)
+    data_dependent = trace_complexity(_trace(g), lambda_cap, n)
     return data_dependent, lambda radius: worst_case_complexity(radius, lambda_cap, n)

@@ -23,8 +23,8 @@ sum in its never-maxed (no change, sign +1) row.
 One oracle, ``Theorem3SupOracle``, turns those (trials, k) optima and sign
 sums into every supremum the verification needs, one column each (margin
 side, interval sum, union, union-margin side, restricted interval j);
-everything before the normalization by n is integer arithmetic, so batched
-and per-vector evaluation agree bitwise.  Every Theorem-3 run (one
+each column is an exact integer divided by n once, so batched and
+per-vector evaluation agree bitwise.  Every Theorem-3 run (one
 ``select_t`` candidate, one ``verify_theorem3`` check) is one
 ``mc_rademacher_columns`` call on one uniform sample and one sign stream,
 and ``verify_theorem3`` reads both of its sides off that call.
@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import CapExceeded, LabeledDataset, RademacherEstimate, as_sign_vector
-from .rademacher import check_mc_request, enumerate_sign_vectors, mc_rademacher_columns
+from .rademacher import check_mc_request, derive_seed, enumerate_sign_vectors, mc_rademacher_columns
 from .synth import GeneratorSpec, generate
 
 __all__ = [
@@ -265,13 +265,14 @@ class Theorem3SupOracle:
 
     ``data`` is scalar points in [1, k+1] or a LabeledDataset whose labels
     must all equal k+1.  ``query_block`` maps a (trials, n) sign block to a
-    (trials, 4 + k) float matrix, each column normalized by n:
+    (trials, 4 + k) float matrix: an int64 numerator per column, divided by
+    n once, so each entry is the correctly rounded quotient of an exact
+    integer by n.  The numerators:
 
-    * COL_MARGIN: the margin class with labels concentrated on k+1,
-      -mean(eps) plus the star-class sup at -eps (module docstring).
+    * COL_MARGIN: the margin class with labels concentrated on k+1, the
+      star-class sup at -eps minus the sign sum (module docstring).
     * COL_SUM: the sum over j of the unrestricted F_t^j suprema, optimum_j
-      minus the off-interval sign sum, accumulated j by j (the order fixes
-      its float bits).
+      minus the off-interval sign sum.
     * COL_UNION: the union class (one interval active per function), max_j
       of the same unrestricted suprema.
     * COL_UNION_MARGIN: the margin class with every per-class slot the union
@@ -298,17 +299,15 @@ class Theorem3SupOracle:
         n, k = self.n, len(self.inside)
         opt, interval_sums = _interval_optima(b, self.inside, self.t)
         total = b.sum(axis=1, dtype=np.int64)
-        star = (opt.sum(axis=1) + b[:, self.boundary].sum(axis=1, dtype=np.int64)) / n
-        values = (opt - (total[:, None] - interval_sums)) / n
-        out = np.empty((b.shape[0], COL_RESTRICTED + k), dtype=np.float64)
-        out[:, COL_MARGIN] = -total / n + star
-        out[:, COL_SUM] = 0.0
-        for vals in values.T:
-            out[:, COL_SUM] += vals
-        out[:, COL_UNION] = values.max(axis=1)
-        out[:, COL_UNION_MARGIN] = out[:, COL_UNION] + star
-        out[:, COL_RESTRICTED:] = opt / n
-        return out
+        star = opt.sum(axis=1) + b[:, self.boundary].sum(axis=1, dtype=np.int64)
+        values = opt - (total[:, None] - interval_sums)
+        num = np.empty((b.shape[0], COL_RESTRICTED + k), dtype=np.int64)
+        num[:, COL_MARGIN] = star - total
+        num[:, COL_SUM] = values.sum(axis=1)
+        num[:, COL_UNION] = values.max(axis=1)
+        num[:, COL_UNION_MARGIN] = num[:, COL_UNION] + star
+        num[:, COL_RESTRICTED:] = opt
+        return num / n
 
 
 @lru_cache(maxsize=64)
@@ -331,10 +330,6 @@ def reference_complexity(n: int, convention: str = "absolute") -> float:
     if convention == "absolute":
         return _mean_abs_sign_sum(n)
     raise ValueError("convention must be 'signed' or 'absolute'")
-
-
-def _derived_seed(seed: int, *tags: int) -> int:
-    return int(np.random.SeedSequence((seed, *tags)).generate_state(1, np.uint64)[0])
 
 
 def _theorem3_columns(
@@ -378,7 +373,7 @@ def select_t(
             )
         ref = reference_complexity(n, convention)
         ests = _theorem3_columns(
-            k, t, n, trials, _derived_seed(seed, t, 0), _derived_seed(seed, t, 1)
+            k, t, n, trials, derive_seed(seed, t, 0), derive_seed(seed, t, 1)
         )
         if all(est.value >= big_c * ref for est in ests[COL_RESTRICTED:]):
             return t, n
@@ -412,7 +407,7 @@ def verify_theorem3(config: LowerBoundConfig, variant: str = "sum") -> Theorem3R
         n = config.n if config.n is not None else _lawful_n(k, t)
         auto = False
     ests = _theorem3_columns(
-        k, t, n, config.trials, _derived_seed(config.seed, 0, 0), _derived_seed(config.seed, 0, 2)
+        k, t, n, config.trials, derive_seed(config.seed, 0, 0), derive_seed(config.seed, 0, 2)
     )
     if variant == "sum":
         lhs_est, rhs_est, rhs_scale = ests[COL_MARGIN], ests[COL_SUM], 1.0
@@ -468,11 +463,11 @@ def sweep_theorem3(
     if len(set(ks)) != len(ks):
         raise ValueError(f"the sweep's k values (--sweep) must be distinct, got {ks}")
     configs = [
-        LowerBoundConfig(k=k, epsilon=epsilon, t=t, seed=_derived_seed(seed, k), trials=trials)
+        LowerBoundConfig(k=k, epsilon=epsilon, t=t, seed=derive_seed(seed, k), trials=trials)
         for k in ks
     ]
     for cfg in configs:  # refuse a runaway k before the first run
-        check_mc_request(_lawful_n(cfg.k, t), trials, _derived_seed(cfg.seed, 0, 2))
+        check_mc_request(_lawful_n(cfg.k, t), trials, derive_seed(cfg.seed, 0, 2))
     reports = [verify_theorem3(cfg, variant) for cfg in configs]
     karr = np.asarray(ks, dtype=np.float64)
     aggregate = np.asarray([r.n * r.rhs for r in reports])

@@ -48,7 +48,9 @@ trial j is a pure function of (seed, j), produced by a counter-based Philox
 stream (trial j owns a fixed, disjoint range of counter blocks).  Trials can
 therefore be generated in any partition into batches, and as the sums are
 exact, batching never changes a bit for a row-invariant oracle (one whose
-row values do not depend on the rest of the block; see ``SupOracle``).
+row values do not depend on the rest of the block; see ``SupOracle``).  A
+caller that needs further independent streams keys them with
+``derive_seed(seed, *tags)``, one key per tag tuple.
 
 Counted Monte Carlo: when n <= EXACT_ENUMERATION_CAP and 2^n <= trials, the
 draws can take at most 2^n distinct values.  The estimator then keeps only
@@ -88,6 +90,7 @@ __all__ = [
     "check_mc_request",
     "enumerate_sign_vectors",
     "trial_sign_block",
+    "derive_seed",
     "TabulatedSupOracle",
     "exact_empirical_rademacher",
     "exact_rademacher_columns",
@@ -203,6 +206,12 @@ def trial_sign_block(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     Row j is a pure function of (seed, start + j): see _trial_words.
     """
     return _signs_from_words(_trial_words(seed, start, stop, n), n)
+
+
+def derive_seed(seed: int, *tags: int) -> int:
+    """The key in [0, 2^64) of the stream tagged ``tags`` under ``seed``: the
+    first 64-bit word of SeedSequence((seed, *tags))."""
+    return int(np.random.SeedSequence((seed, *tags)).generate_state(1, np.uint64)[0])
 
 
 def _pattern_counts(seed: int, n: int, trials: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 
 import mbl
 from mbl import lowerbound
-from mbl.cli import _RunContext, _thm1_rad_value, main
+from mbl.cli import _thm1_rad_value, main
 from mbl.kernel import KernelSpec, KernelSupOracle, gram, kernel_mc_rademacher
 from mbl.lowerbound import sweep_theorem3
 from mbl.margin import ScoreMatrix, margins
@@ -412,7 +412,7 @@ def test_bound_eval_thm1_data_path_memory_is_linear(in_tmp):
         )
         tracemalloc.start()
         try:
-            _thm1_rad_value(args, _RunContext(), n)
+            _thm1_rad_value(args, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -926,6 +926,55 @@ def test_manifest_contents_and_digests(in_tmp, capsys):
     assert manifest["parameters"]["method"] == "thm1"
     digest = hashlib.sha256((in_tmp / "scores.csv").read_bytes()).hexdigest()
     assert manifest["inputs"][spath] == digest
+
+
+_SCORES = ["--scores", "scores.csv", "--labels", "labels.csv", "--t", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (["rad", "--class", "tabulated:c.csv", "--mode", "exact"], ["c.csv"]),
+        (["rad", "--class", "tabulated:c.csv", "--mode", "mc", "--trials", "200"], ["c.csv"]),
+        (["rad", "--class", "kernel:rbf:gamma=0.5", "--data", "data.csv", "--lambda", "1",
+          "--mode", "mc", "--trials", "200"], ["data.csv"]),
+        (["bound", "eval", "--method", "thm1", *_SCORES, "--rad", "0.1"],
+         ["scores.csv", "labels.csv"]),
+        (["bound", "eval", "--method", "thm1", *_SCORES, "--lambda", "1", "--R", "1"],
+         ["scores.csv", "labels.csv"]),
+        (["bound", "eval", "--method", "thm1", *_SCORES, "--lambda", "1", "--data", "data.csv",
+          "--kernel", "rbf:gamma=0.5"], ["scores.csv", "labels.csv", "data.csv"]),
+        (["bound", "eval", "--method", "thm2", *_SCORES, "--delta", "0.5", "--lambda", "1",
+          "--R", "1"], ["scores.csv", "labels.csv"]),
+        (["compare", "--k-list", "2", "--n-list", "100", "--delta-list", "0.5", "--out", "t.csv"],
+         []),
+        (["verify", "lemma1", "--seeds", "2"], []),
+        (["verify", "thm3", "--k", "2", "--t", "1", "--epsilon", "0.5", "--trials", "50"], []),
+        (["synth", "--kind", "uniform", "--k", "2", "--n", "10", "--out", "s.csv"], []),
+        # a file flag the mode does not read is refused, so no manifest lists an unread file
+        (["rad", "--class", "tabulated:c.csv", "--mode", "exact", "--data", "data.csv"], None),
+        (["bound", "eval", "--method", "thm2", *_SCORES, "--delta", "0.5", "--lambda", "1",
+          "--R", "1", "--data", "data.csv"], None),
+        (["bound", "eval", "--method", "thm1", *_SCORES, "--rad", "0.1", "--data", "data.csv"],
+         None),
+    ],
+)
+def test_manifest_lists_exactly_the_files_read(in_tmp, capsys, argv, read):
+    (in_tmp / "c.csv").write_text(TWO_ROW, encoding="utf-8")
+    _write_margin3_files(in_tmp, n=10)
+    write_dataset_csv(
+        generate(GeneratorSpec(kind="gaussian_blobs", k=2, n=10, seed=1, d=2)), in_tmp / "data.csv"
+    )
+    code, out, err = run_cli(argv + ["--manifest", "m.json"], capsys)
+    if read is None:
+        assert (code, out) == (2, ""), err
+        assert not (in_tmp / "m.json").exists()
+        return
+    assert code == 0, err
+    inputs = json.loads((in_tmp / "m.json").read_text(encoding="utf-8"))["inputs"]
+    assert inputs == {
+        path: hashlib.sha256((in_tmp / path).read_bytes()).hexdigest() for path in read
+    }
 
 
 def test_manifests_identical_up_to_duration(in_tmp, capsys):

@@ -710,3 +710,13 @@ def test_kernel_mc_rejects_a_non_finite_trace_bound():
     oracle = KernelSupOracle.from_spec(KernelSpec(kind="linear"), [[9e153]] * 3, 1.0)
     with pytest.raises(ValueError, match="not finite"):
         kernel_mc_rademacher(oracle, 100, 1)
+    # A caller's Gram whose trace overflows: the PSD check sums it without a
+    # warning, and trace_complexity is the one place that rejects it.
+    g = np.diag([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracle = KernelSupOracle(g, 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            kernel_rad_bounds(g, 1.0)
+        with pytest.raises(ValueError, match="not finite"):
+            kernel_mc_rademacher(oracle, 100, 1)

@@ -30,6 +30,7 @@ from mbl.lowerbound import (
 )
 from mbl.rademacher import (
     TabulatedSupOracle,
+    derive_seed,
     enumerate_sign_vectors,
     exact_empirical_rademacher,
     trial_sign_block,
@@ -178,10 +179,7 @@ def test_sum_oracle_matches_manual_accumulation():
     block = rng.choice(np.array([-1, 1], dtype=np.int8), size=(20, 9))
     cols = oracle.query_block(block)
     for s, row in zip(block.astype(np.int64), cols):
-        total = 0.0
-        for value in _unrestricted(s, inside, 2):
-            total += value / 9.0
-        assert row[COL_SUM] == total
+        assert row[COL_SUM] == int(sum(_unrestricted(s, inside, 2))) / 9
 
 
 def test_union_oracle_is_max_over_intervals():
@@ -214,8 +212,8 @@ def test_star_sup_decomposes_per_interval():
             block = rng.choice(np.array([-1, 1], dtype=np.int8), size=(10, n))
             cols = Theorem3SupOracle(ds, k, t).query_block(block)
             for s, row in zip(-block.astype(np.int64), cols):
-                star = sum(interval_sup_dp(s[idx], t) for idx in inside) - float(s[boundary].sum())
-                assert row[COL_MARGIN] == s.sum() / n + star / n
+                star = sum(int(interval_sup_dp(s[idx], t)) for idx in inside) - s[boundary].sum()
+                assert row[COL_MARGIN] == int(s.sum() + star) / n
 
 
 def test_margin_sup_identity_with_star():
@@ -227,8 +225,8 @@ def test_margin_sup_identity_with_star():
         members = [_interval_members(POINTS, 2, j, t) for j in (1, 2)]
         star_rows = np.asarray([np.maximum(a, b) for a, b in itertools.product(*members)])
         margin = Theorem3SupOracle(ds, 2, t).query_block(signs)[:, COL_MARGIN]
-        star = (star_rows @ -signs.T.astype(np.float64)).max(axis=0)
-        assert np.array_equal(margin, -signs.sum(axis=1) / 5.0 + star / 5.0)
+        star = (star_rows.astype(np.int64) @ -signs.T.astype(np.int64)).max(axis=0)
+        assert np.array_equal(margin, (star - signs.sum(axis=1, dtype=np.int64)) / 5)
 
 
 def test_margin_oracle_label_validation():
@@ -423,10 +421,10 @@ def test_verify_theorem3_reads_both_sides_off_one_stream(variant, lhs_col, rhs_c
         LowerBoundConfig(k=k, epsilon=0.5, t=t, seed=seed, trials=trials), variant
     )
     ds = generate(
-        GeneratorSpec(kind="uniform_interval", k=k, n=n, seed=lowerbound._derived_seed(seed, 0, 0))
+        GeneratorSpec(kind="uniform_interval", k=k, n=n, seed=derive_seed(seed, 0, 0))
     )
     ests = rademacher.mc_rademacher_columns(
-        Theorem3SupOracle(ds, k, t), trials, lowerbound._derived_seed(seed, 0, 2)
+        Theorem3SupOracle(ds, k, t), trials, derive_seed(seed, 0, 2)
     )
     assert (report.lhs, report.lhs_std_error) == (ests[lhs_col].value, ests[lhs_col].std_error)
     assert (report.rhs, report.rhs_std_error) == (
@@ -486,7 +484,7 @@ def test_sweep_theorem3_is_verify_theorem3_per_k(variant):
     reports, summary = sweep_theorem3([2, 4, 8], t=2, trials=64, seed=5, variant=variant)
     want = [
         verify_theorem3(
-            LowerBoundConfig(k=k, epsilon=0.5, t=2, seed=lowerbound._derived_seed(5, k), trials=64),
+            LowerBoundConfig(k=k, epsilon=0.5, t=2, seed=derive_seed(5, k), trials=64),
             variant,
         )
         for k in (2, 4, 8)
