@@ -251,10 +251,12 @@ def _trace(g: np.ndarray) -> float:
 def check_psd(g: np.ndarray) -> float:
     """Validate G is PSD up to rounding; returns the smallest eigenvalue.
 
-    Tolerance: min eigenvalue >= -_PSD_TOL_FACTOR * trace(G).  Raises
-    ValueError on a non-finite G, whose eigenvalues would be NaN and pass,
-    and on a G that is not exactly symmetric: eigvalsh reads only the lower
-    triangle, but the quadratic form eps^T G eps sees the symmetric part.
+    Tolerance: min eigenvalue >= -_PSD_TOL_FACTOR * trace(G), with trace(G)
+    taken as n times the mean diagonal entry, which stays finite where the
+    plain sum overflows.  Raises ValueError on a non-finite G, whose
+    eigenvalues would be NaN and pass, and on a G that is not exactly
+    symmetric: eigvalsh reads only the lower triangle, but the quadratic form
+    eps^T G eps sees the symmetric part.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -265,10 +267,11 @@ def check_psd(g: np.ndarray) -> float:
         raise ValueError("gram matrix is not exactly symmetric")
     eigs = np.linalg.eigvalsh(g)
     lo = float(eigs[0])
-    tr = _trace(g)
-    if lo < -_PSD_TOL_FACTOR * max(tr, 0.0):
+    n = g.shape[0]
+    tol = max(_PSD_TOL_FACTOR * float((np.diag(g) / n).sum()) * n, 0.0)
+    if lo < -tol:
         raise ValueError(
-            f"gram matrix is not PSD within tolerance: min eig {lo:.3e}, trace {tr:.3e}"
+            f"gram matrix is not PSD within tolerance: min eig {lo:.3e} < {-tol:.3e}"
         )
     return lo
 

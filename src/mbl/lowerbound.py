@@ -42,13 +42,14 @@ per-interval complexities.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .core import CapExceeded, LabeledDataset, RademacherEstimate, as_sign_vector
+from .core import CapExceeded, RademacherEstimate, as_sign_vector
 from .rademacher import check_mc_request, derive_seed, enumerate_sign_vectors, mc_rademacher_columns
 from .synth import GeneratorSpec, generate
 
@@ -73,6 +74,8 @@ __all__ = [
 
 BRUTE_FORCE_CAP = 12
 _DEFAULT_T_BUDGET = 10**6
+# Monte Carlo draws per select_t candidate.
+_T_SEARCH_TRIALS = 256
 
 
 def _lawful_n(k: int, t: int) -> int:
@@ -132,7 +135,6 @@ class Theorem3Report:
     lhs_std_error: float
     rhs_std_error: float
     passed: bool
-    variant: str
     t_auto_selected: bool
 
     def to_json_dict(self) -> dict:
@@ -195,10 +197,7 @@ def interval_sup_dp(in_interval_signs, t: int) -> float:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    arr = np.asarray(in_interval_signs)
-    if not arr.size:
-        return 0.0
-    arr = as_sign_vector(arr)
+    arr = as_sign_vector(in_interval_signs)
     return float(_interval_optima(arr[None, :], [np.arange(arr.size)], t)[0][0, 0])
 
 
@@ -224,12 +223,8 @@ def brute_force_interval_sup(in_interval_signs, t: int) -> float:
     return float((pats[changes <= t] @ eps).max())
 
 
-def _scalar_points(data) -> np.ndarray:
-    if isinstance(data, LabeledDataset):
-        if data.d != 1:
-            raise ValueError("interval classes need scalar (d = 1) points")
-        return data.points[:, 0]
-    pts = np.asarray(data, dtype=np.float64)
+def _scalar_points(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 2 and pts.shape[1] == 1:
         pts = pts[:, 0]
     if pts.ndim != 1:
@@ -240,10 +235,11 @@ def _scalar_points(data) -> np.ndarray:
 def partition_points(points, k: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Split scalar points in [1, k+1] into per-interval interiors and boundaries.
 
-    Returns (inside, boundary): ``inside[j-1]`` holds the indices strictly
-    inside (j, j+1) sorted by coordinate; ``boundary`` holds indices that sit
-    exactly on an integer (where every interval function takes -1).  A point
-    outside [1, k+1], NaN included, raises ValueError.
+    ``points`` is 1-D or an (n, 1) column.  Returns (inside, boundary):
+    ``inside[j-1]`` holds the indices strictly inside (j, j+1) sorted by
+    coordinate; ``boundary`` holds indices that sit exactly on an integer
+    (where every interval function takes -1).  A point outside [1, k+1], NaN
+    included, raises ValueError.
     """
     x = _scalar_points(points)
     if x.size and not (x.min() >= 1.0 and x.max() <= k + 1.0):  # NaN fails both
@@ -263,11 +259,12 @@ COL_MARGIN, COL_SUM, COL_UNION, COL_UNION_MARGIN, COL_RESTRICTED = range(5)
 class Theorem3SupOracle:
     """Every Theorem-3 supremum on one sample, from one DP sweep per block.
 
-    ``data`` is scalar points in [1, k+1] or a LabeledDataset whose labels
-    must all equal k+1.  ``query_block`` maps a (trials, n) sign block to a
-    (trials, 4 + k) float matrix: an int64 numerator per column, divided by
-    n once, so each entry is the correctly rounded quotient of an exact
-    integer by n.  The numerators:
+    ``points`` is the scalar sample in [1, k+1], 1-D or an (n, 1) column.
+    The construction assumes every label is k+1, as the "uniform_interval"
+    generator of ``synth.generate`` draws them.  ``query_block`` maps a
+    (trials, n) sign block to a (trials, 4 + k) float matrix: an int64
+    numerator per column, divided by n once, so each entry is the correctly
+    rounded quotient of an exact integer by n.  The numerators:
 
     * COL_MARGIN: the margin class with labels concentrated on k+1, the
       star-class sup at -eps minus the sign sum (module docstring).
@@ -280,16 +277,12 @@ class Theorem3SupOracle:
     * COL_RESTRICTED + j - 1: F_t^j restricted to its interior points.
     """
 
-    def __init__(self, data, k: int, t: int):
+    def __init__(self, points, k: int, t: int):
         if k < 1:
             raise ValueError("need k >= 1 intervals")
         if t < 0:
             raise ValueError("t must be >= 0")
-        if isinstance(data, LabeledDataset):
-            labels = np.asarray(data.labels)
-            if labels.size == 0 or not np.all(labels == k + 1):
-                raise ValueError(f"labels must all equal k+1 = {k + 1}")
-        x = _scalar_points(data)
+        x = _scalar_points(points)
         self.inside, self.boundary = partition_points(x, k)
         self.t = t
         self.n = x.shape[0]
@@ -323,6 +316,7 @@ def reference_complexity(n: int, convention: str = "absolute") -> float:
     Signed convention: exactly 0.  Absolute convention: E|sum eps_i|/n,
     computed in exact rational arithmetic and rounded once.
     """
+    n = operator.index(n)  # a numpy integer would overflow 2 ** (n - 1)
     if n < 1:
         raise ValueError("n must be >= 1")
     if convention == "signed":
@@ -339,7 +333,8 @@ def _theorem3_columns(
     a runaway request raises CapExceeded before the sample is drawn."""
     check_mc_request(n, trials, sign_seed)
     dataset = generate(GeneratorSpec(kind="uniform_interval", k=k, n=n, seed=sample_seed))
-    return mc_rademacher_columns(Theorem3SupOracle(dataset, k, t), trials=trials, seed=sign_seed)
+    oracle = Theorem3SupOracle(dataset.points, k, t)
+    return mc_rademacher_columns(oracle, trials=trials, seed=sign_seed)
 
 
 def select_t(
@@ -347,17 +342,16 @@ def select_t(
     epsilon: float,
     n_budget: int = _DEFAULT_T_BUDGET,
     seed: int = 0,
-    trials: int = 256,
     convention: str = "absolute",
 ) -> tuple[int, int]:
     """Doubling search for the smallest budget t meeting the slack criterion.
 
     Starting at t=1 and doubling, each candidate uses n = 16*k*t^2 sample
-    points (the smallest lawful size) and a fresh uniform dataset; it passes
-    when every interval's restricted complexity estimate reaches
-    C * reference with C = 1/epsilon.  All k estimates are columns of one
-    oracle on one sign stream.  Raises CapExceeded once the candidate
-    n would exceed n_budget.
+    points (the smallest lawful size), a fresh uniform dataset and
+    _T_SEARCH_TRIALS sign draws; it passes when every interval's restricted
+    complexity estimate reaches C * reference with C = 1/epsilon.  All k
+    estimates are columns of one oracle on one sign stream.  Raises
+    CapExceeded once the candidate n would exceed n_budget.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -373,7 +367,7 @@ def select_t(
             )
         ref = reference_complexity(n, convention)
         ests = _theorem3_columns(
-            k, t, n, trials, derive_seed(seed, t, 0), derive_seed(seed, t, 1)
+            k, t, n, _T_SEARCH_TRIALS, derive_seed(seed, t, 0), derive_seed(seed, t, 1)
         )
         if all(est.value >= big_c * ref for est in ests[COL_RESTRICTED:]):
             return t, n
@@ -430,7 +424,6 @@ def verify_theorem3(config: LowerBoundConfig, variant: str = "sum") -> Theorem3R
         lhs_std_error=se_lhs,
         rhs_std_error=se_rhs,
         passed=passed,
-        variant=variant,
         t_auto_selected=auto,
     )
 
@@ -467,7 +460,7 @@ def sweep_theorem3(
         for k in ks
     ]
     for cfg in configs:  # refuse a runaway k before the first run
-        check_mc_request(_lawful_n(cfg.k, t), trials, derive_seed(cfg.seed, 0, 2))
+        check_mc_request(_lawful_n(cfg.k, t), trials, cfg.seed)
     reports = [verify_theorem3(cfg, variant) for cfg in configs]
     karr = np.asarray(ks, dtype=np.float64)
     aggregate = np.asarray([r.n * r.rhs for r in reports])

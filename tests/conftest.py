@@ -17,9 +17,10 @@ def mbl_env():
 
     Children run with `cwd=tmp_path`, where a relative `PYTHONPATH` entry such
     as `src` resolves to nothing, so the absolute package root goes first and
-    the inherited entries follow.
+    the inherited entries follow.  Warnings are errors in the child as they
+    are in this process (`filterwarnings` in pyproject.toml).
     """
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONWARNINGS="error")
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join([MBL_ROOT, inherited] if inherited else [MBL_ROOT])
     return env

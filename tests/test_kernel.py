@@ -274,6 +274,13 @@ def test_check_psd_rejects_indefinite():
         check_psd(np.ones((2, 3)))
 
 
+def test_check_psd_tolerance_survives_an_overflowing_trace():
+    # trace G = 2e308 overflows; the tolerance is still -1e-8 * 2e308 = -2e300
+    assert check_psd(np.diag([1e308, 1e308, -1e300])) == -1e300
+    with pytest.raises(ValueError, match="not PSD"):
+        check_psd(np.diag([1e308, 1e308, -1e301]))
+
+
 def test_non_symmetric_gram_is_rejected():
     # Lower triangle PSD (all eigvalsh reads), but the symmetric part
     # [[1, 2], [2, 1]] has eigenvalue -1: eps^T G eps = -2 at eps = (1, -1).
