@@ -90,12 +90,18 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _refuse(why: str, flags: dict) -> None:
+    """Exit 2 naming the first of ``flags`` (flag -> parsed value) that was given."""
+    for flag, value in flags.items():
+        if value is not None:
+            raise ValueError(f"{flag} {why}")
+
+
 def _cmd_rad(args) -> tuple[int, dict]:
     source = args.cls
     if source.startswith("tabulated:"):
-        for flag, given in (("--data", args.data), ("--lambda", args.lambda_cap is not None)):
-            if given:
-                raise ValueError(f"{flag} does not apply to tabulated classes")
+        refused = {"--data": args.data, "--lambda": args.lambda_cap}
+        _refuse("does not apply to tabulated classes", refused)
         path = source[len("tabulated:") :]
         cls = read_tabulated_csv(path)
         if args.mode == "exact":
@@ -136,23 +142,20 @@ def _cmd_rad(args) -> tuple[int, dict]:
 
 def _thm1_rad_value(args, n: int) -> float:
     if args.rad_value is not None:
-        if args.lambda_cap is not None or args.radius is not None or args.kernel or args.data:
-            raise ValueError("give --rad or a kernel description (--lambda ...), not both")
-        if args.rad_value < 0:
-            raise ValueError("--rad must be >= 0")
+        refused = {"--lambda": args.lambda_cap, "--R": args.radius, "--kernel": args.kernel,
+                   "--data": args.data}
+        _refuse("does not apply with --rad, which gives the complexity", refused)
         return args.rad_value
     if args.lambda_cap is None:
         raise ValueError("thm1 needs --rad, or --lambda with --R or --data")
-    if args.data:
-        if args.radius is not None:
-            raise ValueError("give --R (worst case) or --data (data dependent), not both")
-        spec = parse_kernel_spec(args.kernel) if args.kernel else parse_kernel_spec("linear")
+    if args.data is not None:
+        _refuse("does not apply with --data, which gives the complexity", {"--R": args.radius})
+        spec = parse_kernel_spec("linear" if args.kernel is None else args.kernel)
         dataset = read_dataset_csv(args.data)
         if dataset.n != n:
             raise ValueError(f"--data has {dataset.n} rows but the scores file has {n}")
         return trace_complexity(kernel_trace(spec, dataset.points), args.lambda_cap, n)
-    if args.kernel:
-        raise ValueError("--kernel needs --data: the kernel enters only through trace G")
+    _refuse("needs --data: the kernel enters only through trace G", {"--kernel": args.kernel})
     if args.radius is None:
         raise ValueError("with --lambda give --R (norm-ball worst case) or --data (data dependent)")
     return worst_case_complexity(args.radius, args.lambda_cap, n)
@@ -166,12 +169,11 @@ def _cmd_bound_eval(args) -> tuple[int, dict]:
     k, n = scores.k, scores.n
 
     if args.method == "thm1":
-        if args.delta is not None and args.delta_grid:
-            raise ValueError("give --delta or --delta-grid, not both")
         grid = None
         if args.delta is not None:
+            _refuse("does not apply with --delta", {"--delta-grid": args.delta_grid})
             grid = [args.delta]
-        elif args.delta_grid:
+        elif args.delta_grid is not None:
             grid = _parse_list(args.delta_grid, "--delta-grid", float)
         rad_value = _thm1_rad_value(args, n)
         inp = BoundInput(
@@ -183,19 +185,11 @@ def _cmd_bound_eval(args) -> tuple[int, dict]:
         )
         report = theorem1_bound(inp, delta_grid=grid)
     else:
-        for flag, given in (
-            ("--rad", args.rad_value is not None),
-            ("--kernel", args.kernel),
-            ("--data", args.data),
-        ):
-            if given:
-                raise ValueError(f"thm2 does not take {flag}: --lambda and --R give its complexity")
-        if args.delta_grid:
-            raise ValueError("thm2 takes a single --delta, not --delta-grid")
-        if args.delta is None:
-            raise ValueError("thm2 needs --delta")
-        if args.lambda_cap is None or args.radius is None:
-            raise ValueError("thm2 needs --lambda and --R")
+        refused = {"--rad": args.rad_value, "--kernel": args.kernel, "--data": args.data,
+                   "--delta-grid": args.delta_grid}
+        _refuse("does not apply to thm2, which reads --delta, --lambda and --R", refused)
+        if None in (args.delta, args.lambda_cap, args.radius):
+            raise ValueError("thm2 needs --delta, --lambda and --R")
         frac = empirical_margin_cdf(scores, labels)(args.delta)
         report = theorem2_bound(
             frac, args.radius, args.lambda_cap, k, n, args.delta, args.confidence_t
@@ -240,16 +234,14 @@ def _cmd_verify_lemma1(args) -> tuple[int, dict]:
 
 
 def _write_thm3_csv(path, reports: list[Theorem3Report]) -> None:
-    rows = ([r.k, r.t, r.n, r.lhs, r.rhs, r.ratio] for r in reports)
+    rows = ([r.k, r.t, r.n, r.lhs, r.rhs, "" if r.ratio is None else r.ratio] for r in reports)
     write_table(path, ["k", "t", "n", "lhs", "rhs", "ratio"], rows)
 
 
 def _cmd_verify_thm3(args) -> tuple[int, dict]:
     if args.sweep:
         # Each k runs at its default n = 16kt^2, so the sweep takes neither flag.
-        for flag, value in (("--k", args.k), ("--n", args.n)):
-            if value is not None:
-                raise ValueError(f"{flag} does not apply to --sweep runs")
+        _refuse("does not apply to --sweep runs", {"--k": args.k, "--n": args.n})
         ks = _parse_list(args.sweep, "--sweep", int)
         t = args.t if args.t is not None else 4
         reports, summary = sweep_theorem3(ks, t, args.epsilon, args.trials, args.seed, args.variant)

@@ -65,8 +65,7 @@ class LabeledDataset:
 
     Construction only coerces dtypes (scalar points become one column).
     Inputs are checked where they enter: ``read_dataset_csv`` rejects
-    non-finite points and labels below 1, and ``Theorem3SupOracle`` checks
-    the labels it needs.
+    non-finite points and labels below 1.
     """
 
     points: np.ndarray

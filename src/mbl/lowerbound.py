@@ -103,6 +103,10 @@ class LowerBoundConfig:
     convention: str = "absolute"
 
     def __post_init__(self) -> None:
+        # numpy integers become ints, so the report's fields are JSON numbers
+        for name in ("k", "t", "n", "seed", "trials"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0.0 < self.epsilon < 1.0:
@@ -131,7 +135,7 @@ class Theorem3Report:
     epsilon: float
     lhs: float
     rhs: float
-    ratio: float
+    ratio: float | None  # lhs / rhs; None when rhs == 0
     lhs_std_error: float
     rhs_std_error: float
     passed: bool
@@ -412,7 +416,7 @@ def verify_theorem3(config: LowerBoundConfig, variant: str = "sum") -> Theorem3R
     se_rhs = rhs_scale * rhs_est.std_error
     combined = math.sqrt(se_lhs**2 + ((1.0 - eps) * se_rhs) ** 2)
     passed = lhs >= (1.0 - eps) * rhs - 4.0 * combined
-    ratio = lhs / rhs if rhs != 0.0 else math.inf
+    ratio = lhs / rhs if rhs != 0.0 else None
     return Theorem3Report(
         k=k,
         t=t,

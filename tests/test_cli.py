@@ -97,6 +97,15 @@ def test_rad_tabulated_rejects_flags_it_ignores(in_tmp, capsys, flags, named):
     assert f"{named} does not apply to tabulated classes" in err
 
 
+def test_rad_kernel_without_lambda_is_exit_2(in_tmp, capsys):
+    _write_blobs(in_tmp / "d.csv", 5)
+    argv = ["rad", "--class", "kernel:linear", "--data", "d.csv", "--mode", "mc"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "--lambda" in err
+    assert not (in_tmp / "mbl_rad.manifest.json").exists()
+
+
 def test_rad_trials_below_two_is_usage_error(in_tmp, capsys):
     (in_tmp / "c.csv").write_text(TWO_ROW, encoding="utf-8")
     code, out, err = run_cli(
@@ -366,6 +375,28 @@ def test_bound_eval_flag_conflicts(in_tmp, capsys):
         assert (code, out) == (2, ""), (extra, err)
         assert flag in err, (extra, err)
 
+
+@pytest.mark.parametrize(
+    "extra, named, label_rows",
+    [
+        (["--method", "thm1", "--lambda", "1", "--data", "d7.csv"], "--data has 7 rows", 10),
+        (["--method", "thm1", "--lambda", "1"], "--R", 10),
+        (["--method", "thm1", "--rad", "0.1", "--data", "d7.csv"], "--data does not apply", 10),
+        (["--method", "thm1", "--rad", "-0.5"], "rad_value", 10),
+        (["--method", "thm2", "--delta", "0.5", "--lambda", "1"], "--R", 10),
+        (["--method", "thm1", "--rad", "0.1"], "labels file has 9 rows", 9),
+    ],
+    ids=["data-rows", "no-R-or-data", "rad-with-data", "negative-rad", "thm2-no-R", "label-rows"],
+)
+def test_bound_eval_refusals_name_the_flag(in_tmp, capsys, extra, named, label_rows):
+    spath, lpath = _write_margin3_files(in_tmp, n=10)
+    write_labels_csv(np.ones(label_rows, dtype=np.int64), lpath)
+    _write_blobs(in_tmp / "d7.csv", 7)
+    argv = ["bound", "eval", "--scores", spath, "--labels", lpath, "--t", "1", *extra]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, ""), err
+    assert named in err
+    assert not (in_tmp / "mbl_bound.manifest.json").exists()
 
 
 def _thm1_data_argv(tmp_path, n, kernel, lam="2.0"):
@@ -738,6 +769,20 @@ def test_verify_thm3_sweep(in_tmp, capsys):
     lines = (in_tmp / "sweep.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "k,t,n,lhs,rhs,ratio"
     assert len(lines) == 3
+
+
+def test_verify_thm3_zero_rhs_prints_null_ratio(in_tmp, capsys):
+    # t = 0 on two points: both draws give the one interval a zero sign sum
+    argv = ["verify", "thm3", "--k", "1", "--t", "0", "--n", "2", "--trials", "2",
+            "--epsilon", "0.5", "--seed", "0"]
+    code, out, err = run_cli(argv, capsys)
+    assert code in (0, 1), err
+    assert '"ratio": null' in out
+    assert (in_tmp / "mbl_verify.manifest.json").exists()
+    code, out, err = run_cli(argv + ["--out", "r.csv"], capsys)
+    assert code in (0, 1), err
+    row = (in_tmp / "r.csv").read_text(encoding="utf-8").splitlines()[1]
+    assert row.split(",")[5] == ""
 
 
 def _thm3_csv_bytes(rows) -> bytes:

@@ -109,18 +109,22 @@ def _lemma1(draw):
 @st.composite
 def _thm3(draw):
     argv = ["verify", "thm3", "--epsilon", draw(_pick([0.5, 0.9], [0]))]
-    argv += ["--trials", draw(_pick([16, 64], [1]))]
     argv += draw(_flag("--seed", [0, 3]))
     argv += draw(_flag("--variant", ["sum", "union"]))
     argv += draw(_flag("--convention", ["signed", "absolute"]))
+    trials = ["--trials", draw(_pick([16, 64], [1]))]
     if draw(st.booleans()):
-        argv += ["--sweep", draw(_pick(["1", "1,2", "1,3"], ["2,2", "1,x"]))]
+        argv += trials + ["--sweep", draw(_pick(["1", "1,2", "1,3"], ["2,2", "1,x"]))]
         return argv + draw(_flag("--t", [1, 2], [0])) + draw(_flag("--k", [], [2])), []
     argv += ["--k", draw(_pick([1, 2, 3], [0]))]
     if draw(st.booleans()):
         # auto t: the --n budget ends the doubling search after a few candidates
-        return argv + ["--n", draw(_pick([200, 512], [10]))], []
-    return argv + ["--t", draw(_pick([1, 2], [0]))] + draw(_flag("--n", [40, 100, 300])), []
+        return argv + trials + ["--n", draw(_pick([200, 512], [10]))], []
+    if draw(st.booleans()):
+        # t = 0 on a few points: two draws can give rhs = 0 (ratio null)
+        return argv + ["--trials", "2", "--t", "0", "--n", draw(_pick([2, 4]))], []
+    argv += trials + ["--t", draw(_pick([1, 2], [0]))]
+    return argv + draw(_flag("--n", [40, 100, 300])), []
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Interval classes, sign-change DP, the multi-column Theorem-3 oracle, and the scaling law."""
 import dataclasses
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -457,6 +458,27 @@ def test_report_json_keys():
     assert set(payload) == {"k", "t", "n", "epsilon", "lhs", "rhs", "ratio", "std_errors", "pass"}
     assert set(payload["std_errors"]) == {"lhs", "rhs"}
     assert isinstance(payload["pass"], bool)
+
+
+def test_report_ratio_is_none_when_rhs_is_zero():
+    # at t = 0 on two points, seed 0's two draws give the interval a zero sign sum
+    report = verify_theorem3(LowerBoundConfig(k=1, epsilon=0.5, t=0, n=2, seed=0, trials=2))
+    assert report.rhs == 0.0
+    assert report.ratio is None
+    assert json.loads(json.dumps(report.to_json_dict(), allow_nan=False))["ratio"] is None
+
+
+def test_config_numpy_integers_become_ints():
+    cfg = LowerBoundConfig(
+        k=np.int64(2), epsilon=0.5, t=np.int64(1), n=np.int32(32), seed=np.uint64(3),
+        trials=np.int64(64),
+    )
+    assert all(type(getattr(cfg, f)) is int for f in ("k", "t", "n", "seed", "trials"))
+    report = verify_theorem3(cfg)
+    assert all(type(v) is int for v in (report.k, report.t, report.n))
+    json.dumps(report.to_json_dict())
+    auto_t = verify_theorem3(LowerBoundConfig(k=np.int64(1), epsilon=0.5, trials=8))
+    json.dumps(auto_t.to_json_dict())
 
 
 def test_sweep_theorem3_small():
