@@ -239,13 +239,15 @@ def _write_thm3_csv(path, reports: list[Theorem3Report]) -> None:
 
 
 def _cmd_verify_thm3(args) -> tuple[int, dict]:
-    if args.sweep:
+    if args.out == "":
+        raise ValueError("--out must be a nonempty path")
+    if args.sweep is not None:
         # Each k runs at its default n = 16kt^2, so the sweep takes neither flag.
         _refuse("does not apply to --sweep runs", {"--k": args.k, "--n": args.n})
         ks = _parse_list(args.sweep, "--sweep", int)
         t = args.t if args.t is not None else 4
         reports, summary = sweep_theorem3(ks, t, args.epsilon, args.trials, args.seed, args.variant)
-        if args.out:
+        if args.out is not None:
             _write_thm3_csv(args.out, reports)
         payload = {"rows": [r.to_json_dict() for r in reports], "summary": summary}
         return (0 if summary["pass"] else 1), payload
@@ -261,7 +263,7 @@ def _cmd_verify_thm3(args) -> tuple[int, dict]:
         convention=args.convention,
     )
     report = verify_theorem3(config, variant=args.variant)
-    if args.out:
+    if args.out is not None:
         _write_thm3_csv(args.out, [report])
     return (0 if report.passed else 1), report.to_json_dict()
 

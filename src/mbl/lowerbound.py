@@ -24,10 +24,16 @@ One oracle, ``Theorem3SupOracle``, turns those (trials, k) optima and sign
 sums into every supremum the verification needs, one column each (margin
 side, interval sum, union, union-margin side, restricted interval j);
 each column is an exact integer divided by n once, so batched and
-per-vector evaluation agree bitwise.  Every Theorem-3 run (one
-``select_t`` candidate, one ``verify_theorem3`` check) is one
-``mc_rademacher_columns`` call on one uniform sample and one sign stream,
-and ``verify_theorem3`` reads both of its sides off that call.
+per-vector evaluation agree bitwise.  Each column but the restricted ones
+is sum_j opt_j, max_j (opt_j + S_j) or their sum, plus a linear
+combination of T (all signs) and B (the boundary signs).  T, B and every
+S_j have mean exactly 0, so the estimators read a centered view of the
+oracle that leaves those linear parts out: the expectations stay, their
+variance goes (nothing is fitted).
+Every Theorem-3 run (one ``select_t`` candidate, one ``verify_theorem3``
+check) is one ``mc_rademacher_columns`` call on the centered view of one
+uniform sample and one sign stream, and ``verify_theorem3`` reads both of
+its sides off that call.
 
 With labels concentrated on class k+1 and the per-class classes
 (F_t^1, ..., F_t^k, F_0), every margin is m(x_i) = -1 - max_j f_j(x_i), so
@@ -37,7 +43,10 @@ closed under s -> -s, so each interval optimum is the same at eps and -eps,
 and the star-class sup at -eps is (sum_j optimum_j + boundary sign sum)/n,
 read off the optima at eps.  ``verify_theorem3`` checks, by Monte Carlo,
 that the margin-class complexity dominates (1 - epsilon) times the sum of
-per-interval complexities.
+per-interval complexities.  Both complexities are E sum_j optimum_j / n, so
+in this sum variant the check is an identity in expectation and the
+centered sides agree on every draw; the union variant is the check that
+can fail.
 """
 from __future__ import annotations
 
@@ -293,18 +302,47 @@ class Theorem3SupOracle:
 
     def query_block(self, block: np.ndarray) -> np.ndarray:
         b = np.asarray(block)
-        n, k = self.n, len(self.inside)
         opt, interval_sums = _interval_optima(b, self.inside, self.t)
         total = b.sum(axis=1, dtype=np.int64)
-        star = opt.sum(axis=1) + b[:, self.boundary].sum(axis=1, dtype=np.int64)
-        values = opt - (total[:, None] - interval_sums)
-        num = np.empty((b.shape[0], COL_RESTRICTED + k), dtype=np.int64)
-        num[:, COL_MARGIN] = star - total
-        num[:, COL_SUM] = values.sum(axis=1)
-        num[:, COL_UNION] = values.max(axis=1)
-        num[:, COL_UNION_MARGIN] = num[:, COL_UNION] + star
-        num[:, COL_RESTRICTED:] = opt
-        return num / n
+        boundary = b[:, self.boundary].sum(axis=1, dtype=np.int64)
+        k = opt.shape[1]
+        num = _centered_numerators(opt, interval_sums)
+        # With T = sum_j S_j + B: margin is sum_j opt_j + B - T, the interval
+        # sum sum_j (opt_j + S_j - T), and union max_j (opt_j + S_j) - T.
+        num[:, COL_MARGIN] += boundary - total
+        num[:, COL_SUM] -= (k - 1) * total + boundary
+        num[:, COL_UNION] -= total
+        num[:, COL_UNION_MARGIN] += boundary - total
+        return num / self.n
+
+
+def _centered_numerators(opt: np.ndarray, interval_sums: np.ndarray) -> np.ndarray:
+    """Every column's numerator without its linear part in T and B: sum_j opt_j
+    for both sum-variant sides, max_j (opt_j + S_j) for the union and the
+    restricted optima as they are."""
+    trials, k = opt.shape
+    num = np.empty((trials, COL_RESTRICTED + k), dtype=np.int64)
+    num[:, COL_MARGIN] = num[:, COL_SUM] = opt.sum(axis=1)
+    num[:, COL_UNION] = (opt + interval_sums).max(axis=1)
+    num[:, COL_UNION_MARGIN] = num[:, COL_UNION] + num[:, COL_MARGIN]
+    num[:, COL_RESTRICTED:] = opt
+    return num
+
+
+class _CenteredTheorem3Oracle(Theorem3SupOracle):
+    """The estimator's view of Theorem3SupOracle: each column minus its linear
+    part in T and B, with coefficient exactly 1.
+
+    T, B and every S_j have mean exactly 0 under Rademacher signs, so each
+    column keeps its expectation and drops that part's variance.  Nothing is
+    fitted.  The restricted columns are unchanged.  Both sum-variant sides
+    become sum_j opt_j / n on every draw; the supremum columns differ by
+    ((k - 2) T + 2 B) / n, whose mean is 0.
+    """
+
+    def query_block(self, block: np.ndarray) -> np.ndarray:
+        opt, interval_sums = _interval_optima(np.asarray(block), self.inside, self.t)
+        return _centered_numerators(opt, interval_sums) / self.n
 
 
 @lru_cache(maxsize=64)
@@ -333,11 +371,12 @@ def reference_complexity(n: int, convention: str = "absolute") -> float:
 def _theorem3_columns(
     k: int, t: int, n: int, trials: int, sample_seed: int, sign_seed: int
 ) -> list[RademacherEstimate]:
-    """Every Theorem3SupOracle column on one uniform sample and one sign stream;
-    a runaway request raises CapExceeded before the sample is drawn."""
+    """Every centered Theorem-3 column (``_CenteredTheorem3Oracle``) on one
+    uniform sample and one sign stream; a runaway request raises CapExceeded
+    before the sample is drawn."""
     check_mc_request(n, trials, sign_seed)
     dataset = generate(GeneratorSpec(kind="uniform_interval", k=k, n=n, seed=sample_seed))
-    oracle = Theorem3SupOracle(dataset.points, k, t)
+    oracle = _CenteredTheorem3Oracle(dataset.points, k, t)
     return mc_rademacher_columns(oracle, trials=trials, seed=sign_seed)
 
 
@@ -383,15 +422,19 @@ def verify_theorem3(config: LowerBoundConfig, variant: str = "sum") -> Theorem3R
 
     lhs estimates the margin-class complexity (labels concentrated on k+1),
     rhs the sum over intervals of unrestricted complexities (variant
-    "union": k times the union-class complexity instead).  Passes when
-    lhs >= (1 - epsilon) rhs - 4 * combined std error, where the combined
-    error sqrt(se_lhs^2 + ((1 - epsilon) se_rhs)^2) is the one independent
-    sides would have.  Both sides are columns of one estimator call, so they
-    share every sign draw and are positively correlated (in the sum variant
-    n^2 Cov = Var(sum_j optimum_j) + (k - 1)(n - #boundary points) >= 0, as
-    each optimum is even in its interval's signs).  The combined error then
-    overstates the error of lhs - (1 - epsilon) rhs, so Monte Carlo noise
-    fails the check no more often than it would on independent streams.
+    "union": k times the union-class complexity instead).  Both come from
+    the centered columns, unbiased for the same complexities.  In the sum
+    variant both sides are sum_j optimum_j / n on every draw, so lhs = rhs
+    bit for bit and the check always passes: it is an identity in
+    expectation.  Passes when lhs >= (1 - epsilon) rhs - 4 * combined std
+    error, where the combined error sqrt(se_lhs^2 + ((1 - epsilon) se_rhs)^2)
+    is the one independent sides would have.  Both sides are columns of one
+    estimator call, so they share every sign draw; in the union variant,
+    with U = max_j (optimum_j + S_j), n^2 Cov = Var(U) + Cov(U, sum_j
+    optimum_j), positive at every shape the tests measure.  The combined
+    error then overstates the error of lhs - (1 - epsilon) rhs, so Monte
+    Carlo noise fails the check no more often than it would on independent
+    streams.
     """
     if variant not in ("sum", "union"):
         raise ValueError("variant must be 'sum' or 'union'")
@@ -449,7 +492,10 @@ def sweep_theorem3(
     n = k m cancels the count), so the quantity that exhibits the linear
     growth is the aggregate n * rhs, the summed expected interval optima.
     The summary reports its slope fit (None for a single k) and doubling
-    ratios.  A repeated k raises ValueError; a k whose request is over the
+    ratios.  In the sum variant the centered rhs is sum_j optimum_j / n, so
+    a ratio's noise is that of the optima alone, without the mean-0 sign
+    sums; it is about 2 by construction and does not test the paper's
+    claim.  A repeated k raises ValueError; a k whose request is over the
     sign-cell cap raises CapExceeded before the first run.
     """
     ks = [int(k) for k in k_list]

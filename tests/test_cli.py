@@ -853,6 +853,34 @@ def test_verify_thm3_usage_errors(in_tmp, capsys):
     assert "--sweep" in err
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [([], "--sweep must be nonempty"), (["--k", "1"], "--k does not apply to --sweep")],
+    ids=["alone", "with-k"],
+)
+def test_verify_thm3_empty_sweep_is_exit_2(in_tmp, capsys, flags, named):
+    # an empty k list is a sweep with no k, not a single run
+    argv = ["verify", "thm3", "--sweep", "", *flags, "--t", "1", "--epsilon", "0.5",
+            "--trials", "16"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert named in err
+    assert list(in_tmp.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags", [["--k", "1", "--t", "1"], ["--sweep", "1,2", "--t", "1"]], ids=["single", "sweep"]
+)
+def test_verify_thm3_empty_out_is_exit_2_before_sampling(in_tmp, capsys, monkeypatch, flags):
+    drawn = []
+    monkeypatch.setattr(lowerbound, "generate", drawn.append)
+    argv = ["verify", "thm3", *flags, "--epsilon", "0.5", "--trials", "16", "--out", ""]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, drawn) == (2, "", [])
+    assert "--out must be a nonempty path" in err
+    assert list(in_tmp.iterdir()) == []
+
+
 def test_verify_thm3_t0_needs_explicit_size(in_tmp, capsys):
     # the default n = 16kt^2 is 0 at t = 0; a sweep, which takes no --n, needs t >= 1
     code, out, err = run_cli(["verify", "thm3", "--k", "2", "--t", "0", "--epsilon", "0.5"], capsys)

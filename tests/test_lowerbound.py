@@ -27,6 +27,7 @@ from mbl.lowerbound import (
     select_t,
     sweep_theorem3,
     verify_theorem3,
+    _CenteredTheorem3Oracle,
     _interval_optima,
 )
 from mbl.rademacher import (
@@ -420,7 +421,8 @@ def test_verify_theorem3_makes_one_estimator_call(monkeypatch):
     ids=["sum", "union"],
 )
 def test_verify_theorem3_reads_both_sides_off_one_stream(variant, lhs_col, rhs_col, scale):
-    # the sample comes from (seed, 0, 0) and the signs of both sides from (seed, 0, 2)
+    # the sample comes from (seed, 0, 0) and the signs of both sides from
+    # (seed, 0, 2); the estimator reads the centered columns
     k, t, n, seed, trials = 3, 2, 192, 11, 200
     report = verify_theorem3(
         LowerBoundConfig(k=k, epsilon=0.5, t=t, seed=seed, trials=trials), variant
@@ -429,7 +431,7 @@ def test_verify_theorem3_reads_both_sides_off_one_stream(variant, lhs_col, rhs_c
         GeneratorSpec(kind="uniform_interval", k=k, n=n, seed=derive_seed(seed, 0, 0))
     )
     ests = rademacher.mc_rademacher_columns(
-        Theorem3SupOracle(ds.points, k, t), trials, derive_seed(seed, 0, 2)
+        _CenteredTheorem3Oracle(ds.points, k, t), trials, derive_seed(seed, 0, 2)
     )
     assert (report.lhs, report.lhs_std_error) == (ests[lhs_col].value, ests[lhs_col].std_error)
     assert (report.rhs, report.rhs_std_error) == (
@@ -450,6 +452,17 @@ def test_both_sides_are_positively_correlated_on_one_stream(k, t, lhs_col, rhs_c
     ds = generate(GeneratorSpec(kind="uniform_interval", k=k, n=n, seed=k))
     cols = Theorem3SupOracle(ds.points, k, t).query_block(trial_sign_block(t, 0, 256, n))
     assert np.cov(cols[:, lhs_col], cols[:, rhs_col])[0, 1] > 0.0
+
+
+@pytest.mark.parametrize("k, t", [(2, 2), (4, 4), (8, 8), (2, 4), (16, 4)])
+def test_centered_union_sides_are_positively_correlated_on_one_stream(k, t):
+    # The columns verify_theorem3 reads: the centered union-margin side is the
+    # centered union plus sum_j opt_j.  (The centered sum-variant sides are
+    # one column, so their covariance is its variance.)
+    n = 16 * k * t * t
+    ds = generate(GeneratorSpec(kind="uniform_interval", k=k, n=n, seed=k))
+    cols = _CenteredTheorem3Oracle(ds.points, k, t).query_block(trial_sign_block(t, 0, 256, n))
+    assert np.cov(cols[:, COL_UNION_MARGIN], cols[:, COL_UNION])[0, 1] > 0.0
 
 
 def test_report_json_keys():
@@ -563,18 +576,27 @@ def test_interval_optima_long_interval_does_not_wrap(m):
         assert sums.tolist() == [[sign * m, 0]]
 
 
+def _boundary_sample(k, t, draws=500):
+    """48 points on [1, k+1], 12 of them on integers, and a (draws, 48) sign block."""
+    rng = np.random.default_rng(100 * k + t)
+    on_integer = rng.integers(1, k + 2, size=12).astype(np.float64)
+    x = np.concatenate([1.0 + k * rng.random(36), on_integer])
+    _, boundary = partition_points(x, k)
+    assert boundary.size == on_integer.size
+    return x, boundary, rng.choice(np.array([-1, 1], dtype=np.int8), size=(draws, x.size))
+
+
+def _numerators(cols, n):
+    return np.rint(n * cols).astype(np.int64)
+
+
 @pytest.mark.parametrize("k, t", [(2, 2), (5, 3), (8, 1), (3, 0)])
 def test_margin_minus_interval_sum_is_linear_in_signs(k, t):
     # n (Theorem3Sup - IntervalSum) = (k - 2) sum(eps) + 2 sum_boundary(eps)
     # per draw: the interval optima cancel, only the sign sums remain.
-    rng = np.random.default_rng(100 * k + t)
-    on_integer = rng.integers(1, k + 2, size=12).astype(np.float64)
-    x = np.concatenate([1.0 + k * rng.random(36), on_integer])
+    x, boundary, block = _boundary_sample(k, t)
     n = x.size
     ds = LabeledDataset(x, np.full(n, k + 1), k + 1)
-    _, boundary = partition_points(x, k)
-    assert boundary.size == on_integer.size
-    block = rng.choice(np.array([-1, 1], dtype=np.int8), size=(500, n))
     cols = Theorem3SupOracle(ds.points, k, t).query_block(block)
     diff = cols[:, COL_MARGIN] - cols[:, COL_SUM]
     eps = block.astype(np.int64)
@@ -583,28 +605,88 @@ def test_margin_minus_interval_sum_is_linear_in_signs(k, t):
     assert np.any(eps[:, boundary].sum(axis=1) != 0)
 
 
+@pytest.mark.parametrize("k, t", [(2, 2), (5, 3), (8, 1), (3, 0)])
+def test_centered_columns_drop_exactly_their_linear_part(k, t):
+    # Per draw, n (supremum - centered) is the column's linear part in
+    # T = sum(eps) and B = sum_boundary(eps), with coefficient exactly 1.
+    x, boundary, block = _boundary_sample(k, t)
+    n = x.size
+    raw = Theorem3SupOracle(x, k, t).query_block(block)
+    centered = _CenteredTheorem3Oracle(x, k, t).query_block(block)
+    eps = block.astype(np.int64)
+    total, bsum = eps.sum(axis=1), eps[:, boundary].sum(axis=1)
+    linear = {
+        COL_MARGIN: bsum - total,
+        COL_SUM: -(k - 1) * total - bsum,
+        COL_UNION: -total,
+        COL_UNION_MARGIN: bsum - total,
+    }
+    for col, want in linear.items():
+        got = _numerators(raw[:, col], n) - _numerators(centered[:, col], n)
+        assert np.array_equal(got, want), col
+    # both sum-variant sides are sum_j opt_j / n, bit for bit
+    assert np.array_equal(centered[:, COL_MARGIN], centered[:, COL_SUM])
+    assert np.array_equal(centered[:, COL_RESTRICTED:], raw[:, COL_RESTRICTED:])
+
+
+@pytest.mark.parametrize("k, t", [(2, 0), (2, 1), (3, 2), (4, 1)])
+def test_centered_columns_keep_every_exact_mean(k, t):
+    # T, B and every S_j sum to 0 over all 2^n sign vectors, so each centered
+    # column's integer numerators sum to those of the supremum column: the
+    # centered estimates are unbiased for the same complexities.
+    rng = np.random.default_rng(10 * k + t)
+    x = np.concatenate([1.0 + k * rng.random(12), rng.integers(1, k + 2, size=4).astype(float)])
+    n = x.size
+    assert partition_points(x, k)[1].size == 4
+    signs = enumerate_sign_vectors(n)
+    raw = _numerators(Theorem3SupOracle(x, k, t).query_block(signs), n).sum(axis=0)
+    centered = _numerators(_CenteredTheorem3Oracle(x, k, t).query_block(signs), n).sum(axis=0)
+    assert np.array_equal(centered, raw)
+
+
+def test_centered_columns_cut_the_std_error():
+    # The benchmark's fixed-t shape at k = 8: the sum-variant rhs drops
+    # (k - 1) T + B, most of its variance; the union drops only T.
+    k, t = 8, 8
+    ds = generate(GeneratorSpec(kind="uniform_interval", k=k, n=16 * k * t * t, seed=1))
+    raw, centered = (
+        rademacher.mc_rademacher_columns(cls(ds.points, k, t), trials=256, seed=1)
+        for cls in (Theorem3SupOracle, _CenteredTheorem3Oracle)
+    )
+    assert raw[COL_SUM].std_error >= 5.0 * centered[COL_SUM].std_error
+    assert raw[COL_UNION].std_error >= 2.0 * centered[COL_UNION].std_error
+
+
+@pytest.mark.parametrize("seed", [0, 316, 613])
+def test_sweep_doubling_ratios_sit_near_two(seed):
+    # Acceptance gate 5's sweep: with the mean-0 term -((k - 1) T + B) out of
+    # rhs, the aggregate doubling ratios stay within 0.05 of 2 at seeds where
+    # the raw column read 2.349 (316) and 1.654 (613).
+    _, summary = sweep_theorem3([2, 4, 8, 16], t=4, trials=500, seed=seed)
+    assert all(1.95 <= r <= 2.05 for r in summary["aggregate_doubling_ratios"])
+
+
 # Recorded float.hex of (lhs, rhs, lhs_std_error, rhs_std_error): the
 # verifier's outputs are pinned bit for bit.  Both sides come from one sign
-# stream; at k = 2 without boundary points the two sum-variant columns
-# agree on every draw, so the third case has lhs = rhs.
+# stream of centered columns, so in the sum variant lhs = rhs on every draw.
 GOLDEN_THEOREM3 = [
     (
         dict(k=3, epsilon=0.5, t=2, n=200, seed=4, trials=300),
         "sum",
-        ("0x1.3b900aec33e20p-2", "0x1.3d4daffdd0c27p-2",
-         "0x1.39d774278efd1p-8", "0x1.1ee812125447cp-7"),
+        ("0x1.39d265da97018p-2", "0x1.39d265da97018p-2",
+         "0x1.1cda2f1cf9ebcp-9", "0x1.1cda2f1cf9ebcp-9"),
     ),
     (
         dict(k=3, epsilon=0.5, t=1, n=64, seed=6, trials=256),
         "union",
-        ("0x1.27b0000000000p-1", "0x1.2c90000000000p-1",
-         "0x1.15f50ea074938p-7", "0x1.18a8398b5bb1bp-6"),
+        ("0x1.2e50000000000p-1", "0x1.4070000000000p-1",
+         "0x1.071f14fa8b6d8p-7", "0x1.e9e35dd4c6107p-7"),
     ),
     (
         dict(k=2, epsilon=0.5, t=0, n=40, seed=8, trials=256, convention="signed"),
         "sum",
-        ("0x1.4733333333333p-3", "0x1.4733333333333p-3",
-         "0x1.58814eaa75fc0p-7", "0x1.58814eaa75fc0p-7"),
+        ("0x1.619999999999ap-3", "0x1.619999999999ap-3",
+         "0x1.839d24ebf39dcp-8", "0x1.839d24ebf39dcp-8"),
     ),
 ]
 
