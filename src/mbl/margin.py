@@ -11,11 +11,39 @@ tuple (f_1, ..., f_k) in the Cartesian product, the margins of all
 examples.  ``verify_lemma1`` checks, by exact enumeration, the
 subadditivity R_hat_n(M_k) <= sum_j R_hat_n(F_j).  The scalar ``margin``
 is the textbook one-row definition that tests compare both against.
+
+``lemma1_sweep`` runs that check on many random instances without calling
+``verify_lemma1`` per instance; ``verify_lemma1`` stays the general
+single-instance check and the reference its per-instance lhs and rhs are
+tested against, bit for bit.  The sweep draws up to _SWEEP_CHUNK seeds at
+a time with ``_draw_chunk``: the draws of ``random_margin_instance``,
+decoded from one raw Philox call per seed.  It groups the chunk by n, and
+for each batch of one n it builds every margin-class row in one vectorized
+pass, stacks them with the per-class rows, and hands ``_segment_means``
+one segment per class.  Instance values lie in {-1, 0, 1}, so every row
+value is an integer in [-2, 2] and every signed sum an integer s with
+|s| <= 2n: the engine forms the sums exactly in int8 by doubling over the
+sign positions (binary sign order, no BLAS), takes each segment's maxima
+with np.maximum.reduceat, counts them, and averages
+sum_s count_s fl(s/n) / 2^n in exact integers, rounded once, which is
+bitwise the reduction of ``exact_rademacher_columns``.  It checks that
+integrality and raises if it fails.
+
+Working set of the sweep: one chunk's instances and raw draws, at most
+_BATCH_CELLS outputs (fewer seeds when an instance can take more draws);
+a batch's stacked rows, at most _BATCH_CELLS float64 values (2 MiB) unless
+one instance alone is larger; per block, _BLOCK_BYTES (64 KiB) of int8
+sums running along the rows and the sign axis, and as many bytes of
+float64 scores per margin-row slice and of count keys; and per pass, the
+int8 segment maxima over all 2^n sign vectors, at most _RUNNING_CELLS
+cells (1 MiB, one class at n = 20).  MARGIN_SCORE_CAP bounds the largest
+instance the limits allow before any is drawn.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -25,6 +53,7 @@ from .rademacher import TabulatedSupOracle, check_exact_request, exact_rademache
 
 __all__ = [
     "MARGIN_CLASS_CAP",
+    "MARGIN_SCORE_CAP",
     "ScoreMatrix",
     "MarginClassSpec",
     "Lemma1Report",
@@ -40,12 +69,22 @@ __all__ = [
 # Cap on the Cartesian-product size of a materialized margin class.
 MARGIN_CLASS_CAP = 10**6
 
+# Cap on the cells (product rows x n x k) of the largest instance's score
+# tensor that lemma1_sweep's limits allow.
+MARGIN_SCORE_CAP = 10**7
+
 # Slack allowed on lhs <= rhs in verify_lemma1: both sides are exactly
 # rounded means, so only last-bit rounding can separate them.
 _LEMMA1_TOLERANCE = 1e-12
 
 # Values the per-class functions of a random margin instance take.
-_INSTANCE_VALUES = (-1.0, 0.0, 1.0)
+_INSTANCE_VALUES = np.array([-1.0, 0.0, 1.0])
+
+# lemma1_sweep's chunk of seeds and working-set budgets (module docstring).
+_SWEEP_CHUNK = 256
+_BATCH_CELLS = 1 << 18
+_BLOCK_BYTES = 1 << 16
+_RUNNING_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -212,6 +251,34 @@ def _check_instance_limits(max_k: int, max_n: int, max_class_size: int) -> None:
         raise ValueError("need max_k >= 2, max_n >= 1, max_class_size >= 1")
 
 
+def _draw_instance(
+    rng: np.random.Generator, max_k: int, max_n: int, max_class_size: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The next instance from ``rng``: k per-class (m_j, n) value arrays and n labels.
+
+    Draws k, then n, then each class's row count and values, then the labels.
+    """
+    k = int(rng.integers(2, max_k + 1))
+    n = int(rng.integers(1, max_n + 1))
+    # lazy: each class's row count is drawn just before its values
+    shapes = ((int(rng.integers(1, max_class_size + 1)), n) for _ in range(k))
+    classes = [_INSTANCE_VALUES[rng.integers(0, 3, size=shape)] for shape in shapes]
+    return classes, rng.integers(1, k + 1, size=n)
+
+
+def _rekey(bit_generator: np.random.Philox, seed: int) -> None:
+    """Reset ``bit_generator`` to the state np.random.Philox(key=seed) starts in."""
+    empty = np.zeros(4, dtype=np.uint64)
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": empty, "key": np.array([seed, 0], dtype=np.uint64)},
+        "buffer": empty,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def random_margin_instance(
     seed: int,
     max_k: int = 3,
@@ -220,19 +287,254 @@ def random_margin_instance(
 ) -> tuple[MarginClassSpec, np.ndarray]:
     """Random small margin-class instance for sweep-style verification.
 
-    Every per-class function takes values in {-1, 0, 1}.
+    Every per-class function takes values in {-1, 0, 1}.  The draws come
+    from np.random.Philox(key=seed), the instance ``lemma1_sweep`` checks
+    for that seed.
     """
     _check_instance_limits(max_k, max_n, max_class_size)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    k = int(rng.integers(2, max_k + 1))
-    n = int(rng.integers(1, max_n + 1))
-    pool = np.asarray(_INSTANCE_VALUES, dtype=np.float64)
-    classes = tuple(
-        TabulatedClass(pool[rng.integers(0, pool.size, size=(int(rng.integers(1, max_class_size + 1)), n))])
-        for _ in range(k)
-    )
-    labels = rng.integers(1, k + 1, size=n)
-    return MarginClassSpec(classes), labels
+    classes, labels = _draw_instance(rng, max_k, max_n, max_class_size)
+    return MarginClassSpec(tuple(map(TabulatedClass, classes))), labels
+
+
+def _instance_outputs(max_k: int, max_n: int, max_class_size: int) -> int:
+    """The most 32-bit generator outputs _draw_instance takes when no draw is rejected."""
+    scalars = (max_k > 2) + (max_n > 1)
+    return scalars + max_k * ((max_class_size > 1) + max_class_size * max_n) + max_n
+
+
+def _draw_chunk(
+    bit_generator: np.random.Philox,
+    rng: np.random.Generator,
+    seeds: range,
+    max_k: int,
+    max_n: int,
+    max_class_size: int,
+) -> list[tuple[list[np.ndarray], np.ndarray]]:
+    """For each seed, what _draw_instance(rng, ...) draws after _rekey(bit_generator, seed).
+
+    rng.integers(low, low + r) with 1 < r < 2^32 (Lemire's method, numpy's
+    default) takes the generator's next 32-bit output x, the low half of a
+    64-bit Philox word before its high half, and returns low + (x r >> 32)
+    unless x r mod 2^32 < 2^32 mod r, where it draws again; r = 1 takes no
+    output.  So one random_raw call per seed gives every output its
+    instance can take: all of them are decoded as class values (r = 3) at
+    once, k, n and the row counts one by one, and the labels (r = k) at
+    once.  A seed where any of its draws would be rejected (for the values,
+    x = 0) is drawn again by _draw_instance.
+    """
+    limits = (max_k, max_n, max_class_size)
+    words = np.empty((len(seeds), -(-_instance_outputs(*limits) // 2)), dtype=np.uint64)
+    for row, seed in zip(words, seeds):
+        _rekey(bit_generator, seed)
+        row[:] = bit_generator.random_raw(words.shape[1])
+    x = words.astype("<u8", copy=False).view("<u4")  # the outputs in draw order
+    scaled = np.multiply(x, 3, dtype=np.uint64)
+    scaled >>= 32
+    values = _INSTANCE_VALUES[scaled]
+    del scaled
+    plans, kept = [], []
+    for row in x:
+        at, ok = 0, True
+
+        def draw(low: int, r: int) -> int:
+            nonlocal at, ok
+            if r == 1:
+                return low
+            scaled = int(row[at]) * r
+            at += 1
+            ok = ok and (scaled & 0xFFFFFFFF) >= (1 << 32) % r
+            return low + (scaled >> 32)
+
+        k, n = draw(2, max_k - 1), draw(1, max_n)
+        classes = []
+        for _ in range(k):
+            m = draw(1, max_class_size)
+            classes.append((at, m))
+            at += m * n
+        plans.append((k, n, classes, at))
+        kept.append(ok)
+    ks, ns, label_at = (np.array([plan[j] for plan in plans])[:, None] for j in (0, 1, 3))
+    ahead = np.arange(max_n)
+    label_x = np.take_along_axis(x, np.minimum(label_at + ahead, x.shape[1] - 1), axis=1)
+    scaled = np.multiply(label_x, ks.astype(np.uint64), dtype=np.uint64)
+    labels = (scaled >> 32).astype(np.int64) + 1
+    rejected = (scaled & 0xFFFFFFFF) < (1 << 32) % ks.astype(np.uint64)
+    redraw = (rejected & (ahead < ns)).any(axis=1) | ~np.array(kept)
+    redraw |= ((x == 0) & (np.arange(x.shape[1]) < label_at)).any(axis=1)
+    instances = []
+    for i, (seed, (_, n, classes, _)) in enumerate(zip(seeds, plans)):
+        if not redraw[i]:
+            rows = [values[i, at : at + m * n].reshape(m, n).copy() for at, m in classes]
+            instances.append((rows, labels[i, :n]))
+        else:
+            _rekey(bit_generator, seed)
+            instances.append(_draw_instance(rng, *limits))
+    return instances
+
+
+def _signed_sums(v: np.ndarray) -> np.ndarray:
+    """(rows, 2^t) int8 for a (rows, t) int8 ``v``: column b is sum_i eps_i v[:, i],
+    eps_i = +1 where bit i of b is set and -1 elsewhere (binary sign order).
+
+    Column 0 takes every sign -1; setting bit i then adds 2 v[:, i], so
+    columns [2^i, 2^(i+1)) are columns [0, 2^i) plus 2 v[:, i].
+    """
+    rows, t = v.shape
+    out = np.empty((rows, 1 << t), dtype=np.int8)
+    out[:, 0] = -v.sum(axis=1)
+    for i in range(t):
+        np.add(out[:, : 1 << i], 2 * v[:, i : i + 1], out=out[:, 1 << i : 2 << i])
+    return out
+
+
+@lru_cache(maxsize=None)
+def _quotient_numerators(n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """fl(s/n) for s = -2n, ..., 2n as (hi 2^32 + lo) / den: (hi, lo, den).
+
+    den is the largest denominator of the quotients, a power of two, and
+    lo lies in [0, 2^32).
+    """
+    ratios = [float(q).as_integer_ratio() for q in np.arange(-2 * n, 2 * n + 1) / n]
+    den = max(d for _, d in ratios)
+    nums = [a * (den // d) for a, d in ratios]
+    hi = np.array([a >> 32 for a in nums], dtype=np.int64)
+    lo = np.array([a & 0xFFFFFFFF for a in nums], dtype=np.int64)
+    hi.flags.writeable = lo.flags.writeable = False  # shared by every caller
+    return hi, lo, den
+
+
+def _segment_means(rows: np.ndarray, starts: np.ndarray) -> list[float]:
+    """Exact means, over all 2^n sign vectors, of each segment's supremum.
+
+    Segment c is rows[starts[c] : starts[c + 1]] of the (rows, n) array
+    ``rows`` (the last runs to the end), each nonempty, 1 <= n <= 20.  At
+    a sign vector eps its supremum is the max over its rows v of
+    (1/n) sum_i eps_i v_i: what TabulatedSupOracle gives for the segment
+    as a class.  Every value must be an integer in [-2, 2] (ValueError
+    otherwise), so each sum is an integer s with |s| <= 2n, exact in int8.
+    A segment's mean is then sum_s count_s fl(s/n) / 2^n, formed exactly
+    from the counts and rounded once: bitwise the value
+    exact_rademacher_columns gives the segment's class.
+
+    Passes take whole segments whose int8 maxima over all 2^n sign vectors
+    fit in _RUNNING_CELLS (at least one segment); within a pass, blocks of
+    _BLOCK_BYTES int8 sums run along both the rows and the sign axis, and
+    a segment cut by a block boundary keeps its running max in the pass.
+    """
+    if not np.all((np.abs(rows) <= 2) & (rows == np.rint(rows))):
+        raise ValueError("segment values must be integers in [-2, 2]")
+    v = rows.astype(np.int8)
+    n = v.shape[1]
+    bounds = np.append(starts, v.shape[0])
+    width, total = 4 * n + 1, 1 << n
+    low_bits = min(n, _BLOCK_BYTES.bit_length() - 1)
+    block_cols, block_rows = 1 << low_bits, max(1, _BLOCK_BYTES >> n)
+    counts = np.zeros((len(starts), width), dtype=np.int64)
+    per_pass = min(len(starts), max(1, _RUNNING_CELLS >> n))
+    buffer = np.empty((per_pass, total), dtype=np.int8)  # reused by every pass
+    for c0 in range(0, len(starts), per_pass):
+        c1 = min(c0 + per_pass, len(starts))
+        top = buffer[: c1 - c0]
+        top.fill(np.iinfo(np.int8).min)
+        for a in range(bounds[c0], bounds[c1], block_rows):
+            b = min(a + block_rows, bounds[c1])
+            low, high = _signed_sums(v[a:b, :low_bits]), _signed_sums(v[a:b, low_bits:])
+            # the segments that rows [a, b) touch, and where each starts in the block
+            first = int(np.searchsorted(bounds, a, side="right")) - 1
+            last = int(np.searchsorted(bounds, b, side="left"))
+            cuts = np.maximum(bounds[first:last], a) - a
+            for h in range(high.shape[1]):
+                best = np.maximum.reduceat(low + high[:, h : h + 1], cuts, axis=0)
+                dst = top[first - c0 : last - c0, h * block_cols : (h + 1) * block_cols]
+                np.maximum(dst, best, out=dst)
+        flat = top.reshape(-1)
+        for f0 in range(0, flat.size, _BLOCK_BYTES // 8):
+            f1 = min(f0 + _BLOCK_BYTES // 8, flat.size)
+            s0, s1 = f0 >> n, ((f1 - 1) >> n) + 1
+            keys = np.arange(f0, f1)  # -> (segment - s0) * width + sum + 2n, in place
+            keys >>= n
+            keys -= s0
+            keys *= width
+            keys += flat[f0:f1]
+            keys += 2 * n
+            part = np.bincount(keys, minlength=(s1 - s0) * width)
+            counts[c0 + s0 : c0 + s1] += part.reshape(s1 - s0, width)
+    hi, lo, den = _quotient_numerators(n)
+    sums = zip((counts @ hi).tolist(), (counts @ lo).tolist())
+    return [((h << 32) + l) / (den << n) for h, l in sums]
+
+
+def _lemma1_sides(batch: list, n: int) -> list[tuple[float, float]]:
+    """verify_lemma1's (lhs, rhs) for each instance (classes, labels) of ``batch``, all on n points.
+
+    One pass builds every margin-class row of the batch.  An instance with
+    fewer than K (the batch's largest k) classes is padded with one-row
+    classes of -inf scores: its labels never name them and -inf never wins
+    the competitor max, so every margin is the one materialize_margin_class
+    gives.  The margin rows and the per-class rows then go to
+    _segment_means as one segment per class.
+    """
+    ks = np.array([len(classes) for classes, _ in batch])
+    class_rows = np.concatenate([v for classes, _ in batch for v in classes])
+    sizes = [v.shape[0] for classes, _ in batch for v in classes]
+    class_starts = np.cumsum([0] + sizes[:-1])
+    real = np.arange(ks.max()) < ks[:, None]
+    # per instance and class slot: its first row in ``table`` and its row count
+    first = np.full(real.shape, class_rows.shape[0])
+    first[real] = class_starts
+    radix = np.ones(real.shape, dtype=np.int64)
+    radix[real] = sizes
+    table = np.vstack([class_rows, np.full((1, n), -np.inf)])
+    labels = np.stack([lab for _, lab in batch])
+    products = radix.prod(axis=1)
+    product_starts = np.cumsum(products) - products
+    instance = np.repeat(np.arange(len(batch)), products)
+    margin_rows = np.empty((instance.size, n))
+    step = max(1, _BLOCK_BYTES // (8 * real.shape[1] * n))  # float64 scores per slice
+    for t0 in range(0, instance.size, step):
+        inst = instance[t0 : t0 + step]
+        rest = np.arange(t0, t0 + inst.size) - product_starts[inst]
+        source = np.empty((inst.size, real.shape[1]), dtype=np.int64)
+        for j in reversed(range(real.shape[1])):  # mixed radix, last class fastest
+            rest, digit = np.divmod(rest, radix[inst, j])
+            source[:, j] = first[inst, j] + digit
+        scores = table[source].transpose(0, 2, 1)  # (rows, n, K), as materialize_margin_class
+        margin_rows[t0 : t0 + inst.size] = _margin_block(scores, labels[inst])
+    starts = np.concatenate([product_starts, instance.size + class_starts])
+    means = _segment_means(np.vstack([margin_rows, class_rows]), starts)
+    per_class = means[len(batch) :]
+    ends = np.cumsum(ks).tolist()
+    return [
+        (lhs, math.fsum(per_class[end - k : end]))
+        for lhs, k, end in zip(means[: len(batch)], ks.tolist(), ends)
+    ]
+
+
+def _lemma1_chunk(instances: list) -> list[tuple[float, float]]:
+    """(lhs, rhs) for each instance, computed in batches of one n.
+
+    A batch takes instances of one n in order while its margin-class and
+    per-class rows stay within _BATCH_CELLS values (at least one instance).
+    """
+    sides = [None] * len(instances)
+    by_n: dict[int, list[int]] = {}
+    for i, (_, labels) in enumerate(instances):
+        by_n.setdefault(labels.size, []).append(i)
+    for n, members in by_n.items():
+        batches, cells = [[]], 0
+        for i in members:
+            classes = instances[i][0]
+            need = (math.prod(v.shape[0] for v in classes) + sum(v.shape[0] for v in classes)) * n
+            if batches[-1] and cells + need > _BATCH_CELLS:
+                batches.append([])
+                cells = 0
+            batches[-1].append(i)
+            cells += need
+        for batch in batches:
+            for i, pair in zip(batch, _lemma1_sides([instances[i] for i in batch], n)):
+                sides[i] = pair
+    return sides
 
 
 def lemma1_sweep(
@@ -242,32 +544,54 @@ def lemma1_sweep(
     max_class_size: int = 4,
     base_seed: int = 0,
 ) -> dict:
-    """Run verify_lemma1 on `seeds` random instances; report any failures.
+    """Check R_hat_n(M_k) <= sum_j R_hat_n(F_j) on `seeds` random instances; report any failures.
 
-    Instances draw n up to max_n and up to max_k classes of up to
-    max_class_size rows each, so a largest product max_class_size**max_k
-    above MARGIN_CLASS_CAP, or a request (max_n, that product) that
-    check_exact_request refuses, raises CapExceeded before any instance runs.
+    Instance s is random_margin_instance(base_seed + s, ...), and each
+    instance's lhs and rhs are bitwise verify_lemma1's: the sweep draws
+    _SWEEP_CHUNK seeds at a time and checks every instance of one n in a
+    chunk by one batched exact enumeration (module docstring).  Failures
+    are listed in seed order.
+
+    Refused before any instance is drawn: ValueError for bad limits or
+    seeds outside [0, 2^64); CapExceeded for a largest product
+    max_class_size**max_k above MARGIN_CLASS_CAP, a request (max_n, that
+    product) that check_exact_request refuses, or a largest score tensor
+    (product x max_n x max_k cells) above MARGIN_SCORE_CAP.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     _check_instance_limits(max_k, max_n, max_class_size)
+    if base_seed < 0 or base_seed + seeds > 1 << 64:
+        raise ValueError(
+            f"instance seeds base_seed .. base_seed + seeds - 1 = {base_seed} .. "
+            f"{base_seed + seeds - 1} must lie in [0, 2^64)"
+        )
     # Past 64 the exponent cannot change the comparison (2**64 > cap).
     if max_class_size ** min(max_k, 64) > MARGIN_CLASS_CAP:
         raise CapExceeded(
             f"{max_class_size}**{max_k} rows exceed the margin-class product cap {MARGIN_CLASS_CAP}"
         )
-    check_exact_request(max_n, rows=max_class_size**max_k)
+    rows = max_class_size**max_k
+    check_exact_request(max_n, rows=rows)
+    if rows * max_n * max_k > MARGIN_SCORE_CAP:
+        raise CapExceeded(
+            f"{rows} rows x n={max_n} x k={max_k} = {rows * max_n * max_k} score cells "
+            f"exceed the margin-score cap {MARGIN_SCORE_CAP}"
+        )
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
     failures = []
     worst_slack = -math.inf
-    for s in range(seeds):
-        spec, labels = random_margin_instance(
-            base_seed + s, max_k=max_k, max_n=max_n, max_class_size=max_class_size
-        )
-        rep = verify_lemma1(spec, labels)
-        worst_slack = max(worst_slack, rep.lhs - rep.rhs)
-        if not rep.passed:
-            failures.append({"seed": base_seed + s, "lhs": rep.lhs, "rhs": rep.rhs})
+    # the chunk's raw outputs, one row per seed, stay within _BATCH_CELLS
+    outputs = _instance_outputs(max_k, max_n, max_class_size)
+    size = max(1, min(_SWEEP_CHUNK, _BATCH_CELLS // outputs))
+    for lo in range(0, seeds, size):
+        chunk = range(base_seed + lo, base_seed + min(lo + size, seeds))
+        instances = _draw_chunk(bit_generator, rng, chunk, max_k, max_n, max_class_size)
+        for seed, (lhs, rhs) in zip(chunk, _lemma1_chunk(instances)):
+            worst_slack = max(worst_slack, lhs - rhs)
+            if not lhs <= rhs + _LEMMA1_TOLERANCE:
+                failures.append({"seed": seed, "lhs": lhs, "rhs": rhs})
     return {
         "instances": seeds,
         "failures": failures,

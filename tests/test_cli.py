@@ -190,7 +190,8 @@ def test_rad_kernel_runaway_request_is_exit_3_before_the_gram(in_tmp, capsys, mo
     (["rad", "--class", "tabulated:c.csv", "--mode", "mc"], "--seed"),
     (["verify", "thm3", "--k", "2", "--epsilon", "0.5"], "--seed"),
     (["synth", "--kind", "uniform", "--k", "2", "--n", "4", "--out", "d.csv"], "--seed"),
-    (["verify", "lemma1", "--seeds", "2"], "--base-seed"),
+    # one instance: with more, the largest --base-seed would key seeds past 2^64
+    (["verify", "lemma1", "--seeds", "1"], "--base-seed"),
 ], ids=["rad", "thm3", "synth", "lemma1"])
 @pytest.mark.parametrize("value", ["-1", "18446744073709551616", "1.5", "seven"])
 def test_seed_flags_take_integers_in_the_stream_key_range(in_tmp, capsys, argv, flag, value):
@@ -640,22 +641,32 @@ def test_verify_lemma1_passes(in_tmp, capsys):
     assert payload["worst_slack"] <= 1e-12
 
 
-@pytest.mark.parametrize("seeds", ["1", "40"])
-def test_verify_lemma1_max_n_above_cap_is_exit_3_up_front(in_tmp, capsys, monkeypatch, seeds):
-    margin_module = mbl.margin
-    real = margin_module.random_margin_instance
+# every function through which the sweep or random_margin_instance draws an instance
+_DRAWS = ("_draw_chunk", "_draw_instance", "random_margin_instance")
+
+
+def _no_instances(monkeypatch):
+    """Make every instance draw fail."""
 
     def no_instance(*args, **kwargs):
         raise AssertionError("an instance ran before the cap check")
 
-    monkeypatch.setattr(margin_module, "random_margin_instance", no_instance)
+    for name in _DRAWS:
+        monkeypatch.setattr(mbl.margin, name, no_instance)
+
+
+@pytest.mark.parametrize("seeds", ["1", "40"])
+def test_verify_lemma1_max_n_above_cap_is_exit_3_up_front(in_tmp, capsys, monkeypatch, seeds):
+    draws = {name: getattr(mbl.margin, name) for name in _DRAWS}
+    _no_instances(monkeypatch)
     code, out, err = run_cli(["verify", "lemma1", "--seeds", seeds, "--max-n", "30"], capsys)
     assert code == 3, err
     assert out == ""
     assert "2^30 sign vectors" in err
     assert "n <= 20" in err
     # the cap itself is allowed
-    monkeypatch.setattr(margin_module, "random_margin_instance", real)
+    for name, draw in draws.items():
+        monkeypatch.setattr(mbl.margin, name, draw)
     code, _, err = run_cli(["verify", "lemma1", "--seeds", "1", "--max-n", "20"], capsys)
     assert code == 0, err
 
@@ -680,17 +691,40 @@ def test_verify_lemma1_product_above_cap_is_exit_3_up_front(
 ):
     # 8**12 rows exceed the margin-class cap; with 30 seeds an instance
     # would reach it mid-run, with 10 none would, and both stop up front.
-    margin_module = mbl.margin
-
-    def no_instance(*args, **kwargs):
-        raise AssertionError("an instance ran before the cap check")
-
-    monkeypatch.setattr(margin_module, "random_margin_instance", no_instance)
+    _no_instances(monkeypatch)
     code, out, err = run_cli(["verify", "lemma1", "--seeds", seeds] + flags, capsys)
     assert code == 3, err
     assert out == ""
     assert "product cap" in err
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--max-k", "1000000000"], ["--max-k", "600000", "--max-n", "20"]],
+    ids=["runaway-k", "k-times-n"],
+)
+def test_verify_lemma1_score_tensor_above_cap_is_exit_3_up_front(
+    in_tmp, capsys, monkeypatch, flags
+):
+    # one-row classes pass the product caps at any k; building the
+    # instances would run away before any of them is checked
+    _no_instances(monkeypatch)
+    argv = ["verify", "lemma1", "--seeds", "3", "--max-class-size", "1"] + flags
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3, err
+    assert out == ""
+    assert "margin-score cap 10000000" in err
+
+
+def test_verify_lemma1_seeds_past_2_64_are_exit_2_up_front(in_tmp, capsys, monkeypatch):
+    # seed 2^64 - 1 is the last key a report can name for replay
+    _no_instances(monkeypatch)
+    argv = ["verify", "lemma1", "--seeds", "3", "--base-seed", "18446744073709551615"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, ""), err
+    assert "--base-seed + --seeds - 1 = 18446744073709551617 is not below 2^64" in err
+    assert not (in_tmp / "mbl_verify.manifest.json").exists()
 
 
 @pytest.mark.parametrize("flags", [["--max-k", "1"], ["--max-k", "-1", "--max-class-size", "0"]])

@@ -97,11 +97,12 @@ def _compare(draw):
 
 @st.composite
 def _lemma1(draw):
-    # --max-k builds classes before the product cap applies, so it stays small
+    # 10**9 classes pass the product caps at --max-class-size 1; the
+    # score-tensor cap refuses them before any instance is drawn
     argv = ["verify", "lemma1", "--seeds", draw(_pick([1, 3], [0]))]
-    argv += draw(_flag("--max-k", [2, 4, 6], [-1, 1]))
+    argv += draw(_flag("--max-k", [2, 4, 6], [-1, 1, 10**9]))
     argv += draw(_flag("--max-n", [1, 3, 6]))
-    argv += draw(_flag("--max-class-size", [2, 3], [0]))
+    argv += draw(_flag("--max-class-size", [1, 2, 3], [0]))
     argv += draw(_flag("--base-seed", [0, 9]))
     return argv, []
 

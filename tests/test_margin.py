@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mbl.margin as margin_module
 from mbl.core import CapExceeded, TabulatedClass
 from mbl.margin import (
+    MARGIN_SCORE_CAP,
     Lemma1Report,
     MarginClassSpec,
     ScoreMatrix,
@@ -20,6 +23,7 @@ from mbl.margin import (
     random_margin_instance,
     verify_lemma1,
 )
+from mbl.rademacher import TabulatedSupOracle, exact_rademacher_columns
 
 ROW = (2.0, 0.5, 1.0)
 
@@ -313,3 +317,215 @@ def test_lemma1_is_an_equality_at_k_2():
         assert abs(rep.lhs - rep.rhs) <= 1e-12, seed
         checked += 1
     assert checked > 50
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _old_random_margin_instance(seed, max_k, max_n, max_class_size):
+    """The instance draw written out with Generator.integers on a fresh Philox(key=seed)."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    k = int(rng.integers(2, max_k + 1))
+    n = int(rng.integers(1, max_n + 1))
+    pool = np.asarray((-1.0, 0.0, 1.0))
+    classes = [
+        pool[rng.integers(0, pool.size, size=(int(rng.integers(1, max_class_size + 1)), n))]
+        for _ in range(k)
+    ]
+    return classes, rng.integers(1, k + 1, size=n)
+
+
+@pytest.mark.parametrize(
+    "limits", [(3, 8, 4), (3, 10, 4), (5, 12, 6), (2, 1, 1), (6, 3, 1), (9, 20, 3)]
+)
+def test_sweep_draws_are_random_margin_instance_draws(limits):
+    # the sweep decodes one random_raw call per seed; random_margin_instance
+    # calls Generator.integers on a fresh Philox(key=seed)
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    seeds = [*range(300), *range(2**64 - 40, 2**64)]
+    drawn = []
+    for lo in range(0, len(seeds), 128):
+        chunk = seeds[lo : lo + 128]
+        drawn += margin_module._draw_chunk(bit_generator, rng, chunk, *limits)
+    for seed, (classes, labels) in zip(seeds, drawn):
+        spec, spec_labels = random_margin_instance(seed, *limits)
+        old_classes, old_labels = _old_random_margin_instance(seed, *limits)
+        assert labels.dtype == old_labels.dtype and np.array_equal(labels, old_labels)
+        assert np.array_equal(spec_labels, old_labels)
+        assert len(classes) == len(old_classes) == spec.k
+        for got, tab, want in zip(classes, spec.per_class, old_classes):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == tab.values.tobytes() == want.tobytes()
+
+
+class _TamperedPhilox:
+    """A Philox whose raw words have one 32-bit output replaced, by one numpy would reject."""
+
+    def __init__(self, output, value):
+        self.inner, self.output, self.value = np.random.Philox(key=0), output, value
+
+    def __setattr__(self, name, value):
+        if name == "state":
+            self.inner.state = value
+        else:
+            object.__setattr__(self, name, value)
+
+    def random_raw(self, size):
+        words = self.inner.random_raw(size)
+        words.view("<u4")[self.output] = self.value  # the little-endian outputs in draw order
+        return words
+
+
+@pytest.mark.parametrize(
+    "limits, output, value",
+    [
+        ((3, 10, 3), 0, 0),  # k's draw: r = 2 never rejects, but a 0 redraws all the same
+        ((3, 10, 3), 2, 0),  # the first row count
+        ((3, 10, 3), 7, 0),  # a value, or a later row count
+        ((3, 10, 3), 30, 0),  # a value or a label
+        ((3, 1, 1), 4, 0),  # at k = 3 the label (r = 3) after k's draw and three values
+        ((3, 10, 6), 2, 2**31),  # the first row count: 6 x 2^31 mod 2^32 = 0 < 2^32 mod 6
+    ],
+)
+def test_sweep_draw_redraws_a_seed_with_a_rejected_output(limits, output, value):
+    fake = _TamperedPhilox(output, value)
+    rng = np.random.Generator(fake.inner)  # the redraw re-keys fake.inner through fake
+    drawn = margin_module._draw_chunk(fake, rng, range(50, 60), *limits)
+    for seed, (classes, labels) in zip(range(50, 60), drawn):
+        old_classes, old_labels = _old_random_margin_instance(seed, *limits)
+        assert np.array_equal(labels, old_labels)
+        assert [c.tobytes() for c in classes] == [c.tobytes() for c in old_classes]
+
+
+def _sweep_sides(monkeypatch, seeds, base_seed, limits):
+    """The sweep's (seed, lhs, rhs) of every instance: with no slack allowed every one fails."""
+    monkeypatch.setattr(margin_module, "_LEMMA1_TOLERANCE", -math.inf)
+    max_k, max_n, max_class_size = limits
+    report = lemma1_sweep(
+        seeds, max_k=max_k, max_n=max_n, max_class_size=max_class_size, base_seed=base_seed
+    )
+    assert report["instances"] == seeds and not report["pass"]
+    return report
+
+
+@pytest.mark.parametrize(
+    "seeds, base_seed, limits",
+    [
+        pytest.param(2000, 2000, (3, 10, 4), id="benchmark"),
+        pytest.param(150, 7, (5, 12, 6), id="k5-n12-m6"),
+        pytest.param(300, 11, (3, 1, 4), id="n1"),
+        pytest.param(300, 5, (6, 8, 1), id="one-row-classes"),
+    ],
+)
+def test_lemma1_sweep_is_bitwise_verify_lemma1(monkeypatch, seeds, base_seed, limits):
+    report = _sweep_sides(monkeypatch, seeds, base_seed, limits)
+    # every seed, in seed order, across chunks and n-groups
+    assert [f["seed"] for f in report["failures"]] == list(range(base_seed, base_seed + seeds))
+    slacks = []
+    for failure in report["failures"]:
+        rep = verify_lemma1(*random_margin_instance(failure["seed"], *limits))
+        assert _bits(failure["lhs"]) == _bits(rep.lhs), failure
+        assert _bits(failure["rhs"]) == _bits(rep.rhs), failure
+        slacks.append(rep.lhs - rep.rhs)
+    assert _bits(report["worst_slack"]) == _bits(max(slacks))
+
+
+@pytest.mark.parametrize("limits", [(4, 9, 5), (4, 3, 5)])
+def test_lemma1_sweep_is_bitwise_verify_lemma1_at_tiny_budgets(monkeypatch, limits):
+    # chunks of at most 7 seeds, batches of one or a few instances, several
+    # passes per batch and blocks that cut segments along the rows and the
+    # sign axis
+    for name, value in [("_SWEEP_CHUNK", 7), ("_BATCH_CELLS", 1 << 10),
+                        ("_BLOCK_BYTES", 1 << 6), ("_RUNNING_CELLS", 1 << 5)]:
+        monkeypatch.setattr(margin_module, name, value)
+    report = _sweep_sides(monkeypatch, 120, 40, limits)
+    assert [f["seed"] for f in report["failures"]] == list(range(40, 160))
+    for failure in report["failures"]:
+        rep = verify_lemma1(*random_margin_instance(failure["seed"], *limits))
+        assert (_bits(failure["lhs"]), _bits(failure["rhs"])) == (_bits(rep.lhs), _bits(rep.rhs))
+
+
+def test_lemma1_sweep_reports_only_real_failures(monkeypatch):
+    # a tolerance that only the instances with lhs < rhs - 0.1 meet
+    monkeypatch.setattr(margin_module, "_LEMMA1_TOLERANCE", -0.1)
+    report = lemma1_sweep(300, max_n=6, base_seed=3)
+    want = []
+    for seed in range(3, 303):
+        rep = verify_lemma1(*random_margin_instance(seed, max_n=6))
+        if not rep.lhs <= rep.rhs - 0.1:
+            want.append({"seed": seed, "lhs": rep.lhs, "rhs": rep.rhs})
+    assert 0 < len(want) < 300
+    assert report["failures"] == want and report["pass"] is False
+
+
+def test_segment_means_is_exact_rademacher_columns_at_n_20():
+    rng = np.random.default_rng(4)
+    rows = rng.integers(-2, 3, size=(6, 20)).astype(np.float64)
+    starts = np.array([0, 2, 3])
+    classes = [TabulatedClass(part) for part in np.split(rows, starts[1:])]
+    want = [est.value for est in exact_rademacher_columns(TabulatedSupOracle(*classes))]
+    tracemalloc.start()
+    try:
+        got = margin_module._segment_means(rows, starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(map(_bits, got)) == list(map(_bits, want))
+    assert peak < 2 << 20  # blocks along the sign axis; one pass of 2^20 int8 maxima
+
+
+@pytest.mark.parametrize("value", [0.5, 3.0, -2.5, math.nan])
+def test_segment_means_refuses_values_that_are_not_small_integers(value):
+    rows = np.zeros((2, 3))
+    rows[1, 2] = value
+    with pytest.raises(ValueError, match="integers in \\[-2, 2\\]"):
+        margin_module._segment_means(rows, np.array([0]))
+
+
+def test_lemma1_sweep_working_set():
+    lemma1_sweep(5, max_n=10)  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        report = lemma1_sweep(2000, max_n=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["pass"]
+    # one chunk of instances plus bounded blocks; unblocked (rows, 2^n)
+    # sums over a batch would take several MiB
+    assert peak < 3 << 19
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("an instance was drawn before the limits were checked")
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, match",
+    [
+        (dict(base_seed=-1), ValueError, r"\[0, 2\^64\)"),
+        (dict(base_seed=2**64 - 2), ValueError, "18446744073709551616"),
+        (dict(max_k=10**9, max_class_size=1), CapExceeded, "margin-score cap"),
+        (dict(max_k=10**6, max_class_size=1, max_n=20), CapExceeded, "margin-score cap"),
+    ],
+    ids=["negative", "past-2^64", "runaway-k", "k-times-n"],
+)
+def test_lemma1_sweep_refuses_up_front(monkeypatch, kwargs, error, match):
+    for name in ("_draw_chunk", "_draw_instance", "random_margin_instance"):
+        monkeypatch.setattr(margin_module, name, _no_draw)
+    with pytest.raises(error, match=match):
+        lemma1_sweep(3, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [(3, 8, 4), (3, 10, 4), (5, 12, 6), (6, 8, 4), (6, 8, 3), (3, 20, 4), (6, 8, 1)],
+    ids=["default-readme-demo", "benchmark", "k5-n12-m6", "k6", "k6-m3", "n20", "one-row"],
+)
+def test_limits_in_use_pass_the_score_cap(limits):
+    max_k, max_n, max_class_size = limits
+    assert max_class_size**max_k * max_n * max_k <= MARGIN_SCORE_CAP
+    report = lemma1_sweep(1, max_k=max_k, max_n=max_n, max_class_size=max_class_size)
+    assert report["pass"]
