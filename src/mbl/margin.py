@@ -16,23 +16,22 @@ is the textbook one-row definition that tests compare both against.
 ``verify_lemma1`` per instance; ``verify_lemma1`` stays the general
 single-instance check and the reference its per-instance lhs and rhs are
 tested against, bit for bit.  The sweep draws up to _SWEEP_CHUNK seeds at
-a time with ``_draw_chunk``: the draws of ``random_margin_instance``,
-decoded from one raw Philox call per seed.  It groups the chunk by n, and
-for each batch of one n it builds every margin-class row in one vectorized
-pass, stacks them with the per-class rows, and hands ``_segment_means``
-one segment per class.  Instance values lie in {-1, 0, 1}, so every row
-value is an integer in [-2, 2] and every signed sum an integer s with
-|s| <= 2n: the engine forms the sums exactly in int8 by doubling over the
-sign positions (binary sign order, no BLAS), takes each segment's maxima
-with np.maximum.reduceat, counts them, and averages
+a time, each with the draws of ``random_margin_instance``, and groups the
+chunk by n.  For each batch of one n it builds every margin-class row in
+one vectorized pass, stacks them with the per-class rows, and hands
+``_segment_means`` one segment per class.  Instance values lie in
+{-1, 0, 1}, so every row value is an integer in [-2, 2] and every signed
+sum an integer s with |s| <= 2n: the engine forms the sums exactly in int8
+by doubling over the sign positions (binary sign order, no BLAS), takes
+each segment's maxima with np.maximum.reduceat, counts them, and averages
 sum_s count_s fl(s/n) / 2^n in exact integers, rounded once, which is
 bitwise the reduction of ``exact_rademacher_columns``.  It checks that
 integrality and raises if it fails.
 
-Working set of the sweep: one chunk's instances and raw draws, at most
-_BATCH_CELLS outputs (fewer seeds when an instance can take more draws);
-a batch's stacked rows, at most _BATCH_CELLS float64 values (2 MiB) unless
-one instance alone is larger; per block, _BLOCK_BYTES (64 KiB) of int8
+Working set of the sweep: one chunk's instances, at most _BATCH_CELLS
+values (fewer seeds when an instance can hold more); a batch's stacked
+rows, at most _BATCH_CELLS float64 values (2 MiB) unless one instance
+alone is larger; per block, _BLOCK_BYTES (64 KiB) of int8
 sums running along the rows and the sign axis, and as many bytes of
 float64 scores per margin-row slice and of count keys; and per pass, the
 int8 segment maxima over all 2^n sign vectors, at most _RUNNING_CELLS
@@ -252,31 +251,20 @@ def _check_instance_limits(max_k: int, max_n: int, max_class_size: int) -> None:
 
 
 def _draw_instance(
-    rng: np.random.Generator, max_k: int, max_n: int, max_class_size: int
+    seed: int, max_k: int, max_n: int, max_class_size: int
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """The next instance from ``rng``: k per-class (m_j, n) value arrays and n labels.
+    """Instance ``seed``: k per-class (m_j, n) value arrays and n labels.
 
-    Draws k, then n, then each class's row count and values, then the labels.
+    Draws from np.random.Philox(key=seed) k, then n, then each class's row
+    count and values, then the labels.
     """
+    rng = np.random.Generator(np.random.Philox(key=seed))
     k = int(rng.integers(2, max_k + 1))
     n = int(rng.integers(1, max_n + 1))
     # lazy: each class's row count is drawn just before its values
     shapes = ((int(rng.integers(1, max_class_size + 1)), n) for _ in range(k))
     classes = [_INSTANCE_VALUES[rng.integers(0, 3, size=shape)] for shape in shapes]
     return classes, rng.integers(1, k + 1, size=n)
-
-
-def _rekey(bit_generator: np.random.Philox, seed: int) -> None:
-    """Reset ``bit_generator`` to the state np.random.Philox(key=seed) starts in."""
-    empty = np.zeros(4, dtype=np.uint64)
-    bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": empty, "key": np.array([seed, 0], dtype=np.uint64)},
-        "buffer": empty,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
 
 
 def random_margin_instance(
@@ -292,85 +280,8 @@ def random_margin_instance(
     for that seed.
     """
     _check_instance_limits(max_k, max_n, max_class_size)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    classes, labels = _draw_instance(rng, max_k, max_n, max_class_size)
+    classes, labels = _draw_instance(seed, max_k, max_n, max_class_size)
     return MarginClassSpec(tuple(map(TabulatedClass, classes))), labels
-
-
-def _instance_outputs(max_k: int, max_n: int, max_class_size: int) -> int:
-    """The most 32-bit generator outputs _draw_instance takes when no draw is rejected."""
-    scalars = (max_k > 2) + (max_n > 1)
-    return scalars + max_k * ((max_class_size > 1) + max_class_size * max_n) + max_n
-
-
-def _draw_chunk(
-    bit_generator: np.random.Philox,
-    rng: np.random.Generator,
-    seeds: range,
-    max_k: int,
-    max_n: int,
-    max_class_size: int,
-) -> list[tuple[list[np.ndarray], np.ndarray]]:
-    """For each seed, what _draw_instance(rng, ...) draws after _rekey(bit_generator, seed).
-
-    rng.integers(low, low + r) with 1 < r < 2^32 (Lemire's method, numpy's
-    default) takes the generator's next 32-bit output x, the low half of a
-    64-bit Philox word before its high half, and returns low + (x r >> 32)
-    unless x r mod 2^32 < 2^32 mod r, where it draws again; r = 1 takes no
-    output.  So one random_raw call per seed gives every output its
-    instance can take: all of them are decoded as class values (r = 3) at
-    once, k, n and the row counts one by one, and the labels (r = k) at
-    once.  A seed where any of its draws would be rejected (for the values,
-    x = 0) is drawn again by _draw_instance.
-    """
-    limits = (max_k, max_n, max_class_size)
-    words = np.empty((len(seeds), -(-_instance_outputs(*limits) // 2)), dtype=np.uint64)
-    for row, seed in zip(words, seeds):
-        _rekey(bit_generator, seed)
-        row[:] = bit_generator.random_raw(words.shape[1])
-    x = words.astype("<u8", copy=False).view("<u4")  # the outputs in draw order
-    scaled = np.multiply(x, 3, dtype=np.uint64)
-    scaled >>= 32
-    values = _INSTANCE_VALUES[scaled]
-    del scaled
-    plans, kept = [], []
-    for row in x:
-        at, ok = 0, True
-
-        def draw(low: int, r: int) -> int:
-            nonlocal at, ok
-            if r == 1:
-                return low
-            scaled = int(row[at]) * r
-            at += 1
-            ok = ok and (scaled & 0xFFFFFFFF) >= (1 << 32) % r
-            return low + (scaled >> 32)
-
-        k, n = draw(2, max_k - 1), draw(1, max_n)
-        classes = []
-        for _ in range(k):
-            m = draw(1, max_class_size)
-            classes.append((at, m))
-            at += m * n
-        plans.append((k, n, classes, at))
-        kept.append(ok)
-    ks, ns, label_at = (np.array([plan[j] for plan in plans])[:, None] for j in (0, 1, 3))
-    ahead = np.arange(max_n)
-    label_x = np.take_along_axis(x, np.minimum(label_at + ahead, x.shape[1] - 1), axis=1)
-    scaled = np.multiply(label_x, ks.astype(np.uint64), dtype=np.uint64)
-    labels = (scaled >> 32).astype(np.int64) + 1
-    rejected = (scaled & 0xFFFFFFFF) < (1 << 32) % ks.astype(np.uint64)
-    redraw = (rejected & (ahead < ns)).any(axis=1) | ~np.array(kept)
-    redraw |= ((x == 0) & (np.arange(x.shape[1]) < label_at)).any(axis=1)
-    instances = []
-    for i, (seed, (_, n, classes, _)) in enumerate(zip(seeds, plans)):
-        if not redraw[i]:
-            rows = [values[i, at : at + m * n].reshape(m, n).copy() for at, m in classes]
-            instances.append((rows, labels[i, :n]))
-        else:
-            _rekey(bit_generator, seed)
-            instances.append(_draw_instance(rng, *limits))
-    return instances
 
 
 def _signed_sums(v: np.ndarray) -> np.ndarray:
@@ -578,16 +489,13 @@ def lemma1_sweep(
             f"{rows} rows x n={max_n} x k={max_k} = {rows * max_n * max_k} score cells "
             f"exceed the margin-score cap {MARGIN_SCORE_CAP}"
         )
-    bit_generator = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_generator)
     failures = []
     worst_slack = -math.inf
-    # the chunk's raw outputs, one row per seed, stay within _BATCH_CELLS
-    outputs = _instance_outputs(max_k, max_n, max_class_size)
-    size = max(1, min(_SWEEP_CHUNK, _BATCH_CELLS // outputs))
+    # the chunk's instance values stay within _BATCH_CELLS
+    size = max(1, min(_SWEEP_CHUNK, _BATCH_CELLS // (max_k * max_class_size * max_n)))
     for lo in range(0, seeds, size):
         chunk = range(base_seed + lo, base_seed + min(lo + size, seeds))
-        instances = _draw_chunk(bit_generator, rng, chunk, max_k, max_n, max_class_size)
+        instances = [_draw_instance(seed, max_k, max_n, max_class_size) for seed in chunk]
         for seed, (lhs, rhs) in zip(chunk, _lemma1_chunk(instances)):
             worst_slack = max(worst_slack, lhs - rhs)
             if not lhs <= rhs + _LEMMA1_TOLERANCE:
