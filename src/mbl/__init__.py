@@ -30,6 +30,7 @@ from .rademacher import (
     exact_rademacher_columns,
     mc_empirical_rademacher,
     mc_rademacher_columns,
+    tabulated_mc_rademacher,
     trial_sign_block,
 )
 from .margin import (
@@ -73,6 +74,7 @@ __all__ = [
     "exact_rademacher_columns",
     "mc_empirical_rademacher",
     "mc_rademacher_columns",
+    "tabulated_mc_rademacher",
     "trial_sign_block",
     "MarginClassSpec",
     "ScoreMatrix",

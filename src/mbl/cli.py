@@ -35,7 +35,7 @@ from .rademacher import (
     check_exact_request,
     check_mc_request,
     exact_empirical_rademacher,
-    mc_empirical_rademacher,
+    tabulated_mc_rademacher,
 )
 from .synth import (
     GeneratorSpec,
@@ -127,7 +127,7 @@ def _cmd_rad(args) -> tuple[int, dict]:
     elif isinstance(oracle, KernelSupOracle):
         est = kernel_mc_rademacher(oracle, args.trials, args.seed)
     else:
-        est = mc_empirical_rademacher(oracle, trials=args.trials, seed=args.seed)
+        est = tabulated_mc_rademacher(oracle, trials=args.trials, seed=args.seed)
     payload = {
         "value": est.value,
         "method": est.method,

@@ -28,6 +28,16 @@ sum_s count_s fl(s/n) / 2^n in exact integers, rounded once, which is
 bitwise the reduction of ``exact_rademacher_columns``.  It checks that
 integrality and raises if it fails.
 
+At k = 2 Lemma 1 is an equality.  The margin of example i is
+sigma_i (f_1 - f_2)(x_i), with sigma_i = +1 where y_i = 1 and -1 where
+y_i = 2, so the margin supremum at eps is the supremum of class 1 at
+eps sigma plus that of class 2 at -eps sigma, and both maps permute the
+2^n sign vectors.  Summed over all of them, n times the margin supremum
+is therefore the integer sum_s count_s s of class 1 plus that of class 2.
+The sweep compares these integers exactly for every k = 2 instance, a
+two-sided check that sees a margin row lost or wrong even where it only
+lowers the left side.
+
 Working set of the sweep: one chunk's instances, at most _BATCH_CELLS
 values (fewer seeds when an instance can hold more); a batch's stacked
 rows, at most _BATCH_CELLS float64 values (2 MiB) unless one instance
@@ -315,8 +325,9 @@ def _quotient_numerators(n: int) -> tuple[np.ndarray, np.ndarray, int]:
     return hi, lo, den
 
 
-def _segment_means(rows: np.ndarray, starts: np.ndarray) -> list[float]:
-    """Exact means, over all 2^n sign vectors, of each segment's supremum.
+def _segment_counts(rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(segments, 4n + 1) int64: column s + 2n of row c counts the sign
+    vectors at which segment c's supremum has numerator s.
 
     Segment c is rows[starts[c] : starts[c + 1]] of the (rows, n) array
     ``rows`` (the last runs to the end), each nonempty, 1 <= n <= 20.  At
@@ -324,9 +335,6 @@ def _segment_means(rows: np.ndarray, starts: np.ndarray) -> list[float]:
     (1/n) sum_i eps_i v_i: what TabulatedSupOracle gives for the segment
     as a class.  Every value must be an integer in [-2, 2] (ValueError
     otherwise), so each sum is an integer s with |s| <= 2n, exact in int8.
-    A segment's mean is then sum_s count_s fl(s/n) / 2^n, formed exactly
-    from the counts and rounded once: bitwise the value
-    exact_rademacher_columns gives the segment's class.
 
     Passes take whole segments whose int8 maxima over all 2^n sign vectors
     fit in _RUNNING_CELLS (at least one segment); within a pass, blocks of
@@ -371,29 +379,48 @@ def _segment_means(rows: np.ndarray, starts: np.ndarray) -> list[float]:
             keys += 2 * n
             part = np.bincount(keys, minlength=(s1 - s0) * width)
             counts[c0 + s0 : c0 + s1] += part.reshape(s1 - s0, width)
+    return counts
+
+
+def _segment_totals(counts: np.ndarray) -> list[int]:
+    """Each segment's sum over all 2^n sign vectors of n times its
+    supremum: sum_s count_s s, an exact integer."""
+    n = (counts.shape[1] - 1) // 4
+    return (counts @ np.arange(-2 * n, 2 * n + 1)).tolist()
+
+
+def _segment_means(counts: np.ndarray) -> list[float]:
+    """Exact means, over all 2^n sign vectors, of each segment's supremum.
+
+    A segment's mean is sum_s count_s fl(s/n) / 2^n, formed exactly from
+    its _segment_counts row and rounded once: bitwise the value
+    exact_rademacher_columns gives the segment's class.
+    """
+    n = (counts.shape[1] - 1) // 4
     hi, lo, den = _quotient_numerators(n)
     sums = zip((counts @ hi).tolist(), (counts @ lo).tolist())
     return [((h << 32) + l) / (den << n) for h, l in sums]
 
 
-def _lemma1_sides(batch: list, n: int) -> list[tuple[float, float]]:
-    """verify_lemma1's (lhs, rhs) for each instance (classes, labels) of ``batch``, all on n points.
+def _margin_rows(
+    batch: list, class_rows: np.ndarray, sizes: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every margin-class row of the instances (classes, labels) of ``batch``,
+    and the index of each instance's first row.
 
-    One pass builds every margin-class row of the batch.  An instance with
-    fewer than K (the batch's largest k) classes is padded with one-row
-    classes of -inf scores: its labels never name them and -inf never wins
-    the competitor max, so every margin is the one materialize_margin_class
-    gives.  The margin rows and the per-class rows then go to
-    _segment_means as one segment per class.
+    ``class_rows`` stacks the batch's per-class rows, class by class, and
+    ``sizes`` holds each class's row count.  One pass builds the rows.  An
+    instance with fewer than K (the batch's largest k) classes is padded
+    with one-row classes of -inf scores: its labels never name them and
+    -inf never wins the competitor max, so every margin is the one
+    materialize_margin_class gives.
     """
+    n = class_rows.shape[1]
     ks = np.array([len(classes) for classes, _ in batch])
-    class_rows = np.concatenate([v for classes, _ in batch for v in classes])
-    sizes = [v.shape[0] for classes, _ in batch for v in classes]
-    class_starts = np.cumsum([0] + sizes[:-1])
     real = np.arange(ks.max()) < ks[:, None]
     # per instance and class slot: its first row in ``table`` and its row count
     first = np.full(real.shape, class_rows.shape[0])
-    first[real] = class_starts
+    first[real] = np.cumsum([0] + sizes[:-1])
     radix = np.ones(real.shape, dtype=np.int64)
     radix[real] = sizes
     table = np.vstack([class_rows, np.full((1, n), -np.inf)])
@@ -412,18 +439,39 @@ def _lemma1_sides(batch: list, n: int) -> list[tuple[float, float]]:
             source[:, j] = first[inst, j] + digit
         scores = table[source].transpose(0, 2, 1)  # (rows, n, K), as materialize_margin_class
         margin_rows[t0 : t0 + inst.size] = _margin_block(scores, labels[inst])
-    starts = np.concatenate([product_starts, instance.size + class_starts])
-    means = _segment_means(np.vstack([margin_rows, class_rows]), starts)
-    per_class = means[len(batch) :]
-    ends = np.cumsum(ks).tolist()
-    return [
-        (lhs, math.fsum(per_class[end - k : end]))
-        for lhs, k, end in zip(means[: len(batch)], ks.tolist(), ends)
-    ]
+    return margin_rows, product_starts
 
 
-def _lemma1_chunk(instances: list) -> list[tuple[float, float]]:
-    """(lhs, rhs) for each instance, computed in batches of one n.
+def _lemma1_sides(batch: list) -> list[tuple[float, float, tuple[int, int] | None]]:
+    """verify_lemma1's (lhs, rhs) for each instance (classes, labels) of
+    ``batch``, all on one sample, and for k = 2 the integer totals of both sides.
+
+    The margin rows (_margin_rows) and the per-class rows go to
+    _segment_counts as one segment per class.  At k = 2 the third entry is
+    (margin total, first class total + second class total), each
+    _segment_totals: 2^n n times that side's complexity, exactly.  Lemma 1
+    is an equality there (module docstring), so the two must be equal.
+    """
+    class_rows = np.concatenate([v for classes, _ in batch for v in classes])
+    sizes = [v.shape[0] for classes, _ in batch for v in classes]
+    margin_rows, product_starts = _margin_rows(batch, class_rows, sizes)
+    class_starts = np.cumsum([0] + sizes[:-1])
+    starts = np.concatenate([product_starts, margin_rows.shape[0] + class_starts])
+    counts = _segment_counts(np.vstack([margin_rows, class_rows]), starts)
+    means, totals = _segment_means(counts), _segment_totals(counts)
+    sides = []
+    end = len(batch)
+    for i, (classes, _) in enumerate(batch):
+        k = len(classes)
+        end += k
+        rhs = math.fsum(means[end - k : end])
+        pair = (totals[i], totals[end - 2] + totals[end - 1]) if k == 2 else None
+        sides.append((means[i], rhs, pair))
+    return sides
+
+
+def _lemma1_chunk(instances: list) -> list[tuple[float, float, tuple[int, int] | None]]:
+    """_lemma1_sides for each instance, computed in batches of one n.
 
     A batch takes instances of one n in order while its margin-class and
     per-class rows stay within _BATCH_CELLS values (at least one instance).
@@ -443,8 +491,8 @@ def _lemma1_chunk(instances: list) -> list[tuple[float, float]]:
             batches[-1].append(i)
             cells += need
         for batch in batches:
-            for i, pair in zip(batch, _lemma1_sides([instances[i] for i in batch], n)):
-                sides[i] = pair
+            for i, side in zip(batch, _lemma1_sides([instances[i] for i in batch])):
+                sides[i] = side
     return sides
 
 
@@ -460,8 +508,11 @@ def lemma1_sweep(
     Instance s is random_margin_instance(base_seed + s, ...), and each
     instance's lhs and rhs are bitwise verify_lemma1's: the sweep draws
     _SWEEP_CHUNK seeds at a time and checks every instance of one n in a
-    chunk by one batched exact enumeration (module docstring).  Failures
-    are listed in seed order.
+    chunk by one batched exact enumeration (module docstring).  At k = 2
+    it also checks the equality exactly, on integer totals (module
+    docstring); ``k2_identities`` counts those instances, and a failure
+    of the equality is listed with its two totals as ``k2_totals``.
+    Failures are listed in seed order.
 
     Refused before any instance is drawn: ValueError for bad limits or
     seeds outside [0, 2^64); CapExceeded for a largest product
@@ -491,17 +542,24 @@ def lemma1_sweep(
         )
     failures = []
     worst_slack = -math.inf
+    identities = 0
     # the chunk's instance values stay within _BATCH_CELLS
     size = max(1, min(_SWEEP_CHUNK, _BATCH_CELLS // (max_k * max_class_size * max_n)))
     for lo in range(0, seeds, size):
         chunk = range(base_seed + lo, base_seed + min(lo + size, seeds))
         instances = [_draw_instance(seed, max_k, max_n, max_class_size) for seed in chunk]
-        for seed, (lhs, rhs) in zip(chunk, _lemma1_chunk(instances)):
+        for seed, (lhs, rhs, totals) in zip(chunk, _lemma1_chunk(instances)):
             worst_slack = max(worst_slack, lhs - rhs)
-            if not lhs <= rhs + _LEMMA1_TOLERANCE:
-                failures.append({"seed": seed, "lhs": lhs, "rhs": rhs})
+            identities += totals is not None
+            equal = totals is None or totals[0] == totals[1]
+            if not (lhs <= rhs + _LEMMA1_TOLERANCE and equal):
+                failure = {"seed": seed, "lhs": lhs, "rhs": rhs}
+                if not equal:
+                    failure["k2_totals"] = list(totals)
+                failures.append(failure)
     return {
         "instances": seeds,
+        "k2_identities": identities,
         "failures": failures,
         "worst_slack": worst_slack,
         "pass": not failures,

@@ -18,10 +18,12 @@ from mbl.cli import _thm1_rad_value, main
 from mbl.kernel import KernelSpec, KernelSupOracle, gram, kernel_mc_rademacher
 from mbl.lowerbound import sweep_theorem3
 from mbl.margin import ScoreMatrix, margins
+from mbl.rademacher import TabulatedSupOracle, mc_empirical_rademacher, tabulated_mc_rademacher
 from mbl.synth import (
     GeneratorSpec,
     generate,
     read_dataset_csv,
+    read_tabulated_csv,
     write_dataset_csv,
     write_labels_csv,
     write_scores_csv,
@@ -81,6 +83,22 @@ def test_rad_mc_deterministic_across_threads(in_tmp, capsys):
     assert first == second == threaded
     other_seed = run_cli(argv[:-1] + ["6"], capsys)
     assert json.loads(other_seed[1])["value"] != json.loads(first[1])["value"]
+
+
+@pytest.mark.parametrize("convention", ["signed", "absolute"])
+def test_rad_tabulated_mc_is_the_paired_estimator_bitwise(in_tmp, capsys, convention):
+    (in_tmp / "c.csv").write_text("1,-1,1,0.5\n-1,1,0.25,-1\n0,1,-1,1\n", encoding="utf-8")
+    argv = ["rad", "--class", "tabulated:c.csv", "--mode", "mc", "--trials", "3000",
+            "--seed", "9", "--convention", convention]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    oracle = TabulatedSupOracle(read_tabulated_csv("c.csv"), convention=convention)
+    est = tabulated_mc_rademacher(oracle, trials=3000, seed=9)
+    payload = json.loads(out)
+    assert (payload["value"], payload["std_error"], payload["trials"]) == (
+        est.value, est.std_error, 3000)
+    if convention == "absolute":
+        assert est == mc_empirical_rademacher(oracle, trials=3000, seed=9)
 
 
 @pytest.mark.parametrize(

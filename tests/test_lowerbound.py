@@ -402,6 +402,16 @@ def test_verify_theorem3_union_variant():
         verify_theorem3(cfg, variant="both")
 
 
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_union_variant_passes_at_auto_t(k):
+    # acceptance gate 4's configurations in the union variant, which unlike
+    # the sum variant is no identity: its lhs and rhs are different columns
+    rep = verify_theorem3(LowerBoundConfig(k, 0.5, trials=2000, seed=0), variant="union")
+    assert rep.t_auto_selected and rep.n == 16 * k * rep.t**2
+    assert rep.lhs != rep.rhs
+    assert rep.passed
+
+
 def test_verify_theorem3_makes_one_estimator_call(monkeypatch):
     calls = []
     real = lowerbound.mc_rademacher_columns

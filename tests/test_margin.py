@@ -410,6 +410,38 @@ def test_lemma1_sweep_reports_only_real_failures(monkeypatch):
     assert report["failures"] == want and report["pass"] is False
 
 
+def test_lemma1_sweep_checks_every_k_2_instance_exactly():
+    report = lemma1_sweep(300, max_n=6, base_seed=3)
+    k2 = sum(random_margin_instance(seed, max_n=6)[0].k == 2 for seed in range(3, 303))
+    assert 100 < k2 < 200
+    assert report["k2_identities"] == k2
+    assert report["failures"] == [] and report["pass"] is True
+
+
+def test_lemma1_sweep_k_2_check_sees_a_dropped_margin_row(monkeypatch):
+    # Copying each margin class's second row over its first drops the first
+    # from every supremum: lhs can only fall, so the inequality still holds,
+    # but the exact k = 2 totals no longer match.
+    build = margin_module._margin_rows
+
+    def drop_first_rows(batch, class_rows, sizes):
+        rows, starts = build(batch, class_rows, sizes)
+        ends = np.append(starts[1:], rows.shape[0])
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            if end - start >= 2:
+                rows[start] = rows[start + 1]
+        return rows, starts
+
+    monkeypatch.setattr(margin_module, "_margin_rows", drop_first_rows)
+    report = lemma1_sweep(300, max_n=6, base_seed=3)
+    assert report["pass"] is False and len(report["failures"]) > 10
+    for failure in report["failures"]:
+        assert random_margin_instance(failure["seed"], max_n=6)[0].k == 2
+        assert failure["lhs"] <= failure["rhs"] + margin_module._LEMMA1_TOLERANCE
+        margin_total, class_total = failure["k2_totals"]
+        assert margin_total < class_total
+
+
 def test_segment_means_is_exact_rademacher_columns_at_n_20():
     rng = np.random.default_rng(4)
     rows = rng.integers(-2, 3, size=(6, 20)).astype(np.float64)
@@ -418,7 +450,7 @@ def test_segment_means_is_exact_rademacher_columns_at_n_20():
     want = [est.value for est in exact_rademacher_columns(TabulatedSupOracle(*classes))]
     tracemalloc.start()
     try:
-        got = margin_module._segment_means(rows, starts)
+        got = margin_module._segment_means(margin_module._segment_counts(rows, starts))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -431,7 +463,7 @@ def test_segment_means_refuses_values_that_are_not_small_integers(value):
     rows = np.zeros((2, 3))
     rows[1, 2] = value
     with pytest.raises(ValueError, match="integers in \\[-2, 2\\]"):
-        margin_module._segment_means(rows, np.array([0]))
+        margin_module._segment_counts(rows, np.array([0]))
 
 
 def test_lemma1_sweep_working_set():

@@ -24,6 +24,7 @@ from mbl.rademacher import (
     exact_rademacher_columns,
     mc_empirical_rademacher,
     mc_rademacher_columns,
+    tabulated_mc_rademacher,
     trial_sign_block,
 )
 
@@ -696,3 +697,90 @@ def test_mc_tracks_exact_value():
     exact = exact_empirical_rademacher(oracle).value
     mc = mc_empirical_rademacher(oracle, 10000, seed=1)
     assert abs(mc.value - exact) <= 4.0 * mc.std_error
+
+
+def test_paired_mc_within_four_std_errors_of_exact():
+    # acceptance gate 3's 100 classes, through the paired estimator
+    rng = np.random.default_rng(77)
+    hits = 0
+    for case in range(100):
+        n = int(rng.integers(2, 11))
+        rows = int(rng.integers(1, 7))
+        oracle = TabulatedSupOracle(TabulatedClass(rng.normal(size=(rows, n))))
+        exact = exact_empirical_rademacher(oracle).value
+        est = tabulated_mc_rademacher(oracle, trials=10**4, seed=case)
+        hits += abs(est.value - exact) <= 4.0 * est.std_error
+    assert hits >= 99
+
+
+def test_paired_mc_cuts_the_variance_of_a_gaussian_class():
+    # the benchmark's 8 x 16 shape; 20,000 draws take the counted path
+    oracle = TabulatedSupOracle(TabulatedClass(np.random.default_rng(16).normal(size=(8, 16))))
+    plain = mc_empirical_rademacher(oracle, trials=20000, seed=3)
+    paired = tabulated_mc_rademacher(oracle, trials=20000, seed=3)
+    assert paired.trials == plain.trials == 20000
+    assert paired.std_error**2 <= 0.6 * plain.std_error**2
+
+
+@pytest.mark.parametrize("trials", [300, 5000], ids=["per-draw", "counted"])
+@pytest.mark.parametrize("kind", ["absolute", "negation-closed"])
+def test_paired_mc_is_bitwise_plain_mc_for_an_even_score(kind, trials):
+    # the absolute score is even in eps; a class closed under negation has max = -min
+    values = np.random.default_rng(5).normal(size=(4, 9))
+    if kind == "absolute":
+        oracle = TabulatedSupOracle(TabulatedClass(values), convention="absolute")
+    else:
+        oracle = TabulatedSupOracle(TabulatedClass(np.vstack([values, -values])))
+    paired = tabulated_mc_rademacher(oracle, trials, seed=8)
+    plain = mc_empirical_rademacher(oracle, trials, seed=8)
+    assert paired == plain
+    assert (paired.value.hex(), paired.std_error.hex()) == (plain.value.hex(), plain.std_error.hex())
+
+
+def test_paired_mc_of_one_function_is_exactly_zero():
+    oracle = TabulatedSupOracle(random_class(6, m=1, n=7))
+    est = tabulated_mc_rademacher(oracle, trials=500, seed=2)
+    assert (est.value, est.std_error) == (0.0, 0.0)
+    assert mc_empirical_rademacher(oracle, trials=500, seed=2).std_error > 0.0
+
+
+class _PairedReference:
+    """Per draw, (max_r p_r - min_r p_r) / (2n) in exact integer arithmetic,
+    rounded once, for an integer-valued class."""
+
+    def __init__(self, values):
+        self.values, self.n = values.astype(np.int64), values.shape[1]
+
+    def query_block(self, block):
+        products = block.astype(np.int64) @ self.values.T
+        spans = (products.max(axis=1) - products.min(axis=1)).tolist()
+        return np.array([float(Fraction(s, 2 * self.n)) for s in spans])
+
+
+@pytest.mark.parametrize("trials", [255, 256, 257])
+def test_paired_counted_mc_is_bitwise_the_per_draw_estimate(trials, monkeypatch):
+    # 2^8 = 256 patterns: 255 trials take the per-draw path, 256 and 257 the
+    # counted one.  Integer values make every product exact, so the oracle's
+    # (max - min) * 0.5 / n is the exact half range rounded once on both paths.
+    counted = []
+    count_patterns = rademacher._pattern_counts
+    monkeypatch.setattr(
+        rademacher, "_pattern_counts", lambda *a: counted.append(a) or count_patterns(*a)
+    )
+    values = np.random.default_rng(trials).integers(-3, 4, size=(6, 8)).astype(np.float64)
+    got = tabulated_mc_rademacher(TabulatedSupOracle(TabulatedClass(values)), trials, 21)
+    assert len(counted) == (trials >= 256)
+    assert [got] == _per_draw_estimates(_PairedReference(values), 8, trials, 21)
+
+
+def test_paired_mc_leaves_the_callers_oracle_unpaired():
+    oracle = TabulatedSupOracle(random_class(3))
+    before = mc_empirical_rademacher(oracle, trials=400, seed=1)
+    tabulated_mc_rademacher(oracle, trials=400, seed=1)
+    assert mc_empirical_rademacher(oracle, trials=400, seed=1) == before
+
+
+def test_paired_mc_needs_a_tabulated_oracle():
+    ball = KernelSupOracle(gram(KernelSpec(kind="linear"), np.eye(3)), 1.0)
+    with pytest.raises(TypeError, match="TabulatedSupOracle"):
+        tabulated_mc_rademacher(ball, trials=100, seed=0)
